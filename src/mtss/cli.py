@@ -33,7 +33,7 @@ from mtss.corpus import (
     schema_hash,
     split_by_domain,
 )
-from mtss.diffnum import DivergenceError
+from mtss.diffnum import CheckpointError, DivergenceError
 from mtss.metrics import MetricReport, score_corpus
 from mtss.models import load_model, load_model_as, worker_count
 from mtss.synthcorpus import SynthConfig, gen_corpus
@@ -356,9 +356,7 @@ def cmd_evaluate(args) -> int:
         model, meta = load_model(args.model)
         if meta.get("schema_hash") != schema_hash(corpus.schemas):
             raise CorpusError("checkpoint schema hash does not match the evaluation corpus")
-        report, generated = evaluate_model(
-            model, corpus, in_vocab, out_vocab, args.max_len, worker_count()
-        )
+        report, generated = evaluate_model(model, corpus, in_vocab, out_vocab, args.max_len)
         inputs = [Path(args.model)]
         config_doc = {"model": str(args.model), "split": args.split}
         seed = 0
@@ -392,7 +390,7 @@ def _run_sweep_cell(packed) -> dict:
             "train_config": config.to_dict(),
         },
     )
-    report, _ = evaluate_model(student, test, in_vocab, out_vocab, config.max_decode_len, workers=1)
+    report, _ = evaluate_model(student, test, in_vocab, out_vocab, config.max_decode_len)
     return {
         "alpha1": alpha1,
         "alpha2": alpha2,
@@ -472,7 +470,7 @@ def cmd_chat(args, stdin=None, stdout=None) -> int:
         print(text, file=stdout)
 
     say("type a message; /reset clears history, /quit exits")
-    history: list[list[int]] = []
+    dialogue = student.dialogue()
     belief: dict = {}
     for line in stdin:
         line = line.strip()
@@ -481,7 +479,7 @@ def cmd_chat(args, stdin=None, stdout=None) -> int:
         if line == "/quit":
             break
         if line == "/reset":
-            history.clear()
+            dialogue = student.dialogue()
             belief = {}
             say("(history cleared)")
             continue
@@ -493,19 +491,18 @@ def cmd_chat(args, stdin=None, stdout=None) -> int:
                     belief.setdefault(domain, {})[slot] = value
         else:
             tokens = line.lower().split()
-        history.append(in_vocab.encode(tokens))
+        size = len(dialogue.vectors)
         try:
-            ids = student.generate(history, max_len=args.max_len)
-            reply = out_vocab.decode(ids)
+            dialogue.add(in_vocab.encode(tokens))
+            reply = out_vocab.decode(dialogue.reply(args.max_len))
+            dialogue.add(in_vocab.encode(reply))
         except Exception:  # decode failure: apologize, keep history intact
             say("sorry , i could not produce a response .")
-            history.pop()
+            dialogue.truncate(size)
             continue
-        delex_reply = list(reply)
         if args.lexicalize:
             reply = lexicalize(reply, corpus, belief)
         say(" ".join(reply) if reply else "...")
-        history.append(in_vocab.encode(delex_reply))
     return EXIT_OK
 
 
@@ -589,7 +586,7 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (CorpusError, FileNotFoundError, json.JSONDecodeError) as exc:
+    except (CorpusError, CheckpointError, FileNotFoundError, json.JSONDecodeError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except (TrainingDivergenceError, DivergenceError) as exc:

@@ -41,7 +41,7 @@ def save_checkpoint(path: str | Path, tensors: dict[str, np.ndarray], meta: dict
 
 def load_checkpoint(path: str | Path) -> tuple[dict[str, np.ndarray], dict]:
     raw = Path(path).read_bytes()
-    if raw[: len(MAGIC)] != MAGIC:
+    if raw[: len(MAGIC)] != MAGIC or len(raw) < len(MAGIC) + 8:
         raise CheckpointError(f"{path}: not a checkpoint file")
     (manifest_len,) = struct.unpack("<Q", raw[len(MAGIC):len(MAGIC) + 8])
     header_end = len(MAGIC) + 8 + manifest_len

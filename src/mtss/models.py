@@ -11,7 +11,6 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Sequence
@@ -19,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from mtss.corpus import Corpus
-from mtss.corpus.state import BeliefLayout, kb_pointer_vector
+from mtss.corpus.state import BeliefLayout, turn_state
 from mtss.corpus.vocab import BOS_ID, EOS_ID, Vocabulary
 from mtss.diffnum import ShapeMismatchError, Tape, Tensor, load_checkpoint, save_checkpoint
 
@@ -307,14 +306,48 @@ class StudentModel(_SeqModel):
         return self.decode_teacher_forced(tape, action, enc_outs, gold_ids), action
 
     def generate(self, history: Sequence[Sequence[int]], max_len: int = 30) -> list[int]:
-        tape = Tape(record=False)
-        enc_outs, action = self.encode_history(tape, history)
-        return self.decode_greedy(tape, action, enc_outs, max_len)
+        dialogue = self.dialogue()
+        for ids in history:
+            dialogue.add(ids)
+        return dialogue.reply(max_len)
+
+    def dialogue(self) -> "Dialogue":
+        return Dialogue(self)
 
     def clone(self) -> "StudentModel":
         copy = StudentModel(self.config, self.in_vocab_size, self.out_vocab_size)
         copy.load_arrays({name: p.data for name, p in self.params.items()})
         return copy
+
+
+class Dialogue:
+    """Incremental student inference: each utterance is encoded once, when added.
+    Keeps its vector and the latest utterance's encoder outputs; every reply
+    reruns the context LSTM, so it computes exactly what ``encode_history`` would.
+    """
+
+    def __init__(self, model: StudentModel):
+        self.model = model
+        self.tape = Tape(record=False)
+        self.vectors: list[Tensor] = []
+        self.latest_outputs: Tensor | None = None
+
+    def add(self, token_ids: Sequence[int]) -> None:
+        self.latest_outputs, vector = self.model.encode_utterance(self.tape, token_ids)
+        self.vectors.append(vector)
+
+    def truncate(self, size: int) -> None:
+        """Forget utterances past the first ``size``; the next reply needs an add."""
+        if size < len(self.vectors):
+            del self.vectors[size:]
+            self.latest_outputs = None
+
+    def reply(self, max_len: int = 30) -> list[int]:
+        """Greedy response attending over the latest utterance."""
+        if self.latest_outputs is None:
+            raise ValueError("add an utterance before asking for a reply")
+        action = self.model.action_vector(self.tape, self.vectors)
+        return self.model.decode_greedy(self.tape, action, self.latest_outputs, max_len)
 
 
 def load_model(path: str | Path):
@@ -357,7 +390,7 @@ def history_token_ids(episode, turn_index: int, in_vocab: Vocabulary) -> list[li
 
 
 def worker_count() -> int:
-    """Evaluation fan-out cap from MTSS_THREADS; defaults to sequential."""
+    """Sweep process cap from MTSS_THREADS; defaults to sequential."""
     try:
         return max(1, int(os.environ.get("MTSS_THREADS", "1")))
     except ValueError:
@@ -370,38 +403,24 @@ def generate_responses(
     in_vocab: Vocabulary,
     out_vocab: Vocabulary,
     max_len: int = 30,
-    workers: int | None = None,
 ) -> dict[tuple[str, int], list[str]]:
     """Greedy responses for every turn, keyed by (episode id, turn index).
 
-    Students see only the raw history; teachers get the oracle state of the
-    turn. Result ordering is deterministic regardless of worker count.
+    Students see only the raw history, each utterance encoded once per
+    episode; teachers get the oracle state of the turn.
     """
     layout = BeliefLayout(corpus.schemas)
-
-    def run_episode(episode) -> list[tuple[tuple[str, int], list[str]]]:
-        results = []
+    generated: dict[tuple[str, int], list[str]] = {}
+    for episode in corpus.episodes:
+        dialogue = model.dialogue() if model.kind == "student" else None
         for index, turn in enumerate(episode.turns):
-            if model.kind == "teacher":
-                state = np.concatenate(
-                    [
-                        layout.build(turn.belief),
-                        kb_pointer_vector(corpus.schemas, corpus.database, turn.belief),
-                    ]
-                )
+            if dialogue is None:
+                state = turn_state(turn, corpus.schemas, corpus.database, layout)
                 ids = model.generate(in_vocab.encode(turn.user), state, max_len)
             else:
-                ids = model.generate(history_token_ids(episode, index, in_vocab), max_len)
-            results.append(((episode.episode_id, index), out_vocab.decode(ids)))
-        return results
-
-    workers = workers if workers is not None else worker_count()
-    generated: dict[tuple[str, int], list[str]] = {}
-    if workers <= 1 or len(corpus.episodes) <= 1:
-        chunks = map(run_episode, corpus.episodes)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(run_episode, corpus.episodes))
-    for chunk in chunks:
-        generated.update(chunk)
+                if index:
+                    dialogue.add(in_vocab.encode(episode.turns[index - 1].system))
+                dialogue.add(in_vocab.encode(turn.user))
+                ids = dialogue.reply(max_len)
+            generated[(episode.episode_id, index)] = out_vocab.decode(ids)
     return generated

@@ -457,7 +457,7 @@ def _student_validation(
 ) -> tuple[float | None, float | None]:
     if not val_corpus.episodes:
         return None, None
-    generated = generate_responses(student, val_corpus, in_vocab, out_vocab, max_len, workers=1)
+    generated = generate_responses(student, val_corpus, in_vocab, out_vocab, max_len)
     report = score_corpus(val_corpus, generated)
     return report.success, report.bleu4
 
@@ -567,10 +567,9 @@ def evaluate_model(
     in_vocab: Vocabulary,
     out_vocab: Vocabulary,
     max_len: int = 30,
-    workers: int | None = None,
 ):
     """Generate responses for every turn and score them; returns (report, generated)."""
-    generated = generate_responses(model, corpus, in_vocab, out_vocab, max_len, workers)
+    generated = generate_responses(model, corpus, in_vocab, out_vocab, max_len)
     return score_corpus(corpus, generated), generated
 
 

@@ -7,7 +7,9 @@ from pathlib import Path
 import pytest
 
 from mtss.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, build_parser, cmd_chat, main
-from mtss.corpus import load_corpus
+from mtss.corpus import Delexicalizer, Vocabulary, load_corpus, load_vocab
+from mtss.diffnum import Tape
+from mtss.models import ModelConfig, StudentModel, load_model_as
 
 TINY_TRAIN = {
     "model": {"embed_size": 6, "hidden_size": 8, "init_scale": 0.08},
@@ -201,9 +203,22 @@ class TestEvaluate:
         assert main(["evaluate", "--data", str(workspace / "data")]) == EXIT_USAGE
 
 
+@pytest.mark.parametrize("command", ["chat", "evaluate"])
+@pytest.mark.parametrize("content", [b"junk", b"MTSSCKP1", b"MTSSCKP1" + b"\x05" + bytes(7) + b"{bad}"],
+                         ids=["not-a-checkpoint", "short-header", "bad-manifest"])
+def test_malformed_checkpoint_is_data_error(workspace, tmp_path, capsys, command, content):
+    junk = tmp_path / "junk.ckpt"
+    junk.write_bytes(content)
+    data = workspace / "data" / ("corpus_train.json" if command == "chat" else "")
+    code = main([command, "--model", str(junk), "--data", str(data)])
+    err = capsys.readouterr().err
+    assert code == EXIT_DATA
+    assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+
+
 class TestChat:
-    def run_chat(self, workspace, lines, lexicalize=False):
-        argv = ["chat", "--model", str(workspace / "student" / "student.ckpt"),
+    def run_chat(self, workspace, lines, lexicalize=False, model=None):
+        argv = ["chat", "--model", str(model or workspace / "student" / "student.ckpt"),
                 "--data", str(workspace / "data" / "corpus_train.json"), "--max-len", "14"]
         if lexicalize:
             argv.append("--lexicalize")
@@ -229,6 +244,76 @@ class TestChat:
         # Identical context after reset produces the identical reply.
         replies = [l for l in out.splitlines() if l and not l.startswith(("type", "("))]
         assert replies[0] == replies[1]
+
+    @staticmethod
+    def replies(out):
+        return [l for l in out.splitlines() if l and not l.startswith(("type", "("))]
+
+    @pytest.fixture(scope="class")
+    def history_student(self, workspace, tmp_path_factory):
+        """A tiny untrained student whose saturated weights make every reply
+        depend on the whole history, so a history mix-up changes the text."""
+        in_vocab = load_vocab(workspace / "data" / "vocab_in.json")
+        out_vocab = load_vocab(workspace / "data" / "vocab_out.json")
+        path = tmp_path_factory.mktemp("chat") / "student.ckpt"
+        config = ModelConfig(embed_size=12, hidden_size=16, init_scale=2.0)
+        StudentModel(config, len(in_vocab), len(out_vocab), seed=0).save(
+            path, extra_meta={"in_vocab": in_vocab.tokens, "out_vocab": out_vocab.tokens})
+        return path
+
+    @staticmethod
+    def reference_replies(workspace, model, lines):
+        """Replies from re-encoding the whole history every turn."""
+        student, meta = load_model_as(model, "student")
+        in_vocab = Vocabulary("input", meta["in_vocab"])
+        out_vocab = Vocabulary("output", meta["out_vocab"])
+        corpus = load_corpus(workspace / "data" / "corpus_train.json")
+        delex = Delexicalizer(corpus.schemas, corpus.database)
+        history, replies = [], []
+        for line in lines:
+            history.append(in_vocab.encode(delex.with_matches(line)[0]))
+            tape = Tape(record=False)
+            enc_outs, action = student.encode_history(tape, history)
+            reply = out_vocab.decode(student.decode_greedy(tape, action, enc_outs, 14))
+            replies.append(" ".join(reply) if reply else "...")
+            history.append(in_vocab.encode(reply))
+        return replies
+
+    CONVERSATION = ["hello", "i am looking for a north restaurant", "what is the phone number",
+                    "thank you", "goodbye"]
+
+    def test_replies_match_full_history_reference(self, workspace, history_student):
+        _, out = self.run_chat(workspace, self.CONVERSATION + ["/quit"], model=history_student)
+        expected = self.reference_replies(workspace, history_student, self.CONVERSATION)
+        assert len(set(expected)) > 1
+        assert self.replies(out) == expected
+
+    def test_reset_matches_fresh_session(self, workspace, history_student):
+        line = self.CONVERSATION[1]
+        _, out = self.run_chat(workspace, self.CONVERSATION[:3] + ["/reset", line], model=history_student)
+        _, fresh = self.run_chat(workspace, [line], model=history_student)
+        assert self.replies(out)[1] != self.replies(fresh)[0]  # the history mattered before /reset
+        assert self.replies(out)[3] == self.replies(fresh)[0]
+
+    def test_decode_failure_rolls_back_user_line(self, workspace, history_student, monkeypatch):
+        decode = StudentModel.decode_greedy
+        calls = []
+
+        def fail_second(self, *args):
+            calls.append(None)
+            if len(calls) == 2:
+                raise RuntimeError("injected decode failure")
+            return decode(self, *args)
+
+        lines = self.CONVERSATION[:3]
+        expected = self.reference_replies(workspace, history_student, [lines[0], lines[2]])
+        assert expected[1] != self.reference_replies(workspace, history_student, lines)[2]
+        monkeypatch.setattr(StudentModel, "decode_greedy", fail_second)
+        code, out = self.run_chat(workspace, lines, model=history_student)
+        assert code == EXIT_OK
+        replies = self.replies(out)
+        assert replies[1] == "sorry , i could not produce a response ."
+        assert [replies[0], replies[2]] == expected
 
     def test_lexicalize_fills_placeholders(self, workspace):
         _, out = self.run_chat(

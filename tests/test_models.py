@@ -3,9 +3,19 @@
 import numpy as np
 import pytest
 
+from mtss.corpus import Corpus, build_vocab
 from mtss.corpus.vocab import BOS_ID, EOS_ID, PAD_ID
 from mtss.diffnum import Adam, ShapeMismatchError, Tape, Tensor, grad_check_params
-from mtss.models import ModelConfig, StudentModel, TeacherModel, load_model, load_model_as
+from mtss.models import (
+    ModelConfig,
+    StudentModel,
+    TeacherModel,
+    generate_responses,
+    history_token_ids,
+    load_model,
+    load_model_as,
+)
+from mtss.synthcorpus import SynthConfig, gen_corpus
 
 TINY = ModelConfig(embed_size=5, hidden_size=7)
 V_IN, V_OUT, STATE = 12, 10, 6
@@ -117,6 +127,75 @@ class TestStudentAction:
         tape = Tape()
         _, longer = student.encode_history(tape, [ids(4), ids(5, 6)])
         assert not np.array_equal(short.data, longer.data)
+
+
+class TestIncrementalInference:
+    """The per-dialogue state must compute exactly what re-encoding the whole
+    history computes, while encoding each utterance only once."""
+
+    # A larger init scale than TINY so greedy replies depend on the history.
+    CONFIG = ModelConfig(embed_size=8, hidden_size=12, init_scale=0.5)
+
+    @pytest.fixture(scope="class")
+    def episode_setup(self):
+        train, _ = gen_corpus(SynthConfig(seed=3, train_episodes=6, test_episodes=1,
+                                          entities_per_domain=3))
+        in_vocab, out_vocab = build_vocab(train, "input"), build_vocab(train, "output")
+        episode = max(train.episodes, key=lambda e: len(e.turns))
+        student = StudentModel(self.CONFIG, len(in_vocab), len(out_vocab), seed=4)
+        return Corpus(train.schemas, train.database, [episode]), in_vocab, out_vocab, student
+
+    def test_state_matches_encode_history_bitwise(self, episode_setup):
+        corpus, in_vocab, _, student = episode_setup
+        episode = corpus.episodes[0]
+        dialogue = student.dialogue()
+        for index, turn in enumerate(episode.turns):
+            dialogue.add(in_vocab.encode(turn.user))
+            tape = Tape(record=False)
+            enc_outs, action = student.encode_history(tape, history_token_ids(episode, index, in_vocab))
+            assert np.array_equal(dialogue.latest_outputs.data, enc_outs.data)
+            assert np.array_equal(student.action_vector(tape, dialogue.vectors).data, action.data)
+            dialogue.add(in_vocab.encode(turn.system))
+
+    def test_generate_responses_matches_reference(self, episode_setup, monkeypatch):
+        corpus, in_vocab, out_vocab, student = episode_setup
+        episode = corpus.episodes[0]
+        turns = len(episode.turns)
+        assert turns >= 3
+        calls = []
+        encode = StudentModel.encode_utterance
+
+        def counting(self, tape, token_ids):
+            calls.append(len(token_ids))
+            return encode(self, tape, token_ids)
+
+        monkeypatch.setattr(StudentModel, "encode_utterance", counting)
+        generated = generate_responses(student, corpus, in_vocab, out_vocab, max_len=8)
+        monkeypatch.undo()
+        assert len(calls) == 2 * turns - 1
+
+        replies = []
+        for index in range(turns):
+            history = history_token_ids(episode, index, in_vocab)
+            tape = Tape(record=False)
+            enc_outs, action = student.encode_history(tape, history)
+            reference = student.decode_greedy(tape, action, enc_outs, 8)
+            assert student.generate(history, max_len=8) == reference
+            expected = out_vocab.decode(reference)
+            assert generated[(episode.episode_id, index)] == expected
+            replies.append(tuple(expected))
+        assert len(set(replies)) > 1  # replies really depend on the history
+
+    def test_reply_needs_an_utterance(self, student):
+        dialogue = student.dialogue()
+        with pytest.raises(ValueError):
+            dialogue.reply()
+        dialogue.add(ids(4))
+        dialogue.add(ids(5))
+        dialogue.truncate(1)
+        assert len(dialogue.vectors) == 1
+        with pytest.raises(ValueError):
+            dialogue.reply()
 
 
 class TestDecoder:
