@@ -92,14 +92,35 @@ def _load_training_config(args) -> TrainingConfig:
         if not config_path.exists():
             raise UsageError(f"config file not found: {config_path}")
         doc = json.loads(config_path.read_text(encoding="utf-8"))
+        if not isinstance(doc, dict):
+            raise UsageError(f"{config_path}: training config must be a JSON object")
     doc.pop("data", None)
     doc.pop("checkpoint_dir", None)
     for key in ("alpha1", "alpha2", "seed", "epochs", "lr", "grad_clip"):
         value = getattr(args, key, None)
         if value is not None:
             doc[key] = value
-    config = TrainingConfig.from_dict(doc)
-    return config
+    try:
+        return TrainingConfig.from_dict(doc)
+    except (TypeError, ValueError) as exc:
+        raise UsageError(f"bad training config: {exc}") from None
+
+
+def _load_synth_config(args) -> SynthConfig:
+    doc = {}
+    if args.synth_config:
+        config_path = Path(args.synth_config)
+        doc = json.loads(config_path.read_text(encoding="utf-8"))
+        if not isinstance(doc, dict):
+            raise UsageError(f"{config_path}: synth config must be a JSON object")
+    if args.seed is not None:
+        doc["seed"] = args.seed
+    try:
+        synth = SynthConfig(**doc)
+        synth.validate()
+    except (TypeError, ValueError) as exc:
+        raise UsageError(f"bad synth config: {exc}") from None
+    return synth
 
 
 def _load_prepared(data_dir: Path, split: str = "train") -> tuple[Corpus, Vocabulary, Vocabulary]:
@@ -141,12 +162,8 @@ def cmd_prepare(args) -> int:
         train, test, report = read_multiwoz(data_path, base.schemas, db_doc.database, test_ids)
         synth_doc = None
     else:
-        synth = SynthConfig(seed=args.seed if args.seed is not None else 0)
+        synth = _load_synth_config(args)
         if args.synth_config:
-            doc = json.loads(Path(args.synth_config).read_text(encoding="utf-8"))
-            if args.seed is not None:
-                doc["seed"] = args.seed
-            synth = SynthConfig(**doc)
             inputs.append(Path(args.synth_config))
         train, test = gen_corpus(synth)
         report = {}
@@ -333,6 +350,20 @@ def _report_outputs(report: MetricReport, out_dir: Path | None, generated):
     return [report_path, generated_path]
 
 
+def _load_generations(path: Path) -> dict[tuple[str, int], list[str]]:
+    """One JSON object per line with "episode", "turn" and "response"."""
+    generated = {}
+    for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+        if not line.strip():
+            continue
+        try:
+            doc = json.loads(line)
+            generated[(doc["episode"], int(doc["turn"]))] = doc["response"].split()
+        except (KeyError, TypeError, ValueError, AttributeError) as exc:
+            raise CorpusError(f"{path}:{number}: malformed generations line ({exc!r})") from None
+    return generated
+
+
 def cmd_evaluate(args) -> int:
     started = time.monotonic()
     data_dir = Path(args.data)
@@ -340,12 +371,7 @@ def cmd_evaluate(args) -> int:
     out_dir = Path(args.out) if args.out else None
 
     if args.generations:
-        generated = {}
-        for line in Path(args.generations).read_text(encoding="utf-8").splitlines():
-            if not line.strip():
-                continue
-            doc = json.loads(line)
-            generated[(doc["episode"], int(doc["turn"]))] = doc["response"].split()
+        generated = _load_generations(Path(args.generations))
         report = score_corpus(corpus, generated)
         inputs = [Path(args.generations)]
         config_doc = {"generations": str(args.generations)}

@@ -111,8 +111,11 @@ def save_vocab(vocab: Vocabulary, path: str | Path) -> None:
 
 
 def load_vocab(path: str | Path) -> Vocabulary:
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    return Vocabulary(doc["role"], doc["tokens"])
+    try:
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+        return Vocabulary(doc["role"], doc["tokens"])
+    except (KeyError, TypeError, AttributeError, json.JSONDecodeError) as exc:
+        raise CorpusError(f"{path}: malformed vocabulary file ({exc!r})") from exc
 
 
 def schema_hash(schemas: dict[str, DomainSchema]) -> str:

@@ -5,6 +5,7 @@ from mtss.diffnum.tape import (
     Tape,
     ShapeMismatchError,
     TapeError,
+    attend,
     grad_check,
     grad_check_params,
 )
@@ -16,6 +17,7 @@ __all__ = [
     "Tape",
     "ShapeMismatchError",
     "TapeError",
+    "attend",
     "grad_check",
     "grad_check_params",
     "Adam",

@@ -67,6 +67,89 @@ def _softmax(x: Array) -> Array:
     return e / e.sum(axis=-1, keepdims=True)
 
 
+def _gate_blocks(packed: Array) -> tuple[Array, Array, Array, Array]:
+    """Views of the (input, forget, cell, output) blocks of a packed 4H vector."""
+    h = packed.shape[0] // 4
+    return packed[:h], packed[h:2 * h], packed[2 * h:3 * h], packed[3 * h:]
+
+
+def _cell(z: Array, c_prev: Array, gates: Array) -> tuple[Array, Array, Array]:
+    """LSTM cell update from the packed gate pre-activations ``z``.
+
+    Writes the activated gates into ``gates`` and returns (h, c, tanh(c)).
+    """
+    gates[:] = _sigmoid(z)
+    gi, gf, gc, go = _gate_blocks(gates)
+    gc[:] = np.tanh(_gate_blocks(z)[2])
+    c = gf * c_prev + gi * gc
+    tc = np.tanh(c)
+    return go * tc, c, tc
+
+
+def _cell_grad(dh, dc, c_prev: Array, gates: Array, tc: Array, dz: Array) -> Array:
+    """Backward of ``_cell``: writes d(loss)/dz into ``dz``, returns d(loss)/d(c_prev)."""
+    gi, gf, gc, go = _gate_blocks(gates)
+    dzi, dzf, dzc, dzo = _gate_blocks(dz)
+    d_cn = dc + dh * go * (1.0 - tc * tc)
+    dzi[:] = d_cn * gc * gi * (1.0 - gi)
+    dzf[:] = d_cn * c_prev * gf * (1.0 - gf)
+    dzc[:] = d_cn * gi * (1.0 - gc * gc)
+    dzo[:] = dh * tc * go * (1.0 - go)
+    return d_cn * gf
+
+
+class _Recurrence:
+    """One LSTM cell unrolled over the rows of ``xs``: the forward steps, then
+    the backward pass and its weight reductions.
+
+    The input half of the pre-activations is one batched ``xs @ wx.T + b``;
+    only ``wh @ h`` runs per step.
+    """
+
+    def __init__(self, xs: Array, h0: Array, c0: Array, w: Array, b: Array):
+        steps, d = xs.shape
+        hidden = h0.shape[0]
+        self.xs, self.wx, self.wh = xs, w[:, :d], w[:, d:]
+        # Row t holds step t's input projection until the step overwrites it
+        # with the activated gates.
+        self.gates = xs @ self.wx.T + b
+        self.tc = np.empty((steps, hidden))
+        self.h_prev = np.empty((steps, hidden))
+        self.c_prev = np.empty((steps, hidden))
+        self.hs = np.empty((steps, hidden))
+        self.h, self.c = h0, c0
+
+    def step(self, t: int) -> Array:
+        """Advance to step ``t`` (in order from 0); returns its hidden state."""
+        self.h_prev[t] = self.h
+        self.c_prev[t] = self.c
+        self.h, self.c, self.tc[t] = _cell(self.gates[t] + self.wh @ self.h, self.c, self.gates[t])
+        self.hs[t] = self.h
+        return self.h
+
+    def backward(self, dh: Array, dc: Array, dh_at: Callable[[int, Array], Array]) -> tuple[Array, ...]:
+        """Gradients of (xs, h0, c0, w, b) given those of the final h and c.
+
+        ``dh_at(t, dh)`` returns step t's whole hidden-state gradient from
+        ``dh``, the part carried back through the recurrence.
+        """
+        dz_all = np.empty_like(self.gates)
+        for t in range(len(dz_all) - 1, -1, -1):
+            dc = _cell_grad(dh_at(t, dh), dc, self.c_prev[t], self.gates[t], self.tc[t], dz_all[t])
+            dh = self.wh.T @ dz_all[t]
+        dw = np.concatenate([dz_all.T @ self.xs, dz_all.T @ self.h_prev], axis=1)
+        return dz_all @ self.wx, dh, dc, dw, dz_all.sum(axis=0)
+
+
+def attend(h: Array, enc: Array, att_w: Array) -> tuple[Array, Array, Array]:
+    """Dot-product attention of ``h`` over the rows of ``enc``, then the tanh
+    merge of [h; context] through ``att_w``: (weights, [h; context], merged).
+    """
+    weights = _softmax(enc @ h)
+    cat = np.concatenate([h, weights @ enc])
+    return weights, cat, np.tanh(att_w @ cat)
+
+
 # A tape entry is (inputs, outputs, backward) where backward maps the list
 # of output gradients (None when an output is off the loss path) to one
 # gradient per input, again None where nothing flows.
@@ -144,12 +227,6 @@ class Tape:
         self._emit((a,), (out,), lambda gs: (gs[0] * (1.0 - y * y),))
         return out
 
-    def sigmoid(self, a: Tensor) -> Tensor:
-        y = _sigmoid(a.data)
-        out = self._out(y, (a,))
-        self._emit((a,), (out,), lambda gs: (gs[0] * y * (1.0 - y),))
-        return out
-
     def log(self, a: Tensor) -> Tensor:
         ad = a.data
         out = self._out(np.log(ad), (a,))
@@ -207,22 +284,6 @@ class Tape:
             raise ShapeMismatchError("stack", *(r.shape for r in rows))
         out = self._out(np.stack([r.data for r in rows]), tuple(rows))
         self._emit(tuple(rows), (out,), lambda gs: tuple(gs[0][i] for i in range(len(rows))))
-        return out
-
-    def take_row(self, m: Tensor, index: int) -> Tensor:
-        if m.data.ndim != 2:
-            raise ShapeMismatchError("take_row", m.shape)
-        if not 0 <= index < m.data.shape[0]:
-            raise IndexError(f"take_row: row {index} out of range for shape {m.shape}")
-        out = self._out(m.data[index].copy(), (m,))
-        shape = m.data.shape
-
-        def backward(gs):
-            z = np.zeros(shape)
-            z[index] = gs[0]
-            return (z,)
-
-        self._emit((m,), (out,), backward)
         return out
 
     def take_rows(self, m: Tensor, indices: Sequence[int]) -> Tensor:
@@ -320,33 +381,17 @@ class Tape:
             raise ShapeMismatchError("lstm_step", x.shape, h.shape, c.shape, w.shape, b.shape)
 
         xh = np.concatenate([x.data, h.data])
-        z = w.data @ xh + b.data
-        gi = _sigmoid(z[:hidden])
-        gf = _sigmoid(z[hidden:2 * hidden])
-        gc = np.tanh(z[2 * hidden:3 * hidden])
-        go = _sigmoid(z[3 * hidden:])
-        c_prev = c.data
-        c_new = gf * c_prev + gi * gc
-        tc = np.tanh(c_new)
-        h_out = self._out(go * tc, (x, h, c, w, b))
+        gates = np.empty(4 * hidden)
+        h_new, c_new, tc = _cell(w.data @ xh + b.data, c.data, gates)
+        h_out = self._out(h_new, (x, h, c, w, b))
         c_out = self._out(c_new, (x, h, c, w, b))
-        wd = w.data
+        c_prev, wd = c.data, w.data
 
         def backward(gs):
             dh = gs[0] if gs[0] is not None else 0.0
             dc = gs[1] if gs[1] is not None else 0.0
-            d_go = dh * tc
-            d_cn = dc + dh * go * (1.0 - tc * tc)
-            d_gf = d_cn * c_prev
-            d_cprev = d_cn * gf
-            d_gi = d_cn * gc
-            d_gc = d_cn * gi
-            dz = np.concatenate([
-                d_gi * gi * (1.0 - gi),
-                d_gf * gf * (1.0 - gf),
-                d_gc * (1.0 - gc * gc),
-                d_go * go * (1.0 - go),
-            ])
+            dz = np.empty(4 * hidden)
+            d_cprev = _cell_grad(dh, dc, c_prev, gates, tc, dz)
             dxh = wd.T @ dz
             return dxh[:d], dxh[d:], d_cprev, np.outer(dz, xh), dz
 
@@ -373,57 +418,18 @@ class Tape:
         ):
             raise ShapeMismatchError("lstm_sequence", xs.shape, h0.shape, c0.shape, w.shape, b.shape)
 
-        wx = w.data[:, :d]
-        wh = w.data[:, d:]
-        zx = xs.data @ wx.T + b.data
-        gi = np.empty((steps, hidden))
-        gf = np.empty((steps, hidden))
-        gc = np.empty((steps, hidden))
-        go = np.empty((steps, hidden))
-        tc = np.empty((steps, hidden))
-        c_prev = np.empty((steps, hidden))
-        h_prev = np.empty((steps, hidden))
-        hs = np.empty((steps, hidden))
-        h, c = h0.data, c0.data
+        rec = _Recurrence(xs.data, h0.data, c0.data, w.data, b.data)
         for t in range(steps):
-            h_prev[t] = h
-            c_prev[t] = c
-            z = zx[t] + wh @ h
-            gi[t] = _sigmoid(z[:hidden])
-            gf[t] = _sigmoid(z[hidden:2 * hidden])
-            gc[t] = np.tanh(z[2 * hidden:3 * hidden])
-            go[t] = _sigmoid(z[3 * hidden:])
-            c = gf[t] * c + gi[t] * gc[t]
-            tc[t] = np.tanh(c)
-            h = go[t] * tc[t]
-            hs[t] = h
-        hs_out = self._out(hs, (xs, h0, c0, w, b))
-        h_out = self._out(hs[-1].copy() if steps else h0.data.copy(), (xs, h0, c0, w, b))
-        c_out = self._out(c.copy(), (xs, h0, c0, w, b))
-        xs_data = xs.data
+            rec.step(t)
+        hs_out = self._out(rec.hs, (xs, h0, c0, w, b))
+        h_out = self._out(rec.h.copy(), (xs, h0, c0, w, b))
+        c_out = self._out(rec.c.copy(), (xs, h0, c0, w, b))
 
         def backward(gs):
             g_hs, g_hlast, g_clast = gs
             dh = np.zeros(hidden) if g_hlast is None else g_hlast.copy()
             dc = np.zeros(hidden) if g_clast is None else g_clast.copy()
-            dz_all = np.empty((steps, 4 * hidden))
-            for t in range(steps - 1, -1, -1):
-                if g_hs is not None:
-                    dh = dh + g_hs[t]
-                d_go = dh * tc[t]
-                d_cn = dc + dh * go[t] * (1.0 - tc[t] * tc[t])
-                d_gf = d_cn * c_prev[t]
-                dc = d_cn * gf[t]
-                d_gi = d_cn * gc[t]
-                d_gc = d_cn * gi[t]
-                dz = dz_all[t]
-                dz[:hidden] = d_gi * gi[t] * (1.0 - gi[t])
-                dz[hidden:2 * hidden] = d_gf * gf[t] * (1.0 - gf[t])
-                dz[2 * hidden:3 * hidden] = d_gc * (1.0 - gc[t] * gc[t])
-                dz[3 * hidden:] = d_go * go[t] * (1.0 - go[t])
-                dh = wh.T @ dz
-            dw = np.concatenate([dz_all.T @ xs_data, dz_all.T @ h_prev], axis=1)
-            return dz_all @ wx, dh, dc, dw, dz_all.sum(axis=0)
+            return rec.backward(dh, dc, (lambda t, dh: dh) if g_hs is None else (lambda t, dh: dh + g_hs[t]))
 
         self._emit((xs, h0, c0, w, b), (hs_out, h_out, c_out), backward)
         return hs_out, h_out, c_out
@@ -468,97 +474,36 @@ class Tape:
                 att_w.shape, out_w.shape, out_b.shape,
             )
 
-        wx = w.data[:, :d]
-        wh = w.data[:, d:]
-        enc_data = enc.data
-        zx = xs.data @ wx.T + b.data
-        gi = np.empty((steps, hidden))
-        gf = np.empty((steps, hidden))
-        gc = np.empty((steps, hidden))
-        go = np.empty((steps, hidden))
-        tc = np.empty((steps, hidden))
-        c_prev = np.empty((steps, hidden))
-        h_prev = np.empty((steps, hidden))
-        hs = np.empty((steps, hidden))
+        enc_data, att_w_data, out_w_data = enc.data, att_w.data, out_w.data
+        rec = _Recurrence(xs.data, h0.data, c0.data, w.data, b.data)
         att = np.empty((steps, positions))
         cats = np.empty((steps, 2 * hidden))
         merged = np.empty((steps, hidden))
-        h, c = h0.data, c0.data
         for t in range(steps):
-            h_prev[t] = h
-            c_prev[t] = c
-            z = zx[t] + wh @ h
-            gi[t] = _sigmoid(z[:hidden])
-            gf[t] = _sigmoid(z[hidden:2 * hidden])
-            gc[t] = np.tanh(z[2 * hidden:3 * hidden])
-            go[t] = _sigmoid(z[3 * hidden:])
-            c = gf[t] * c + gi[t] * gc[t]
-            tc[t] = np.tanh(c)
-            h = go[t] * tc[t]
-            hs[t] = h
-            att[t] = _softmax(enc_data @ h)
-            cats[t, :hidden] = h
-            cats[t, hidden:] = att[t] @ enc_data
-            merged[t] = np.tanh(att_w.data @ cats[t])
-        logits = merged @ out_w.data.T + out_b.data
+            att[t], cats[t], merged[t] = attend(rec.step(t), enc_data, att_w_data)
+        logits = merged @ out_w_data.T + out_b.data
         out = self._out(logits, (xs, h0, c0, enc, w, b, att_w, out_w, out_b))
-        att_w_data, out_w_data = att_w.data, out_w.data
 
         def backward(gs):
             g = gs[0]
             d_merged = (g @ out_w_data) * (1.0 - merged * merged)
             d_cat = d_merged @ att_w_data
             d_enc = np.zeros_like(enc_data)
-            dz_all = np.empty((steps, 4 * hidden))
-            dh_chain = np.zeros(hidden)
-            dc_chain = np.zeros(hidden)
-            for t in range(steps - 1, -1, -1):
+
+            def dh_at(t, dh_chain):
+                nonlocal d_enc
                 d_ctx = d_cat[t, hidden:]
                 d_att = enc_data @ d_ctx
                 d_enc += np.outer(att[t], d_ctx)
                 d_scores = att[t] * (d_att - float(d_att @ att[t]))
-                d_enc += np.outer(d_scores, hs[t])
-                dh = d_cat[t, :hidden] + dh_chain + enc_data.T @ d_scores
-                d_go = dh * tc[t]
-                d_cn = dc_chain + dh * go[t] * (1.0 - tc[t] * tc[t])
-                d_gf = d_cn * c_prev[t]
-                dc_chain = d_cn * gf[t]
-                d_gi = d_cn * gc[t]
-                d_gc = d_cn * gi[t]
-                dz = dz_all[t]
-                dz[:hidden] = d_gi * gi[t] * (1.0 - gi[t])
-                dz[hidden:2 * hidden] = d_gf * gf[t] * (1.0 - gf[t])
-                dz[2 * hidden:3 * hidden] = d_gc * (1.0 - gc[t] * gc[t])
-                dz[3 * hidden:] = d_go * go[t] * (1.0 - go[t])
-                dh_chain = wh.T @ dz
-            dw = np.concatenate([dz_all.T @ xs.data, dz_all.T @ h_prev], axis=1)
-            d_att_w = d_merged.T @ cats
-            return (
-                dz_all @ wx,
-                dh_chain,
-                dc_chain,
-                d_enc,
-                dw,
-                dz_all.sum(axis=0),
-                d_att_w,
-                g.T @ merged,
-                g.sum(axis=0),
-            )
+                d_enc += np.outer(d_scores, rec.hs[t])
+                return d_cat[t, :hidden] + dh_chain + enc_data.T @ d_scores
+
+            dxs, dh0, dc0, dw, db = rec.backward(np.zeros(hidden), np.zeros(hidden), dh_at)
+            return dxs, dh0, dc0, d_enc, dw, db, d_merged.T @ cats, g.T @ merged, g.sum(axis=0)
 
         self._emit((xs, h0, c0, enc, w, b, att_w, out_w, out_b), (out,), backward)
         return out
-
-    # -- dispatch by name ----------------------------------------------------------
-
-    def apply(self, op_kind: str, *inputs, **kwargs) -> Tensor | tuple[Tensor, Tensor]:
-        """Run a primitive selected by name; unknown kinds raise ValueError."""
-        try:
-            op = getattr(self, op_kind)
-        except AttributeError:
-            raise ValueError(f"unknown op kind: {op_kind!r}") from None
-        if op_kind.startswith("_") or not callable(op):
-            raise ValueError(f"unknown op kind: {op_kind!r}")
-        return op(*inputs, **kwargs)
 
     # -- reverse pass ----------------------------------------------------------------
 

@@ -20,7 +20,7 @@ import numpy as np
 from mtss.corpus import Corpus
 from mtss.corpus.state import BeliefLayout, turn_state
 from mtss.corpus.vocab import BOS_ID, EOS_ID, Vocabulary
-from mtss.diffnum import ShapeMismatchError, Tape, Tensor, load_checkpoint, save_checkpoint
+from mtss.diffnum import ShapeMismatchError, Tape, Tensor, attend, load_checkpoint, save_checkpoint
 
 
 @dataclass(frozen=True)
@@ -92,24 +92,13 @@ class _SeqModel:
 
     # -- attention decoder ------------------------------------------------------
 
-    def _decode_step(self, tape: Tape, token_id: int, h: Tensor, c: Tensor, enc_outs: Tensor):
-        x = tape.take_row(self.params["embed_out"], token_id)
-        h, c = tape.lstm_step(x, h, c, self.params["dec_w"], self.params["dec_b"])
-        scores = tape.matmul(enc_outs, h)
-        attention = tape.softmax(scores)
-        context = tape.matmul(attention, enc_outs)
-        merged = tape.tanh(tape.matmul(self.params["att_w"], tape.concat([h, context])))
-        logits = tape.add(tape.matmul(self.params["out_w"], merged), self.params["out_b"])
-        return logits, h, c, attention
-
     def decode_teacher_forced(
         self,
         tape: Tape,
         action: Tensor,
         enc_outs: Tensor,
         gold_ids: Sequence[int],
-        return_attention: bool = False,
-    ):
+    ) -> Tensor:
         """One softmax row over the output vocabulary per gold position after
         BOS, each conditioned on the gold prefix; returned as a (T, V) tensor.
         """
@@ -129,31 +118,24 @@ class _SeqModel:
             self.params["out_w"],
             self.params["out_b"],
         )
-        dists = tape.softmax(logits)
-        if return_attention:
-            return dists, self._attention_weights(action, enc_outs, gold_ids)
-        return dists
-
-    def _attention_weights(self, action: Tensor, enc_outs: Tensor, gold_ids: Sequence[int]) -> np.ndarray:
-        """Per-step attention rows recomputed off-tape, for inspection only."""
-        tape = Tape(record=False)
-        h, c = action, _zeros(self.config.hidden_size)
-        rows = []
-        for i in range(1, len(gold_ids)):
-            _, h, c, attention = self._decode_step(tape, gold_ids[i - 1], h, c, enc_outs)
-            rows.append(attention.data)
-        return np.stack(rows)
+        return tape.softmax(logits)
 
     def decode_greedy(self, tape: Tape, action: Tensor, enc_outs: Tensor, max_len: int) -> list[int]:
-        """Greedy argmax decoding from BOS, stopping at EOS or max_len tokens."""
+        """Greedy argmax decoding from BOS, stopping at EOS or max_len tokens.
+
+        Each step is one step of the teacher-forced decoder: the LSTM cell on
+        the previous token's embedding, then ``attend``, then the projection.
+        """
         if max_len < 1:
             raise ValueError("max_len must be at least 1")
+        p = self.params
         h, c = action, _zeros(self.config.hidden_size)
         token = BOS_ID
         out: list[int] = []
         for _ in range(max_len):
-            logits, h, c, _ = self._decode_step(tape, token, h, c, enc_outs)
-            token = int(np.argmax(logits.data))
+            h, c = tape.lstm_step(Tensor(p["embed_out"].data[token]), h, c, p["dec_w"], p["dec_b"])
+            _, _, merged = attend(h.data, enc_outs.data, p["att_w"].data)
+            token = int(np.argmax(p["out_w"].data @ merged + p["out_b"].data))
             if token == EOS_ID:
                 break
             out.append(token)

@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from mtss.corpus import GENERAL_DOMAIN, Corpus, Vocabulary
-from mtss.corpus.state import BeliefLayout, kb_pointer_vector, state_size
+from mtss.corpus.state import BeliefLayout, state_size, turn_state
 from mtss.corpus.types import iter_turns
 from mtss.diffnum import Adam, Tape, Tensor
 from mtss.metrics import entity_recall, score_corpus
@@ -231,9 +231,6 @@ def prepare_turns(corpus: Corpus, in_vocab: Vocabulary, out_vocab: Vocabulary) -
     prepared = []
     for ref in iter_turns(corpus):
         turn = ref.turn
-        state = np.concatenate(
-            [layout.build(turn.belief), kb_pointer_vector(corpus.schemas, corpus.database, turn.belief)]
-        )
         prepared.append(
             PreparedTurn(
                 episode_id=ref.episode.episode_id,
@@ -242,7 +239,7 @@ def prepare_turns(corpus: Corpus, in_vocab: Vocabulary, out_vocab: Vocabulary) -
                 user_ids=in_vocab.encode(turn.user),
                 gold_ids=out_vocab.encode(turn.system),
                 history_ids=history_token_ids(ref.episode, ref.turn_index, in_vocab),
-                state=state,
+                state=turn_state(turn, corpus.schemas, corpus.database, layout),
             )
         )
     return prepared

@@ -2,6 +2,7 @@
 
 import io
 import json
+import shutil
 from pathlib import Path
 
 import pytest
@@ -213,6 +214,44 @@ def test_malformed_checkpoint_is_data_error(workspace, tmp_path, capsys, command
     code = main([command, "--model", str(junk), "--data", str(data)])
     err = capsys.readouterr().err
     assert code == EXIT_DATA
+    assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+
+
+def _write(path, doc) -> str:
+    path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+    return str(path)
+
+
+def _data_without_vocab_role(workspace, tmp_path) -> str:
+    data = tmp_path / "data"
+    shutil.copytree(workspace / "data", data)
+    vocab = json.loads((data / "vocab_in.json").read_text())
+    _write(data / "vocab_in.json", {"tokens": vocab["tokens"]})
+    return str(data)
+
+
+# (id, argv builder, expected exit code): each input is malformed in one way.
+MALFORMED_INPUTS = [
+    ("config-unknown-key", EXIT_USAGE, lambda ws, tmp: [
+        "train-teachers", "--data", str(ws / "data"), "--out", str(tmp / "out"),
+        "--config", _write(tmp / "train.json", {"bogus": 1})]),
+    ("negative-epochs", EXIT_USAGE, lambda ws, tmp: [
+        "train-teachers", "--data", str(ws / "data"), "--out", str(tmp / "out"), "--epochs", "-1"]),
+    ("synth-unknown-key", EXIT_USAGE, lambda ws, tmp: [
+        "prepare", "--out", str(tmp / "out"), "--synth-config", _write(tmp / "synth.json", {"bogus": 1})]),
+    ("generations-no-response", EXIT_DATA, lambda ws, tmp: [
+        "evaluate", "--data", str(ws / "data"),
+        "--generations", _write(tmp / "gen.jsonl", '{"episode": "test-0000", "turn": 0}\n')]),
+    ("vocab-no-role", EXIT_DATA, lambda ws, tmp: [
+        "evaluate", "--data", _data_without_vocab_role(ws, tmp), "--generations", _write(tmp / "gen.jsonl", "")]),
+]
+
+
+@pytest.mark.parametrize("expected,argv", [c[1:] for c in MALFORMED_INPUTS], ids=[c[0] for c in MALFORMED_INPUTS])
+def test_malformed_input_ends_in_one_line(workspace, tmp_path, capsys, expected, argv):
+    code = main(argv(workspace, tmp_path))
+    err = capsys.readouterr().err
+    assert code == expected
     assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
 
 

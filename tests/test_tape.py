@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from mtss.diffnum import ShapeMismatchError, Tape, TapeError, Tensor, grad_check, grad_check_params
+from mtss.diffnum import ShapeMismatchError, Tape, TapeError, Tensor, attend, grad_check, grad_check_params
 
 
 def rand(rng, *shape, lo=-1.0, hi=1.0):
@@ -30,17 +30,17 @@ class TestForwardValues:
         with pytest.raises(ShapeMismatchError, match="add"):
             Tape().add(Tensor(np.zeros(2)), Tensor(np.zeros(3)))
 
-    def test_apply_dispatches_by_name(self):
-        tape = Tape()
-        out = tape.apply("tanh", Tensor([0.3]))
-        assert np.allclose(out.data, np.tanh(0.3))
-        with pytest.raises(ValueError, match="unknown op kind"):
-            tape.apply("conv2d", Tensor([0.0]))
+    def test_attend_weights_are_a_distribution(self):
+        rng = np.random.default_rng(9)
+        enc = rng.normal(scale=3.0, size=(5, 4))
+        h = rng.normal(size=4)
+        weights, cat, merged = attend(h, enc, rng.normal(size=(4, 8)))
+        assert (weights >= 0).all() and abs(weights.sum() - 1.0) <= 1e-12
+        assert np.array_equal(cat, np.concatenate([h, weights @ enc]))
+        assert merged.shape == (4,) and np.abs(merged).max() < 1.0
 
     def test_index_ops_validate_range(self):
         m = Tensor(np.zeros((2, 3)))
-        with pytest.raises(IndexError):
-            Tape().take_row(m, 5)
         with pytest.raises(IndexError):
             Tape().take_rows(m, [0, 2])
         with pytest.raises(IndexError):
@@ -101,6 +101,27 @@ class TestBackwardBasics:
 
         assert grad_check_params(loss, [x, w, b], eps=1e-5) < 1e-4
 
+    @pytest.mark.parametrize("record,output", [
+        ("lstm_sequence", 0), ("lstm_sequence", 1), ("lstm_sequence", 2), ("attn_decoder_sequence", 0),
+    ], ids=["lstm_sequence-hs", "lstm_sequence-h_last", "lstm_sequence-c_last", "attn_decoder_sequence-logits"])
+    def test_fused_record_matches_finite_differences(self, record, output):
+        rng = np.random.default_rng(19)
+        d, h, steps, positions, vocab = 3, 4, 3, 4, 5
+        args = [rand(rng, steps, d), rand(rng, h), rand(rng, h)]
+        if record == "attn_decoder_sequence":
+            args.append(rand(rng, positions, h))
+        args += [rand(rng, 4 * h, d + h, lo=-0.5, hi=0.5), rand(rng, 4 * h, lo=-0.5, hi=0.5)]
+        if record == "attn_decoder_sequence":
+            args += [rand(rng, h, 2 * h), rand(rng, vocab, h), rand(rng, vocab)]
+
+        def pick(tape):
+            outs = getattr(tape, record)(*args)
+            return outs if isinstance(outs, Tensor) else outs[output]
+
+        weights = Tensor(rng.normal(size=pick(Tape(record=False)).shape))
+        loss = lambda tape: tape.sum(tape.mul(pick(tape), weights))
+        assert grad_check_params(loss, args, eps=1e-5) < 1e-4
+
 
 class TestGradCheckExamples:
     def test_sum_tanh(self):
@@ -135,7 +156,6 @@ PRIMITIVE_CASES = [
     ("mul", lambda t, a, b: t.mul(a, b), 2),
     ("scale", lambda t, a: t.scale(a, 1.7), 1),
     ("tanh", lambda t, a: t.tanh(a), 1),
-    ("sigmoid", lambda t, a: t.sigmoid(a), 1),
     ("log", lambda t, a: t.log(t.clamp_min(a, 0.05)), 1),
     ("softmax", lambda t, a: t.softmax(a), 1),
     ("log_softmax", lambda t, a: t.log_softmax(a), 1),
@@ -231,9 +251,11 @@ class TestInvariants:
             rng = np.random.default_rng(seed)
             tape = Tape()
             x = Tensor(rng.normal(scale=50.0, size=8), requires_grad=True)
-            h = tape.sigmoid(x)
+            # Identity input weights: the gate pre-activations are x itself.
+            w = Tensor(np.hstack([np.eye(8), np.zeros((8, 2))]))
+            h, c = tape.lstm_step(x, Tensor(np.zeros(2)), Tensor(np.zeros(2)), w, Tensor(np.zeros(8)))
             s = tape.softmax(tape.scale(x, 10.0))
-            out = tape.sum(tape.mul(h, s))
+            out = tape.sum(tape.mul(tape.concat([h, c, h, c]), s))
             tape.backward(out)
             assert np.isfinite(out.data).all()
             assert np.isfinite(x.grad).all()
