@@ -85,15 +85,24 @@ def write_manifest(out_dir: Path, command: str, config: dict, seed: int,
     return path
 
 
-def _load_training_config(args) -> TrainingConfig:
-    doc = {}
-    if getattr(args, "config", None):
-        config_path = Path(args.config)
-        if not config_path.exists():
-            raise UsageError(f"config file not found: {config_path}")
+def _read_config_file(path: str, what: str) -> dict:
+    """The JSON object in a config file; a missing file, malformed JSON or
+    any other JSON value is a usage error.
+    """
+    config_path = Path(path)
+    try:
         doc = json.loads(config_path.read_text(encoding="utf-8"))
-        if not isinstance(doc, dict):
-            raise UsageError(f"{config_path}: training config must be a JSON object")
+    except OSError as exc:
+        raise UsageError(f"cannot read {what} file {config_path}: {exc.strerror}") from None
+    except ValueError as exc:
+        raise UsageError(f"{config_path}: malformed JSON ({exc})") from None
+    if not isinstance(doc, dict):
+        raise UsageError(f"{config_path}: {what} must be a JSON object")
+    return doc
+
+
+def _load_training_config(args) -> TrainingConfig:
+    doc = _read_config_file(args.config, "training config") if getattr(args, "config", None) else {}
     doc.pop("data", None)
     doc.pop("checkpoint_dir", None)
     for key in ("alpha1", "alpha2", "seed", "epochs", "lr", "grad_clip"):
@@ -107,12 +116,7 @@ def _load_training_config(args) -> TrainingConfig:
 
 
 def _load_synth_config(args) -> SynthConfig:
-    doc = {}
-    if args.synth_config:
-        config_path = Path(args.synth_config)
-        doc = json.loads(config_path.read_text(encoding="utf-8"))
-        if not isinstance(doc, dict):
-            raise UsageError(f"{config_path}: synth config must be a JSON object")
+    doc = _read_config_file(args.synth_config, "synth config") if args.synth_config else {}
     if args.seed is not None:
         doc["seed"] = args.seed
     try:
@@ -121,6 +125,12 @@ def _load_synth_config(args) -> SynthConfig:
     except (TypeError, ValueError) as exc:
         raise UsageError(f"bad synth config: {exc}") from None
     return synth
+
+
+def _max_len(args) -> int:
+    if args.max_len < 1:
+        raise UsageError(f"--max-len must be at least 1, got {args.max_len}")
+    return args.max_len
 
 
 def _load_prepared(data_dir: Path, split: str = "train") -> tuple[Corpus, Vocabulary, Vocabulary]:
@@ -366,6 +376,7 @@ def _load_generations(path: Path) -> dict[tuple[str, int], list[str]]:
 
 def cmd_evaluate(args) -> int:
     started = time.monotonic()
+    max_len = _max_len(args)
     data_dir = Path(args.data)
     corpus, in_vocab, out_vocab = _load_prepared(data_dir, args.split)
     out_dir = Path(args.out) if args.out else None
@@ -382,7 +393,7 @@ def cmd_evaluate(args) -> int:
         model, meta = load_model(args.model)
         if meta.get("schema_hash") != schema_hash(corpus.schemas):
             raise CorpusError("checkpoint schema hash does not match the evaluation corpus")
-        report, generated = evaluate_model(model, corpus, in_vocab, out_vocab, args.max_len)
+        report, generated = evaluate_model(model, corpus, in_vocab, out_vocab, max_len)
         inputs = [Path(args.model)]
         config_doc = {"model": str(args.model), "split": args.split}
         seed = 0
@@ -484,6 +495,7 @@ def lexicalize(tokens: list[str], corpus: Corpus, belief: dict) -> list[str]:
 def cmd_chat(args, stdin=None, stdout=None) -> int:
     stdin = stdin or sys.stdin
     stdout = stdout or sys.stdout
+    max_len = _max_len(args)
     student, meta = load_model_as(args.model, "student")
     in_vocab = Vocabulary("input", meta["in_vocab"])
     out_vocab = Vocabulary("output", meta["out_vocab"])
@@ -520,7 +532,7 @@ def cmd_chat(args, stdin=None, stdout=None) -> int:
         size = len(dialogue.vectors)
         try:
             dialogue.add(in_vocab.encode(tokens))
-            reply = out_vocab.decode(dialogue.reply(args.max_len))
+            reply = out_vocab.decode(dialogue.reply(max_len))
             dialogue.add(in_vocab.encode(reply))
         except Exception:  # decode failure: apologize, keep history intact
             say("sorry , i could not produce a response .")

@@ -227,18 +227,6 @@ class Tape:
         self._emit((a,), (out,), lambda gs: (gs[0] * (1.0 - y * y),))
         return out
 
-    def log(self, a: Tensor) -> Tensor:
-        ad = a.data
-        out = self._out(np.log(ad), (a,))
-        self._emit((a,), (out,), lambda gs: (gs[0] / ad,))
-        return out
-
-    def clamp_min(self, a: Tensor, floor: float) -> Tensor:
-        mask = a.data > floor
-        out = self._out(np.maximum(a.data, floor), (a,))
-        self._emit((a,), (out,), lambda gs: (gs[0] * mask,))
-        return out
-
     # -- linear algebra --------------------------------------------------------
 
     def matmul(self, a: Tensor, b: Tensor) -> Tensor:
@@ -333,21 +321,8 @@ class Tape:
         self._emit((a,), (out,), lambda gs: (np.full(shape, float(gs[0])),))
         return out
 
-    def softmax(self, a: Tensor) -> Tensor:
-        """Softmax over the last axis of a 1-D or 2-D tensor."""
-        if a.data.ndim not in (1, 2):
-            raise ShapeMismatchError("softmax", a.shape)
-        s = _softmax(a.data)
-        out = self._out(s, (a,))
-
-        def backward(gs):
-            g = gs[0]
-            return (s * (g - (g * s).sum(axis=-1, keepdims=True)),)
-
-        self._emit((a,), (out,), backward)
-        return out
-
     def log_softmax(self, a: Tensor) -> Tensor:
+        """Log-softmax over the last axis of a 1-D or 2-D tensor; finite for any finite input."""
         if a.data.ndim not in (1, 2):
             raise ShapeMismatchError("log_softmax", a.shape)
         shifted = a.data - a.data.max(axis=-1, keepdims=True)

@@ -20,7 +20,15 @@ import numpy as np
 from mtss.corpus import Corpus
 from mtss.corpus.state import BeliefLayout, turn_state
 from mtss.corpus.vocab import BOS_ID, EOS_ID, Vocabulary
-from mtss.diffnum import ShapeMismatchError, Tape, Tensor, attend, load_checkpoint, save_checkpoint
+from mtss.diffnum import (
+    CheckpointError,
+    ShapeMismatchError,
+    Tape,
+    Tensor,
+    attend,
+    load_checkpoint,
+    save_checkpoint,
+)
 
 
 @dataclass(frozen=True)
@@ -99,8 +107,8 @@ class _SeqModel:
         enc_outs: Tensor,
         gold_ids: Sequence[int],
     ) -> Tensor:
-        """One softmax row over the output vocabulary per gold position after
-        BOS, each conditioned on the gold prefix; returned as a (T, V) tensor.
+        """One log-softmax row over the output vocabulary per gold position
+        after BOS, each conditioned on the gold prefix; returned as a (T, V) tensor.
         """
         if len(gold_ids) < 2:
             raise ValueError("gold response must contain at least BOS and EOS")
@@ -118,7 +126,7 @@ class _SeqModel:
             self.params["out_w"],
             self.params["out_b"],
         )
-        return tape.softmax(logits)
+        return tape.log_softmax(logits)
 
     def decode_greedy(self, tape: Tape, action: Tensor, enc_outs: Tensor, max_len: int) -> list[int]:
         """Greedy argmax decoding from BOS, stopping at EOS or max_len tokens.
@@ -211,7 +219,8 @@ class TeacherModel(_SeqModel):
 
     def respond_forced(
         self, tape: Tape, user_ids: Sequence[int], state: np.ndarray, gold_ids: Sequence[int]
-    ) -> tuple[list[Tensor], Tensor]:
+    ) -> tuple[Tensor, Tensor]:
+        """(T, V) log-probabilities of the gold response and the action vector."""
         enc_outs, v_u = self.encode_utterance(tape, user_ids)
         action = self.action_vector(tape, v_u, state)
         return self.decode_teacher_forced(tape, action, enc_outs, gold_ids), action
@@ -283,7 +292,8 @@ class StudentModel(_SeqModel):
 
     def respond_forced(
         self, tape: Tape, history: Sequence[Sequence[int]], gold_ids: Sequence[int]
-    ) -> tuple[list[Tensor], Tensor]:
+    ) -> tuple[Tensor, Tensor]:
+        """(T, V) log-probabilities of the gold response and the action vector."""
         enc_outs, action = self.encode_history(tape, history)
         return self.decode_teacher_forced(tape, action, enc_outs, gold_ids), action
 
@@ -344,7 +354,7 @@ def load_model(path: str | Path):
     elif meta["kind"] == "student":
         model = StudentModel(config, meta["in_vocab_size"], meta["out_vocab_size"])
     else:
-        raise ValueError(f"unknown model kind {meta['kind']!r} in {path}")
+        raise CheckpointError(f"unknown model kind {meta['kind']!r} in {path}")
     model.load_arrays(arrays)
     return model, meta
 
@@ -352,7 +362,7 @@ def load_model(path: str | Path):
 def load_model_as(path: str | Path, expected_kind: str):
     model, meta = load_model(path)
     if model.kind != expected_kind:
-        raise ValueError(f"{path}: checkpoint holds a {model.kind} model, expected {expected_kind}")
+        raise CheckpointError(f"{path}: checkpoint holds a {model.kind} model, expected {expected_kind}")
     return model, meta
 
 

@@ -26,7 +26,6 @@ from mtss.corpus import (
     Episode,
     Turn,
 )
-from mtss.corpus.state import BeliefLayout, kb_pointer_vector
 from mtss.corpus.types import query_db
 
 DOMAIN_NAMES = ["restaurant", "hotel", "attraction", "train", "taxi", "hospital", "police"]
@@ -290,11 +289,3 @@ def gen_corpus(config: SynthConfig) -> tuple[Corpus, Corpus]:
     test.validate()
     return train, test
 
-
-def oracle_state(episode: Episode, turn_index: int, schemas, database) -> tuple[np.ndarray, np.ndarray]:
-    """Exact cumulative belief vector and DB pointer for one generated turn."""
-    if not 0 <= turn_index < len(episode.turns):
-        raise IndexError(f"turn {turn_index} out of range for episode {episode.episode_id}")
-    layout = BeliefLayout(schemas)
-    belief = episode.turns[turn_index].belief
-    return layout.build(belief), kb_pointer_vector(schemas, database, belief)

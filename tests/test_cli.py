@@ -9,7 +9,7 @@ import pytest
 
 from mtss.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, build_parser, cmd_chat, main
 from mtss.corpus import Delexicalizer, Vocabulary, load_corpus, load_vocab
-from mtss.diffnum import Tape
+from mtss.diffnum import Tape, load_checkpoint, save_checkpoint
 from mtss.models import ModelConfig, StudentModel, load_model_as
 
 TINY_TRAIN = {
@@ -230,6 +230,19 @@ def _data_without_vocab_role(workspace, tmp_path) -> str:
     return str(data)
 
 
+def _teachers_with_student(workspace, tmp_path) -> str:
+    teachers = tmp_path / "teachers"
+    shutil.copytree(workspace / "teachers", teachers)
+    shutil.copy(workspace / "student" / "student.ckpt", teachers / "teacher_extra.ckpt")
+    return str(teachers)
+
+
+def _checkpoint_of_unknown_kind(workspace, tmp_path) -> str:
+    arrays, meta = load_checkpoint(workspace / "student" / "student.ckpt")
+    save_checkpoint(tmp_path / "bogus.ckpt", arrays, {**meta, "kind": "bogus"})
+    return str(tmp_path / "bogus.ckpt")
+
+
 # (id, argv builder, expected exit code): each input is malformed in one way.
 MALFORMED_INPUTS = [
     ("config-unknown-key", EXIT_USAGE, lambda ws, tmp: [
@@ -237,6 +250,34 @@ MALFORMED_INPUTS = [
         "--config", _write(tmp / "train.json", {"bogus": 1})]),
     ("negative-epochs", EXIT_USAGE, lambda ws, tmp: [
         "train-teachers", "--data", str(ws / "data"), "--out", str(tmp / "out"), "--epochs", "-1"]),
+    ("config-missing", EXIT_USAGE, lambda ws, tmp: [
+        "train-teachers", "--data", str(ws / "data"), "--out", str(tmp / "out"),
+        "--config", str(tmp / "missing.json")]),
+    ("config-malformed-json", EXIT_USAGE, lambda ws, tmp: [
+        "train-teachers", "--data", str(ws / "data"), "--out", str(tmp / "out"),
+        "--config", _write(tmp / "train.json", "{bad")]),
+    ("config-not-an-object", EXIT_USAGE, lambda ws, tmp: [
+        "train-teachers", "--data", str(ws / "data"), "--out", str(tmp / "out"),
+        "--config", _write(tmp / "train.json", [1])]),
+    ("negative-hidden-size", EXIT_USAGE, lambda ws, tmp: [
+        "train-teachers", "--data", str(ws / "data"), "--out", str(tmp / "out"),
+        "--config", _write(tmp / "train.json", {"model": {"hidden_size": -1}})]),
+    ("fractional-hidden-size", EXIT_USAGE, lambda ws, tmp: [
+        "train-teachers", "--data", str(ws / "data"), "--out", str(tmp / "out"),
+        "--config", _write(tmp / "train.json", {"model": {"hidden_size": 1.5}})]),
+    ("zero-embed-size", EXIT_USAGE, lambda ws, tmp: [
+        "train-student", "--data", str(ws / "data"), "--teachers", str(ws / "teachers"),
+        "--out", str(tmp / "out"), "--config", _write(tmp / "train.json", {"model": {"embed_size": 0}})]),
+    ("fractional-epochs", EXIT_USAGE, lambda ws, tmp: [
+        "train-teachers", "--data", str(ws / "data"), "--out", str(tmp / "out"),
+        "--config", _write(tmp / "train.json", {"teacher_epochs": 1.5})]),
+    ("zero-max-decode-len", EXIT_USAGE, lambda ws, tmp: [
+        "train-teachers", "--data", str(ws / "data"), "--out", str(tmp / "out"),
+        "--config", _write(tmp / "train.json", {"max_decode_len": 0})]),
+    ("synth-config-missing", EXIT_USAGE, lambda ws, tmp: [
+        "prepare", "--out", str(tmp / "out"), "--synth-config", str(tmp / "missing.json")]),
+    ("synth-config-malformed-json", EXIT_USAGE, lambda ws, tmp: [
+        "prepare", "--out", str(tmp / "out"), "--synth-config", _write(tmp / "synth.json", "{bad")]),
     ("synth-unknown-key", EXIT_USAGE, lambda ws, tmp: [
         "prepare", "--out", str(tmp / "out"), "--synth-config", _write(tmp / "synth.json", {"bogus": 1})]),
     ("generations-no-response", EXIT_DATA, lambda ws, tmp: [
@@ -244,6 +285,18 @@ MALFORMED_INPUTS = [
         "--generations", _write(tmp / "gen.jsonl", '{"episode": "test-0000", "turn": 0}\n')]),
     ("vocab-no-role", EXIT_DATA, lambda ws, tmp: [
         "evaluate", "--data", _data_without_vocab_role(ws, tmp), "--generations", _write(tmp / "gen.jsonl", "")]),
+    ("evaluate-zero-max-len", EXIT_USAGE, lambda ws, tmp: [
+        "evaluate", "--model", str(ws / "student" / "student.ckpt"), "--data", str(ws / "data"),
+        "--max-len", "0"]),
+    ("chat-zero-max-len", EXIT_USAGE, lambda ws, tmp: [
+        "chat", "--model", str(ws / "student" / "student.ckpt"), "--max-len", "0"]),
+    ("chat-teacher-checkpoint", EXIT_DATA, lambda ws, tmp: [
+        "chat", "--model", str(ws / "teachers" / "universal.ckpt")]),
+    ("student-among-teachers", EXIT_DATA, lambda ws, tmp: [
+        "train-student", "--data", str(ws / "data"), "--teachers", _teachers_with_student(ws, tmp),
+        "--out", str(tmp / "out")]),
+    ("unknown-model-kind", EXIT_DATA, lambda ws, tmp: [
+        "evaluate", "--model", _checkpoint_of_unknown_kind(ws, tmp), "--data", str(ws / "data")]),
 ]
 
 

@@ -5,7 +5,7 @@ import pytest
 
 from mtss.corpus import Corpus, build_vocab
 from mtss.corpus.vocab import BOS_ID, EOS_ID, PAD_ID
-from mtss.diffnum import Adam, ShapeMismatchError, Tape, Tensor, grad_check_params
+from mtss.diffnum import Adam, CheckpointError, ShapeMismatchError, Tape, Tensor, grad_check_params
 from mtss.models import (
     ModelConfig,
     StudentModel,
@@ -202,10 +202,10 @@ class TestDecoder:
     def test_distribution_per_gold_position(self, teacher):
         tape = Tape()
         gold = ids(5, 6, 7)
-        dists = self._forced(teacher, tape, gold)
-        assert dists.data.shape == (len(gold) - 1, V_OUT)
-        assert np.abs(dists.data.sum(axis=1) - 1.0).max() <= 1e-12
-        assert (dists.data >= 0).all()
+        log_probs = self._forced(teacher, tape, gold)
+        assert log_probs.data.shape == (len(gold) - 1, V_OUT)
+        assert np.abs(np.exp(log_probs.data).sum(axis=1) - 1.0).max() <= 1e-12
+        assert (log_probs.data <= 0).all()
 
     def _forced(self, teacher, tape, gold):
         enc_outs, v_u = teacher.encode_utterance(tape, ids(4, 5))
@@ -240,8 +240,8 @@ class TestDecoder:
                 tokens = model.decode_greedy(tape, action, enc_outs, max_len)
                 expected = [*tokens, EOS_ID] if len(tokens) < max_len else tokens
                 ended[model.kind] += len(tokens) < max_len
-                dists = model.decode_teacher_forced(tape, action, enc_outs, [BOS_ID, *expected[:-1], EOS_ID])
-                assert list(np.argmax(dists.data, axis=1)) == expected
+                log_probs = model.decode_teacher_forced(tape, action, enc_outs, [BOS_ID, *expected[:-1], EOS_ID])
+                assert list(np.argmax(log_probs.data, axis=1)) == expected
         assert min(ended.values()) >= 2
 
     def test_generate_respects_max_len(self, teacher):
@@ -262,15 +262,14 @@ class TestOverfitOnePair:
         opt = Adam(teacher.parameter_list(), lr=0.05)
         for _ in range(150):
             tape = Tape()
-            dists, _ = teacher.respond_forced(tape, user, state, gold)
-            picked = tape.pick(dists, gold[1:])
-            loss = tape.neg(tape.sum(tape.log(tape.clamp_min(picked, 1e-12))))
+            log_probs, _ = teacher.respond_forced(tape, user, state, gold)
+            loss = tape.neg(tape.sum(tape.pick(log_probs, gold[1:])))
             opt.zero_grad()
             tape.backward(loss)
             opt.step()
         tape = Tape(record=False)
-        dists, _ = teacher.respond_forced(tape, user, state, gold)
-        assert list(np.argmax(dists.data, axis=1)) == gold[1:]
+        log_probs, _ = teacher.respond_forced(tape, user, state, gold)
+        assert list(np.argmax(log_probs.data, axis=1)) == gold[1:]
         assert teacher.generate(user, state, max_len=10) == [6, 7, 8]
 
 
@@ -281,9 +280,8 @@ class TestFullModelGradients:
         gold = ids(5, 6)
 
         def f(tape):
-            dists, action = teacher.respond_forced(tape, ids(4, 7), state, gold)
-            picked = tape.pick(dists, gold[1:])
-            nll = tape.neg(tape.sum(tape.log(tape.clamp_min(picked, 1e-12))))
+            log_probs, action = teacher.respond_forced(tape, ids(4, 7), state, gold)
+            nll = tape.neg(tape.sum(tape.pick(log_probs, gold[1:])))
             return tape.add(nll, tape.sum(tape.mul(action, action)))
 
         assert grad_check_params(f, teacher.parameter_list(), eps=1e-5) < 1e-4
@@ -294,9 +292,8 @@ class TestFullModelGradients:
         gold = ids(8, 9)
 
         def f(tape):
-            dists, action = student.respond_forced(tape, history, gold)
-            picked = tape.pick(dists, gold[1:])
-            nll = tape.neg(tape.sum(tape.log(tape.clamp_min(picked, 1e-12))))
+            log_probs, action = student.respond_forced(tape, history, gold)
+            nll = tape.neg(tape.sum(tape.pick(log_probs, gold[1:])))
             return tape.add(nll, tape.sum(tape.mul(action, action)))
 
         assert grad_check_params(f, student.parameter_list(), eps=1e-5) < 1e-4
@@ -308,24 +305,24 @@ class TestPersistence:
         state = np.zeros(STATE)
         before = teacher.generate(ids(4, 5), state, max_len=6)
         tape = Tape(record=False)
-        dists, _ = teacher.respond_forced(tape, ids(4, 5), state, ids(6, 7))
-        probs_before = dists.data.copy()
+        log_probs, _ = teacher.respond_forced(tape, ids(4, 5), state, ids(6, 7))
+        before_log_probs = log_probs.data.copy()
 
         teacher.save(path, extra_meta={"schema_hash": "h123"})
         loaded, meta = load_model(path)
         assert meta["schema_hash"] == "h123"
         assert meta["domain"] == "hotel"
         tape = Tape(record=False)
-        dists, _ = loaded.respond_forced(tape, ids(4, 5), state, ids(6, 7))
-        assert np.array_equal(dists.data, probs_before)
+        log_probs, _ = loaded.respond_forced(tape, ids(4, 5), state, ids(6, 7))
+        assert np.array_equal(log_probs.data, before_log_probs)
         assert loaded.generate(ids(4, 5), state, max_len=6) == before
 
     def test_kind_mismatch_rejected(self, teacher, student, tmp_path):
         teacher.save(tmp_path / "t.ckpt")
         student.save(tmp_path / "s.ckpt")
-        with pytest.raises(ValueError, match="expected teacher"):
+        with pytest.raises(CheckpointError, match="expected teacher"):
             load_model_as(tmp_path / "s.ckpt", "teacher")
-        with pytest.raises(ValueError, match="expected student"):
+        with pytest.raises(CheckpointError, match="expected student"):
             load_model_as(tmp_path / "t.ckpt", "student")
 
     def test_clone_is_independent(self, teacher):

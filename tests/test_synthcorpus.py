@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 
 from mtss.corpus import build_vocab, load_corpus, save_corpus, split_by_domain, turn_state
-from mtss.corpus.state import db_pointer
+from mtss.corpus.state import BeliefLayout, db_pointer, kb_pointer_vector
 from mtss.corpus.types import query_db
 from mtss.metrics import score_corpus
-from mtss.synthcorpus import SynthConfig, gen_corpus, oracle_state
+from mtss.synthcorpus import SynthConfig, gen_corpus
 
 SMALL = SynthConfig(seed=7, train_episodes=25, test_episodes=8)
 
@@ -116,11 +116,18 @@ class TestGeneration:
         assert 0 < multi < 60
 
 
+def state_halves(episode, turn_index, schemas, database):
+    """The (belief, pointer) halves of the turn's state vector."""
+    state = turn_state(episode.turns[turn_index], schemas, database)
+    size = BeliefLayout(schemas).size
+    return state[:size], state[size:]
+
+
 class TestOracleState:
     def test_zero_belief_before_any_constraint(self, small_corpora):
         train, _ = small_corpora
         episode = next(e for e in train.episodes if e.turns[0].domain == "general")
-        belief_vec, pointer = oracle_state(episode, 0, train.schemas, train.database)
+        belief_vec, pointer = state_halves(episode, 0, train.schemas, train.database)
         assert belief_vec.sum() == 0.0
         assert pointer.shape == (4 * SMALL.domains,)
 
@@ -128,7 +135,7 @@ class TestOracleState:
         train, _ = small_corpora
         episode = next(e for e in train.episodes if e.turns[0].domain != "general")
         first = episode.turns[0]
-        belief_vec, _ = oracle_state(episode, 0, train.schemas, train.database)
+        belief_vec, _ = state_halves(episode, 0, train.schemas, train.database)
         expected_bits = sum(len(slots) for slots in first.belief.values())
         assert belief_vec.sum() == expected_bits >= 1
 
@@ -137,7 +144,7 @@ class TestOracleState:
         domains = sorted(train.schemas)
         for episode in train.episodes[:10]:
             for index, turn in enumerate(episode.turns):
-                _, pointer = oracle_state(episode, index, train.schemas, train.database)
+                _, pointer = state_halves(episode, index, train.schemas, train.database)
                 for d, domain in enumerate(domains):
                     count = len(query_db(train.database, domain, turn.belief.get(domain, {})))
                     assert np.array_equal(pointer[4 * d:4 * (d + 1)], db_pointer(count))
@@ -145,11 +152,12 @@ class TestOracleState:
     def test_state_matches_turn_state_helper(self, small_corpora):
         train, _ = small_corpora
         episode = train.episodes[0]
-        belief_vec, pointer = oracle_state(episode, 0, train.schemas, train.database)
-        combined = turn_state(episode.turns[0], train.schemas, train.database)
-        assert np.array_equal(np.concatenate([belief_vec, pointer]), combined)
+        belief = episode.turns[0].belief
+        belief_vec, pointer = state_halves(episode, 0, train.schemas, train.database)
+        assert np.array_equal(belief_vec, BeliefLayout(train.schemas).build(belief))
+        assert np.array_equal(pointer, kb_pointer_vector(train.schemas, train.database, belief))
 
     def test_out_of_range_index_errors(self, small_corpora):
         train, _ = small_corpora
         with pytest.raises(IndexError):
-            oracle_state(train.episodes[0], 99, train.schemas, train.database)
+            state_halves(train.episodes[0], 99, train.schemas, train.database)

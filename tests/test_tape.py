@@ -12,8 +12,9 @@ def rand(rng, *shape, lo=-1.0, hi=1.0):
 
 class TestForwardValues:
     def test_softmax_symmetry(self):
-        out = Tape().softmax(Tensor([0.0, 0.0]))
-        assert np.allclose(out.data, [0.5, 0.5])
+        out = Tape().log_softmax(Tensor([0.0, 0.0]))
+        assert np.allclose(out.data, [-np.log(2.0), -np.log(2.0)])
+        assert np.allclose(np.exp(out.data), [0.5, 0.5])
 
     def test_tanh_odd(self):
         assert Tape().tanh(Tensor(0.0)).item() == 0.0
@@ -136,7 +137,7 @@ class TestGradCheckExamples:
         x = Tensor(rng.normal(size=6))
 
         def f(tape, v):
-            logp = tape.log(tape.clamp_min(tape.softmax(v), 1e-12))
+            logp = tape.log_softmax(v)
             return tape.neg(tape.sum(tape.mul(Tensor(target), logp)))
 
         assert grad_check(f, x, eps=1e-5) < 1e-5
@@ -156,8 +157,10 @@ PRIMITIVE_CASES = [
     ("mul", lambda t, a, b: t.mul(a, b), 2),
     ("scale", lambda t, a: t.scale(a, 1.7), 1),
     ("tanh", lambda t, a: t.tanh(a), 1),
-    ("log", lambda t, a: t.log(t.clamp_min(a, 0.05)), 1),
-    ("softmax", lambda t, a: t.softmax(a), 1),
+    # "log": gold log-probabilities picked from rows, as the NLL reads them;
+    # "softmax": log-softmax over the rows of a 2-D input.
+    ("log", lambda t, a, b: t.pick(t.log_softmax(t.stack([a, b])), [0, 3]), 2),
+    ("softmax", lambda t, a, b: t.log_softmax(t.stack([a, t.scale(b, 4.0)])), 2),
     ("log_softmax", lambda t, a: t.log_softmax(a), 1),
     ("concat", lambda t, a, b: t.concat([a, b]), 2),
     ("matvec", lambda t, a, b: t.matmul(t.stack([a, b]), a), 2),
@@ -170,7 +173,7 @@ class TestPrimitiveGradients:
         worst = 0.0
         for seed in range(50):
             rng = np.random.default_rng(seed)
-            args = [rand(rng, 4, lo=0.1 if name == "log" else -1.0) for _ in range(arity)]
+            args = [rand(rng, 4) for _ in range(arity)]
             weights = Tensor(rng.normal(size=16))
 
             def f(tape):
@@ -234,7 +237,7 @@ class TestInvariants:
 
         def run():
             tape = Tape()
-            return tape.softmax(tape.tanh(tape.matmul(w, x))).data.tobytes()
+            return tape.log_softmax(tape.tanh(tape.matmul(w, x))).data.tobytes()
 
         assert run() == run()
 
@@ -242,9 +245,9 @@ class TestInvariants:
         for seed in range(20):
             rng = np.random.default_rng(seed)
             x = Tensor(rng.normal(scale=5.0, size=(3, 7)))
-            s = Tape().softmax(x).data
-            assert (s >= 0).all()
-            assert np.abs(s.sum(axis=-1) - 1.0).max() <= 1e-12
+            log_s = Tape().log_softmax(x).data
+            assert (log_s <= 0).all()
+            assert np.abs(np.exp(log_s).sum(axis=-1) - 1.0).max() <= 1e-12
 
     def test_no_nan_inf_after_ops_on_finite_inputs(self):
         for seed in range(20):
@@ -254,7 +257,7 @@ class TestInvariants:
             # Identity input weights: the gate pre-activations are x itself.
             w = Tensor(np.hstack([np.eye(8), np.zeros((8, 2))]))
             h, c = tape.lstm_step(x, Tensor(np.zeros(2)), Tensor(np.zeros(2)), w, Tensor(np.zeros(8)))
-            s = tape.softmax(tape.scale(x, 10.0))
+            s = tape.log_softmax(tape.scale(x, 10.0))
             out = tape.sum(tape.mul(tape.concat([h, c, h, c]), s))
             tape.backward(out)
             assert np.isfinite(out.data).all()
@@ -271,8 +274,8 @@ class TestInvariants:
         w = Tensor(rng.normal(size=(3, 3)), requires_grad=True)
         x = Tensor(rng.normal(size=3))
         t1, t2 = Tape(), Tape(record=False)
-        y1 = t1.softmax(t1.matmul(w, x))
-        y2 = t2.softmax(t2.matmul(w, x))
+        y1 = t1.log_softmax(t1.matmul(w, x))
+        y2 = t2.log_softmax(t2.matmul(w, x))
         assert np.array_equal(y1.data, y2.data)
         assert len(t2) == 0
         assert not y2.requires_grad

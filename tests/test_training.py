@@ -19,6 +19,7 @@ from mtss.corpus.types import (
 from mtss.diffnum import Tape, Tensor, grad_check_params
 from mtss.models import ModelConfig, StudentModel, TeacherModel
 from mtss.synthcorpus import SynthConfig, gen_corpus
+from mtss import training
 from mtss.training import (
     TeacherEnsemble,
     TrainingConfig,
@@ -26,12 +27,10 @@ from mtss.training import (
     finetune_domain_teacher,
     kd_policy_loss,
     kd_text_loss,
-    nll_clamp_warnings,
     nll_loss,
     prepare_turns,
     route_teacher,
     split_train_val,
-    token_accuracy,
     train_student,
     train_teacher_ensemble,
     train_universal_teacher,
@@ -49,59 +48,102 @@ FAST = TrainingConfig(
 )
 
 
-def dists_from_rows(tape, rows):
-    return tape.softmax(Tensor(np.log(np.asarray(rows)), requires_grad=True))
+def log_probs_from_rows(tape, rows):
+    """(T, V) log-probabilities of the given probability rows."""
+    return tape.log_softmax(Tensor(np.log(np.asarray(rows)), requires_grad=True))
+
+
+def softmax(logits):
+    e = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def cross_entropy_grad_via_probs(logits, targets):
+    """Gradient of -sum(targets * log(softmax(logits))) w.r.t. the logits,
+    chained through the probabilities as a softmax-then-log loss does.
+    """
+    s = softmax(logits)
+    g = -targets / s
+    return s * (g - (g * s).sum(axis=-1, keepdims=True))
 
 
 class TestNllLoss:
     def test_perfect_prediction_is_zero(self):
         tape = Tape()
-        dists = dists_from_rows(tape, [[1 - 2e-16, 1e-16, 1e-16], [1e-16, 1 - 2e-16, 1e-16]])
-        assert nll_loss(tape, dists, [0, 1]).item() == pytest.approx(0.0, abs=1e-12)
+        log_probs = log_probs_from_rows(tape, [[1 - 2e-16, 1e-16, 1e-16], [1e-16, 1 - 2e-16, 1e-16]])
+        assert nll_loss(tape, log_probs, [0, 1]).item() == pytest.approx(0.0, abs=1e-12)
 
     def test_uniform_over_two_positions(self):
         tape = Tape()
-        dists = dists_from_rows(tape, [[0.5, 0.5], [0.5, 0.5]])
-        assert nll_loss(tape, dists, [0, 1]).item() == pytest.approx(2 * math.log(2), abs=1e-12)
+        log_probs = log_probs_from_rows(tape, [[0.5, 0.5], [0.5, 0.5]])
+        assert nll_loss(tape, log_probs, [0, 1]).item() == pytest.approx(2 * math.log(2), abs=1e-12)
 
     def test_monotone_in_gold_probability(self):
         tape = Tape()
-        low = nll_loss(tape, dists_from_rows(tape, [[0.3, 0.7]]), [0]).item()
-        high = nll_loss(tape, dists_from_rows(tape, [[0.6, 0.4]]), [0]).item()
+        low = nll_loss(tape, log_probs_from_rows(tape, [[0.3, 0.7]]), [0]).item()
+        high = nll_loss(tape, log_probs_from_rows(tape, [[0.6, 0.4]]), [0]).item()
         assert high < low
 
-    def test_zero_probability_clamps_and_counts(self):
-        nll_clamp_warnings.reset()
+    def test_extreme_logit_keeps_full_gradient(self):
+        # The gold token sits 30 logits below the max: its probability is
+        # ~1e-13, yet the loss is exact and the gradient is softmax - onehot.
         tape = Tape()
-        dists = Tensor(np.array([[0.0, 1.0]]), requires_grad=True)
-        loss = nll_loss(tape, dists, [0])
-        assert np.isfinite(loss.item())
-        assert nll_clamp_warnings.count == 1
-        nll_clamp_warnings.reset()
+        logits = Tensor(np.array([[0.0, 30.0, 1.0]]), requires_grad=True)
+        loss = nll_loss(tape, tape.log_softmax(logits), [0])
+        tape.backward(loss)
+        assert loss.item() == pytest.approx(30.0, rel=1e-12)
+        assert logits.grad[0, 0] == pytest.approx(-1.0, abs=1e-12)
+        assert logits.grad[0, 1] == pytest.approx(1.0, abs=1e-12)
+        assert 0.0 < logits.grad[0, 2] < 1e-12
 
     def test_length_mismatch_errors(self):
         tape = Tape()
         with pytest.raises(ValueError, match="one distribution per gold position"):
-            nll_loss(tape, dists_from_rows(tape, [[0.5, 0.5]]), [0, 1])
+            nll_loss(tape, log_probs_from_rows(tape, [[0.5, 0.5]]), [0, 1])
+
+
+class TestGradientEquivalence:
+    """Where no probability underflows, losses on log-probabilities have the
+    gradient of the softmax-then-log formula."""
+
+    @pytest.mark.parametrize("loss", ["nll", "kd_text"])
+    def test_matches_softmax_then_log_reference(self, loss):
+        rng = np.random.default_rng(31)
+        for _ in range(20):
+            logits = rng.normal(scale=3.0, size=(4, 6))
+            assert softmax(logits).min() > 1e-12
+            gold = rng.integers(0, 6, size=4)
+            targets = np.eye(6)[gold] if loss == "nll" else rng.dirichlet(np.ones(6), size=4)
+            tape = Tape()
+            x = Tensor(logits, requires_grad=True)
+            log_probs = tape.log_softmax(x)
+            if loss == "nll":
+                value = nll_loss(tape, log_probs, gold)
+            else:
+                value = kd_text_loss(tape, targets, log_probs)
+            tape.backward(value)
+            expected = -np.sum(targets * np.log(softmax(logits)))
+            assert value.item() == pytest.approx(expected, rel=1e-12)
+            np.testing.assert_allclose(x.grad, cross_entropy_grad_via_probs(logits, targets), rtol=1e-9, atol=0)
 
 
 class TestKdTextLoss:
     def test_hand_computed_value(self):
         tape = Tape()
-        student = dists_from_rows(tape, [[0.5, 0.5]])
+        student = log_probs_from_rows(tape, [[0.5, 0.5]])
         loss = kd_text_loss(tape, np.array([[0.9, 0.1]]), student)
         assert loss.item() == pytest.approx(math.log(2), abs=1e-12)
 
     def test_equals_entropy_when_student_matches_teacher(self):
         teacher = np.array([[0.2, 0.5, 0.3], [0.7, 0.2, 0.1]])
         tape = Tape()
-        student = dists_from_rows(tape, teacher.tolist())
+        student = log_probs_from_rows(tape, teacher.tolist())
         expected = -np.sum(teacher * np.log(teacher))
         assert kd_text_loss(tape, teacher, student).item() == pytest.approx(expected, abs=1e-9)
 
     def test_one_hot_agreement_is_zero(self):
         tape = Tape()
-        student = dists_from_rows(tape, [[1 - 1e-15, 1e-15]])
+        student = log_probs_from_rows(tape, [[1 - 1e-15, 1e-15]])
         loss = kd_text_loss(tape, np.array([[1.0, 0.0]]), student)
         assert loss.item() == pytest.approx(0.0, abs=1e-9)
 
@@ -111,14 +153,14 @@ class TestKdTextLoss:
             p = rng.dirichlet(np.ones(5), size=3)
             q = rng.dirichlet(np.ones(5), size=3)
             tape = Tape()
-            student = dists_from_rows(tape, q.tolist())
+            student = log_probs_from_rows(tape, q.tolist())
             cross = kd_text_loss(tape, p, student).item()
             entropy = -np.sum(p * np.log(p))
             assert cross - entropy >= -1e-10
 
     def test_shape_mismatches_error(self):
         tape = Tape()
-        student = dists_from_rows(tape, [[0.5, 0.5]])
+        student = log_probs_from_rows(tape, [[0.5, 0.5]])
         with pytest.raises(ValueError, match="position counts"):
             kd_text_loss(tape, np.array([[0.9, 0.1], [0.5, 0.5]]), student)
         with pytest.raises(ValueError, match="vocabulary widths"):
@@ -127,7 +169,7 @@ class TestKdTextLoss:
     def test_no_gradient_reaches_teacher_side(self):
         teacher = np.array([[0.9, 0.1]])
         tape = Tape()
-        student = dists_from_rows(tape, [[0.4, 0.6]])
+        student = log_probs_from_rows(tape, [[0.4, 0.6]])
         loss = kd_text_loss(tape, teacher, student)
         tape.backward(loss)
         assert np.array_equal(teacher, [[0.9, 0.1]])
@@ -320,9 +362,9 @@ class TestStudentTraining:
         gold = [1, 8, 9, 2]
 
         def f(tape):
-            dists, action = student.respond_forced(tape, history, gold)
-            j_nll = nll_loss(tape, dists, gold[1:])
-            j_kd = kd_text_loss(tape, teacher_probs, dists)
+            log_probs, action = student.respond_forced(tape, history, gold)
+            j_nll = nll_loss(tape, log_probs, gold[1:])
+            j_kd = kd_text_loss(tape, teacher_probs, log_probs)
             j_pi = kd_policy_loss(tape, teacher_action, action)
             return combined_loss(tape, j_nll, j_kd, j_pi, 0.4, 0.3)
 
@@ -368,20 +410,34 @@ class TestStudentTraining:
         student_b, _ = train_student(train, ensemble, in_vocab, out_vocab, config)
         assert student_a.param_bytes() == student_b.param_bytes()
 
-    def test_teacher_cache_does_not_change_results(self, tiny_world):
+    def test_teacher_cache_does_not_change_results(self, tiny_world, monkeypatch):
+        # Targets are computed once per turn, and every epoch distils from
+        # exactly what a fresh teacher forward gives.
         train, _, in_vocab, out_vocab = tiny_world
         ensemble = tiny_ensemble(
             domains=tuple(sorted(train.schemas)), state=state_size(train.schemas),
             v_in=len(in_vocab), v_out=len(out_vocab),
         )
-        results = []
-        for cache in (True, False):
-            config = TrainingConfig(
-                epochs=2, seed=6, model=TINY, select_best=False, cache_teacher_outputs=cache
-            )
-            student, _ = train_student(train, ensemble, in_vocab, out_vocab, config)
-            results.append(student.param_bytes())
-        assert results[0] == results[1]
+        computed, used = [], []
+        targets, kd_text = training._teacher_targets, training.kd_text_loss
+
+        def counted_targets(teacher, item):
+            computed.append(item)
+            return targets(teacher, item)
+
+        def recorded_kd_text(tape, probs, log_probs):
+            used.append(probs.tobytes())
+            return kd_text(tape, probs, log_probs)
+
+        monkeypatch.setattr(training, "_teacher_targets", counted_targets)
+        monkeypatch.setattr(training, "kd_text_loss", recorded_kd_text)
+        config = TrainingConfig(epochs=2, seed=6, model=TINY, select_best=False)
+        train_student(train, ensemble, in_vocab, out_vocab, config)
+
+        items = prepare_turns(split_train_val(train, config.val_fraction)[0], in_vocab, out_vocab)
+        fresh = sorted(targets(route_teacher(item, ensemble), item)[0].tobytes() for item in items)
+        assert len(computed) == len(items)
+        assert sorted(used[:len(items)]) == fresh and sorted(used[len(items):]) == fresh
 
 
 class TestHelpers:
@@ -392,12 +448,3 @@ class TestHelpers:
         assert {e.episode_id for e in a.episodes}.isdisjoint(e.episode_id for e in b.episodes)
         full, empty = split_train_val(train, 0.0)
         assert len(full.episodes) == len(train.episodes) and not empty.episodes
-
-    def test_token_accuracy_bounds(self, tiny_world):
-        train, _, in_vocab, out_vocab = tiny_world
-        items = prepare_turns(train, in_vocab, out_vocab)[:5]
-        model = TeacherModel(
-            TINY, len(in_vocab), len(out_vocab), state_size(train.schemas), seed=0
-        )
-        acc = token_accuracy(model, items)
-        assert 0.0 <= acc <= 1.0
