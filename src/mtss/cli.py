@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -35,7 +36,7 @@ from mtss.corpus import (
 )
 from mtss.diffnum import CheckpointError, DivergenceError
 from mtss.metrics import MetricReport, score_corpus
-from mtss.models import load_model, load_model_as, worker_count
+from mtss.models import load_model, load_model_as
 from mtss.synthcorpus import SynthConfig, gen_corpus
 from mtss.training import (
     TeacherEnsemble,
@@ -295,8 +296,8 @@ def load_ensemble(teacher_dir: Path) -> tuple[TeacherEnsemble, dict]:
     universal, meta = load_model_as(universal_path, "teacher")
     teachers = {}
     for path in sorted(teacher_dir.glob("teacher_*.ckpt")):
-        teacher, teacher_meta = load_model_as(path, "teacher")
-        teachers[teacher_meta["domain"]] = teacher
+        teacher, _ = load_model_as(path, "teacher")
+        teachers[teacher.domain] = teacher
     if not teachers:
         raise CorpusError(f"no teacher checkpoints found in {teacher_dir}")
     domains = tuple(sorted(d for d in teachers if d != GENERAL_DOMAIN))
@@ -407,6 +408,14 @@ def cmd_evaluate(args) -> int:
 # -- sweep ------------------------------------------------------------------------------
 
 
+def worker_count() -> int:
+    """Sweep process cap from MTSS_THREADS; defaults to sequential."""
+    try:
+        return max(1, int(os.environ.get("MTSS_THREADS", "1")))
+    except ValueError:
+        return 1
+
+
 def _run_sweep_cell(packed) -> dict:
     data_dir, teacher_dir, out_dir, config_doc, alpha1, alpha2 = packed
     args_doc = dict(config_doc)
@@ -497,6 +506,8 @@ def cmd_chat(args, stdin=None, stdout=None) -> int:
     stdout = stdout or sys.stdout
     max_len = _max_len(args)
     student, meta = load_model_as(args.model, "student")
+    if not all(isinstance(meta.get(key), list) for key in ("in_vocab", "out_vocab")):
+        raise CheckpointError(f"{args.model}: manifest needs in_vocab and out_vocab token lists")
     in_vocab = Vocabulary("input", meta["in_vocab"])
     out_vocab = Vocabulary("output", meta["out_vocab"])
     corpus = load_corpus(args.data) if args.data else None

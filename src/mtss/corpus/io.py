@@ -139,8 +139,6 @@ def _act_domain(act_block, schemas: dict[str, DomainSchema]) -> str | None:
     Pure general-* acts tag the turn as the generic domain; booking or other
     unknown labels leave the decision to later fallbacks.
     """
-    if not isinstance(act_block, dict):
-        return None
     votes: dict[str, int] = {}
     saw_general = False
     for label in act_block:
@@ -156,8 +154,6 @@ def _act_domain(act_block, schemas: dict[str, DomainSchema]) -> str | None:
 
 def _belief_from_metadata(metadata, schemas: dict[str, DomainSchema], dropped: list) -> dict:
     belief: dict[str, dict[str, str]] = {}
-    if not isinstance(metadata, dict):
-        return belief
     for domain, block in metadata.items():
         domain = domain.lower()
         if domain not in schemas:
@@ -175,6 +171,23 @@ def _belief_from_metadata(metadata, schemas: dict[str, DomainSchema], dropped: l
             else:
                 dropped.append((domain, slot, value))
     return belief
+
+
+def _check_dialogue(dialogue_id: str, dialogue) -> None:
+    """The dialogue, each log entry, and any goal, metadata and dialog_act
+    must be JSON objects; the log must be a list."""
+
+    def need(ok: bool, what: str) -> None:
+        if not ok:
+            raise CorpusError(f"dialogue {dialogue_id}: {what}")
+
+    need(isinstance(dialogue, dict), "expected an object")
+    need(isinstance(dialogue.get("goal", {}), dict), "goal must be an object")
+    need(isinstance(dialogue.get("log", []), list), "log must be a list")
+    for k, entry in enumerate(dialogue.get("log", [])):
+        need(isinstance(entry, dict), f"log entry {k} must be an object")
+        for key in ("metadata", "dialog_act"):
+            need(isinstance(entry.get(key, {}), dict), f"log entry {k}: {key} must be an object")
 
 
 def read_multiwoz(
@@ -200,6 +213,7 @@ def read_multiwoz(
 
     for dialogue_id in sorted(raw):
         dialogue = raw[dialogue_id]
+        _check_dialogue(dialogue_id, dialogue)
         log_entries = dialogue.get("log", [])
         turns = []
         prev_belief: dict[str, dict[str, str]] = {}
@@ -207,7 +221,7 @@ def read_multiwoz(
         for k in range(0, len(log_entries) - 1, 2):
             user_entry, system_entry = log_entries[k], log_entries[k + 1]
             belief = _belief_from_metadata(system_entry.get("metadata", {}), schemas, dropped)
-            domain = _act_domain(system_entry.get("dialog_act"), schemas)
+            domain = _act_domain(system_entry.get("dialog_act", {}), schemas)
             if domain is None:
                 changed = [d for d in belief if belief.get(d) != prev_belief.get(d)]
                 domain = sorted(changed)[0] if changed else None

@@ -29,9 +29,6 @@ class DomainSchema:
         if len(set(self.requestable)) != len(self.requestable):
             raise CorpusError(f"{self.name}: duplicate requestable slots")
 
-    def slots(self) -> list[str]:
-        return sorted(set(self.informable) | set(self.requestable))
-
 
 @dataclass
 class EntityRecord:
@@ -46,9 +43,6 @@ class Database:
     """Per-domain entity records."""
 
     records: dict[str, list[EntityRecord]]
-
-    def domains(self) -> list[str]:
-        return sorted(self.records)
 
     def for_domain(self, domain: str) -> list[EntityRecord]:
         if domain not in self.records:

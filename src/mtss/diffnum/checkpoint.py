@@ -9,6 +9,7 @@ Round-trips are bit-exact.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from pathlib import Path
 
@@ -39,6 +40,20 @@ def save_checkpoint(path: str | Path, tensors: dict[str, np.ndarray], meta: dict
             fh.write(blob)
 
 
+def _is_count(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+
+
+def _is_entry(entry) -> bool:
+    return (
+        isinstance(entry, dict)
+        and isinstance(entry.get("name"), str)
+        and isinstance(entry.get("shape"), list)
+        and all(map(_is_count, entry["shape"]))
+        and _is_count(entry.get("offset"))
+    )
+
+
 def load_checkpoint(path: str | Path) -> tuple[dict[str, np.ndarray], dict]:
     raw = Path(path).read_bytes()
     if raw[: len(MAGIC)] != MAGIC or len(raw) < len(MAGIC) + 8:
@@ -49,12 +64,16 @@ def load_checkpoint(path: str | Path) -> tuple[dict[str, np.ndarray], dict]:
         manifest = json.loads(raw[len(MAGIC) + 8:header_end].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CheckpointError(f"{path}: bad manifest ({exc})") from exc
+    entries = manifest.get("tensors") if isinstance(manifest, dict) else None
+    if not isinstance(entries, list) or not all(map(_is_entry, entries)):
+        raise CheckpointError(f"{path}: manifest needs a list of {{name, shape, offset}} tensor entries")
+    if not isinstance(manifest.get("meta"), dict):
+        raise CheckpointError(f"{path}: manifest needs a meta object")
     tensors: dict[str, np.ndarray] = {}
-    for entry in manifest["tensors"]:
+    for entry in entries:
         shape = tuple(entry["shape"])
-        count = int(np.prod(shape)) if shape else 1
         start = header_end + entry["offset"]
-        end = start + count * 8
+        end = start + math.prod(shape) * 8
         if end > len(raw):
             raise CheckpointError(f"{path}: truncated data for tensor {entry['name']!r}")
         arr = np.frombuffer(raw[start:end], dtype="<f8").reshape(shape)

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Sequence
@@ -65,9 +64,6 @@ class _SeqModel:
 
     def parameter_list(self) -> list[Tensor]:
         return list(self.params.values())
-
-    def parameter_names(self) -> list[str]:
-        return list(self.params)
 
     def param_bytes(self) -> bytes:
         return b"".join(p.data.tobytes() for p in self.params.values())
@@ -306,11 +302,6 @@ class StudentModel(_SeqModel):
     def dialogue(self) -> "Dialogue":
         return Dialogue(self)
 
-    def clone(self) -> "StudentModel":
-        copy = StudentModel(self.config, self.in_vocab_size, self.out_vocab_size)
-        copy.load_arrays({name: p.data for name, p in self.params.items()})
-        return copy
-
 
 class Dialogue:
     """Incremental student inference: each utterance is encoded once, when added.
@@ -343,19 +334,39 @@ class Dialogue:
 
 
 def load_model(path: str | Path):
-    """Load either model kind; returns (model, meta). The manifest's kind decides."""
+    """Load either model kind; returns (model, meta). The manifest's kind
+    decides; a manifest whose kind, config or sizes are malformed raises
+    ``CheckpointError``.
+    """
     arrays, meta = load_checkpoint(path)
-    config = ModelConfig(**meta["config"])
-    if meta["kind"] == "teacher":
+    kind = meta.get("kind")
+    if kind not in ("teacher", "student"):
+        raise CheckpointError(f"unknown model kind {kind!r} in {path}")
+    try:
+        config = ModelConfig(**meta.get("config"))
+    except TypeError as exc:
+        raise CheckpointError(f"{path}: bad model config in manifest ({exc})") from None
+    keys = ["in_vocab_size", "out_vocab_size"] + (["state_size"] if kind == "teacher" else [])
+    sizes = {"config.embed_size": config.embed_size, "config.hidden_size": config.hidden_size,
+             **{key: meta.get(key) for key in keys}}
+    for key, value in sizes.items():
+        if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+            raise CheckpointError(f"{path}: manifest {key} must be a positive integer, got {value!r}")
+    if isinstance(config.init_scale, bool) or not isinstance(config.init_scale, (int, float)):
+        raise CheckpointError(f"{path}: manifest config.init_scale must be a number")
+    if kind == "teacher":
+        domain = meta.get("domain", "all")
+        if not isinstance(domain, str):
+            raise CheckpointError(f"{path}: manifest domain must be a string, got {domain!r}")
         model: _SeqModel = TeacherModel(
-            config, meta["in_vocab_size"], meta["out_vocab_size"], meta["state_size"],
-            meta.get("domain", "all"),
+            config, meta["in_vocab_size"], meta["out_vocab_size"], meta["state_size"], domain
         )
-    elif meta["kind"] == "student":
-        model = StudentModel(config, meta["in_vocab_size"], meta["out_vocab_size"])
     else:
-        raise CheckpointError(f"unknown model kind {meta['kind']!r} in {path}")
-    model.load_arrays(arrays)
+        model = StudentModel(config, meta["in_vocab_size"], meta["out_vocab_size"])
+    try:
+        model.load_arrays(arrays)
+    except ValueError as exc:
+        raise CheckpointError(f"{path}: {exc}") from None
     return model, meta
 
 
@@ -367,26 +378,6 @@ def load_model_as(path: str | Path, expected_kind: str):
 
 
 # -- corpus-level generation ---------------------------------------------------
-
-
-def history_token_ids(episode, turn_index: int, in_vocab: Vocabulary) -> list[list[int]]:
-    """Raw dialogue history for the student: all prior user and system
-    utterances plus the current user utterance, oldest first.
-    """
-    history = []
-    for past in episode.turns[:turn_index]:
-        history.append(in_vocab.encode(past.user))
-        history.append(in_vocab.encode(past.system))
-    history.append(in_vocab.encode(episode.turns[turn_index].user))
-    return history
-
-
-def worker_count() -> int:
-    """Sweep process cap from MTSS_THREADS; defaults to sequential."""
-    try:
-        return max(1, int(os.environ.get("MTSS_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 def generate_responses(

@@ -1,4 +1,4 @@
-"""Loss functions, teacher routing, warm-start curriculum, and training loops.
+"""Loss functions, teacher routing, warm-start curriculum, and the training loop.
 
 The student objective is the response negative log likelihood plus two
 weighted distillation terms: a text-level cross entropy against the frozen
@@ -13,22 +13,15 @@ import json
 import logging
 import time
 from dataclasses import asdict, dataclass, field
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from mtss.corpus import GENERAL_DOMAIN, Corpus, Vocabulary
 from mtss.corpus.state import BeliefLayout, state_size, turn_state
-from mtss.corpus.types import iter_turns
 from mtss.diffnum import Adam, Tape, Tensor
-from mtss.metrics import entity_recall, score_corpus
-from mtss.models import (
-    ModelConfig,
-    StudentModel,
-    TeacherModel,
-    generate_responses,
-    history_token_ids,
-)
+from mtss.metrics import mean_entity_recall, score_corpus
+from mtss.models import ModelConfig, StudentModel, TeacherModel, generate_responses
 
 log = logging.getLogger(__name__)
 
@@ -45,7 +38,6 @@ class TrainingConfig:
     epochs: int = 5
     seed: int = 0
     grad_clip: float | None = None
-    warm_start: bool = True
     teacher_epochs: int = 6
     finetune_epochs: int = 3
     val_fraction: float = 0.1
@@ -212,21 +204,27 @@ def split_train_val(corpus: Corpus, val_fraction: float) -> tuple[Corpus, Corpus
 
 
 def prepare_turns(corpus: Corpus, in_vocab: Vocabulary, out_vocab: Vocabulary) -> list[PreparedTurn]:
+    """Every turn in corpus order. Each utterance of an episode is encoded
+    once; turn t's history is the first 2t + 1 of them (all prior user and
+    system utterances, then the current user utterance).
+    """
     layout = BeliefLayout(corpus.schemas)
     prepared = []
-    for ref in iter_turns(corpus):
-        turn = ref.turn
-        prepared.append(
-            PreparedTurn(
-                episode_id=ref.episode.episode_id,
-                turn_index=ref.turn_index,
-                domain=turn.domain if turn.domain in corpus.schemas else GENERAL_DOMAIN,
-                user_ids=in_vocab.encode(turn.user),
-                gold_ids=out_vocab.encode(turn.system),
-                history_ids=history_token_ids(ref.episode, ref.turn_index, in_vocab),
-                state=turn_state(turn, corpus.schemas, corpus.database, layout),
+    for episode in corpus.episodes:
+        utterances = [in_vocab.encode(u) for turn in episode.turns for u in (turn.user, turn.system)]
+        for index, turn in enumerate(episode.turns):
+            history = utterances[:2 * index + 1]
+            prepared.append(
+                PreparedTurn(
+                    episode_id=episode.episode_id,
+                    turn_index=index,
+                    domain=turn.domain if turn.domain in corpus.schemas else GENERAL_DOMAIN,
+                    user_ids=history[-1],
+                    gold_ids=out_vocab.encode(turn.system),
+                    history_ids=history,
+                    state=turn_state(turn, corpus.schemas, corpus.database, layout),
+                )
             )
-        )
     return prepared
 
 
@@ -237,148 +235,152 @@ def _append_log(log_path, record: dict) -> None:
         fh.write(json.dumps(record) + "\n")
 
 
-def _check_finite(value: float, what: str, epoch: int, item: PreparedTurn) -> None:
-    if not np.isfinite(value):
-        raise TrainingDivergenceError(
-            f"{what} diverged at epoch {epoch}, episode {item.episode_id} "
-            f"turn {item.turn_index}: loss={value!r}"
-        )
-
-
 def _snapshot(model) -> dict[str, np.ndarray]:
     return {name: p.data.copy() for name, p in model.params.items()}
 
 
-# -- teacher training ----------------------------------------------------------------
+# -- the training loop ----------------------------------------------------------------
+
+# losses(tape, index, item) -> (J_NLL, J_KD or None, J_KD_pi or None, total) on the tape.
+Losses = Callable[[Tape, int, PreparedTurn], tuple]
 
 
-def _teacher_epoch(
-    model: TeacherModel,
+def _epoch(
     items: list[PreparedTurn],
     optimizer: Adam,
     rng: np.random.Generator,
     epoch: int,
     label: str,
+    losses: Losses,
 ) -> EpochStats:
+    """One pass over the items in a fresh random order, one Adam step per turn."""
     start = time.monotonic()
-    total = 0.0
+    sums = [0.0, 0.0, 0.0, 0.0]
     for index in rng.permutation(len(items)):
         item = items[index]
         tape = Tape()
-        log_probs, _ = model.respond_forced(tape, item.user_ids, item.state, item.gold_ids)
-        loss = nll_loss(tape, log_probs, item.gold_ids[1:])
-        value = loss.item()
-        _check_finite(value, label, epoch, item)
+        terms = losses(tape, index, item)
+        value = terms[-1].item()
+        if not np.isfinite(value):
+            raise TrainingDivergenceError(
+                f"{label} diverged at epoch {epoch}, episode {item.episode_id} "
+                f"turn {item.turn_index}: loss={value!r}"
+            )
         optimizer.zero_grad()
-        tape.backward(loss)
+        tape.backward(terms[-1])
         optimizer.step()
-        total += value
-    mean = total / max(1, len(items))
-    return EpochStats(epoch, mean, 0.0, 0.0, mean, time.monotonic() - start)
+        for k, term in enumerate(terms):
+            sums[k] += term.item() if term is not None else 0.0
+    n = max(1, len(items))
+    return EpochStats(epoch, *(s / n for s in sums), time.monotonic() - start)
+
+
+def _fit(
+    model,
+    items: list[PreparedTurn],
+    epochs: int,
+    rng: np.random.Generator,
+    label: str,
+    losses: Losses,
+    config: TrainingConfig,
+    log_path,
+    score: Callable[[EpochStats], object] | None = None,
+    best: tuple = (None, None),
+) -> list[EpochStats]:
+    """Train for ``epochs`` epochs and log one record per epoch.
+
+    ``score(record)``, when given, fills the record's validation fields and
+    returns a comparable key, or None when nothing was scored. The model
+    ends with the parameters of the highest key; ``best`` is the
+    (key, parameters) candidate to beat before the first epoch.
+    """
+    optimizer = Adam(model.parameter_list(), lr=config.lr, clip_norm=config.grad_clip)
+    best_key, best_params = best
+    stats = []
+    for epoch in range(1, epochs + 1):
+        record = _epoch(items, optimizer, rng, epoch, label, losses)
+        key = score(record) if score is not None else None
+        if key is not None and (best_key is None or key > best_key):
+            best_key, best_params = key, _snapshot(model)
+        stats.append(record)
+        _append_log(log_path, {"model": label, **record.to_dict()})
+    if best_key is not None:
+        model.load_arrays(best_params)
+    return stats
+
+
+# -- teacher training ----------------------------------------------------------------
+
+
+def _teacher_losses(model: TeacherModel) -> Losses:
+    def losses(tape: Tape, index: int, item: PreparedTurn):
+        log_probs, _ = model.respond_forced(tape, item.user_ids, item.state, item.gold_ids)
+        nll = nll_loss(tape, log_probs, item.gold_ids[1:])
+        return nll, None, None, nll
+
+    return losses
 
 
 def train_universal_teacher(
-    corpus: Corpus,
+    items: list[PreparedTurn],
     in_vocab: Vocabulary,
     out_vocab: Vocabulary,
+    state_dim: int,
     config: TrainingConfig,
     log_path=None,
-    progress=None,
 ) -> tuple[TeacherModel, list[EpochStats]]:
-    """Train the warm-start base on every domain's turns with the NLL objective.
-
-    ``progress(model, stats)``, when given, runs after each epoch and may
-    return True to stop early.
+    """Train the warm-start base on every domain's prepared turns with the
+    NLL objective; ``state_dim`` is the length of the oracle state vector.
     """
-    config.validate()
-    if not corpus.episodes:
-        raise ValueError("cannot train on an empty corpus")
-    train_part, _ = split_train_val(corpus, config.val_fraction)
-    items = prepare_turns(train_part, in_vocab, out_vocab)
     model = TeacherModel(
-        config.model,
-        in_vocab_size=len(in_vocab),
-        out_vocab_size=len(out_vocab),
-        state_size=state_size(corpus.schemas),
-        domain="all",
+        config.model, len(in_vocab), len(out_vocab), state_dim, domain="all",
         seed=int(np.random.default_rng([config.seed, 0]).integers(2**31)),
     )
-    optimizer = Adam(model.parameter_list(), lr=config.lr, clip_norm=config.grad_clip)
     rng = np.random.default_rng([config.seed, 1])
-    stats = []
-    for epoch in range(1, config.teacher_epochs + 1):
-        record = _teacher_epoch(model, items, optimizer, rng, epoch, "teacher-all")
-        stats.append(record)
-        _append_log(log_path, {"model": "teacher-all", **record.to_dict()})
-        if progress is not None and progress(model, record):
-            break
-    return model, stats
-
-
-def _teacher_entity_recall(
-    model: TeacherModel, items: list[PreparedTurn], out_vocab: Vocabulary, max_len: int
-) -> float | None:
-    scores = []
-    for item in items:
-        gold_tokens = out_vocab.decode(item.gold_ids)
-        generated = out_vocab.decode(model.generate(item.user_ids, item.state, max_len))
-        score = entity_recall(generated, gold_tokens)
-        if score is not None:
-            scores.append(score)
-    if not scores:
-        return None
-    return sum(scores) / len(scores)
+    return model, _fit(model, items, config.teacher_epochs, rng, "teacher-all",
+                       _teacher_losses(model), config, log_path)
 
 
 def finetune_domain_teacher(
     universal: TeacherModel,
     domain: str,
-    corpus: Corpus,
-    in_vocab: Vocabulary,
+    domain_index: int,
+    bucket: list[PreparedTurn],
+    val_bucket: list[PreparedTurn],
     out_vocab: Vocabulary,
     config: TrainingConfig,
     log_path=None,
 ) -> tuple[TeacherModel, list[EpochStats]]:
-    """Fine-tune a copy of the universal teacher on one domain's turns.
+    """Fine-tune a copy of the universal teacher on one domain's prepared turns.
 
-    The checkpoint with the best validation Entity Recall is kept, and the
-    unmodified copy is candidate zero, so the result never validates worse
-    than the universal teacher. Domains without placeholder-bearing
-    validation turns (generic chatter) keep the final epoch.
+    ``domain_index`` (the domain's position among the ensemble's teachers)
+    seeds the shuffling. The checkpoint with the best validation Entity
+    Recall on ``val_bucket`` is kept, and the unmodified copy is candidate
+    zero, so the result never validates worse than the universal teacher.
+    Domains without placeholder-bearing validation turns (generic chatter)
+    keep the final epoch.
     """
-    config.validate()
-    train_part, val_part = split_train_val(corpus, config.val_fraction)
-    bucket = [i for i in prepare_turns(train_part, in_vocab, out_vocab) if i.domain == domain]
-    val_bucket = [i for i in prepare_turns(val_part, in_vocab, out_vocab) if i.domain == domain]
     model = universal.clone(domain=domain)
     if not bucket:
         log.warning("empty training bucket for domain %r; returning the universal teacher", domain)
         return model, []
 
-    def validation_recall() -> float | None:
+    def validation_recall(record: EpochStats | None = None) -> float | None:
         if not config.select_best:
             return None
-        return _teacher_entity_recall(model, val_bucket, out_vocab, config.max_decode_len)
+        recall = mean_entity_recall(
+            (out_vocab.decode(model.generate(item.user_ids, item.state, config.max_decode_len)),
+             out_vocab.decode(item.gold_ids))
+            for item in val_bucket
+        )
+        if record is not None:
+            record.val_entity_recall = recall
+        return recall
 
-    best_recall = validation_recall()
-    best_params = _snapshot(model)
-    domain_index = sorted(corpus.schemas).index(domain) if domain in corpus.schemas else len(corpus.schemas)
-    optimizer = Adam(model.parameter_list(), lr=config.lr, clip_norm=config.grad_clip)
+    best = (validation_recall(), _snapshot(model))
     rng = np.random.default_rng([config.seed, 2, domain_index])
-    label = f"teacher-{domain}"
-    stats = []
-    for epoch in range(1, config.finetune_epochs + 1):
-        record = _teacher_epoch(model, bucket, optimizer, rng, epoch, label)
-        recall = validation_recall()
-        record.val_entity_recall = recall
-        stats.append(record)
-        _append_log(log_path, {"model": label, **record.to_dict()})
-        if recall is not None and (best_recall is None or recall > best_recall):
-            best_recall = recall
-            best_params = _snapshot(model)
-    if config.select_best and best_recall is not None:
-        model.load_arrays(best_params)
-    return model, stats
+    return model, _fit(model, bucket, config.finetune_epochs, rng, f"teacher-{domain}",
+                       _teacher_losses(model), config, log_path, validation_recall, best)
 
 
 def train_teacher_ensemble(
@@ -388,31 +390,27 @@ def train_teacher_ensemble(
     config: TrainingConfig,
     log_path=None,
 ) -> tuple[TeacherEnsemble, dict[str, list[EpochStats]]]:
-    """Universal teacher first, then one fine-tuned teacher per domain bucket.
-
-    With warm_start disabled each domain teacher trains from scratch instead
-    of from the universal base.
+    """Universal teacher on all training turns, then one fine-tuned teacher
+    per domain bucket. Each split is prepared once and shared by every teacher.
     """
-    universal, universal_stats = train_universal_teacher(corpus, in_vocab, out_vocab, config, log_path)
+    config.validate()
+    if not corpus.episodes:
+        raise ValueError("cannot train on an empty corpus")
+    train_part, val_part = split_train_val(corpus, config.val_fraction)
+    items = prepare_turns(train_part, in_vocab, out_vocab)
+    val_items = prepare_turns(val_part, in_vocab, out_vocab)
+    universal, universal_stats = train_universal_teacher(
+        items, in_vocab, out_vocab, state_size(corpus.schemas), config, log_path
+    )
     all_stats = {"all": universal_stats}
     teachers: dict[str, TeacherModel] = {}
-    for domain in sorted(corpus.schemas) + [GENERAL_DOMAIN]:
-        if config.warm_start:
-            base = universal
-        else:
-            base = TeacherModel(
-                config.model,
-                in_vocab_size=len(in_vocab),
-                out_vocab_size=len(out_vocab),
-                state_size=state_size(corpus.schemas),
-                domain=domain,
-                seed=int(np.random.default_rng([config.seed, 3]).integers(2**31)),
-            )
-        teacher, stats = finetune_domain_teacher(
-            base, domain, corpus, in_vocab, out_vocab, config, log_path
+    for index, domain in enumerate(sorted(corpus.schemas) + [GENERAL_DOMAIN]):
+        teachers[domain], all_stats[domain] = finetune_domain_teacher(
+            universal, domain, index,
+            [i for i in items if i.domain == domain],
+            [i for i in val_items if i.domain == domain],
+            out_vocab, config, log_path,
         )
-        teachers[domain] = teacher
-        all_stats[domain] = stats
     ensemble = TeacherEnsemble(teachers, universal, tuple(sorted(corpus.schemas)))
     ensemble.validate()
     return ensemble, all_stats
@@ -430,20 +428,6 @@ def _teacher_targets(
     return np.exp(log_probs.data), action.data.copy()
 
 
-def _student_validation(
-    student: StudentModel,
-    val_corpus: Corpus,
-    in_vocab: Vocabulary,
-    out_vocab: Vocabulary,
-    max_len: int,
-) -> tuple[float | None, float | None]:
-    if not val_corpus.episodes:
-        return None, None
-    generated = generate_responses(student, val_corpus, in_vocab, out_vocab, max_len)
-    report = score_corpus(val_corpus, generated)
-    return report.success, report.bleu4
-
-
 def train_student(
     corpus: Corpus,
     ensemble: TeacherEnsemble,
@@ -451,7 +435,6 @@ def train_student(
     out_vocab: Vocabulary,
     config: TrainingConfig,
     log_path=None,
-    progress=None,
 ) -> tuple[StudentModel, list[EpochStats]]:
     """Distill the teacher ensemble into one HRED student.
 
@@ -466,76 +449,40 @@ def train_student(
     train_part, val_part = split_train_val(corpus, config.val_fraction)
     items = prepare_turns(train_part, in_vocab, out_vocab)
     student = StudentModel(
-        config.model,
-        in_vocab_size=len(in_vocab),
-        out_vocab_size=len(out_vocab),
+        config.model, len(in_vocab), len(out_vocab),
         seed=int(np.random.default_rng([config.seed, 10]).integers(2**31)),
     )
-    optimizer = Adam(student.parameter_list(), lr=config.lr, clip_norm=config.grad_clip)
     rng = np.random.default_rng([config.seed, 11])
     needs_teacher = config.alpha1 > 0 or config.alpha2 > 0
     # Teacher targets are computed once per turn and kept for every epoch;
     # recomputing them made train_student ~4% slower (ROADMAP item 3).
     teacher_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
-    best_key: tuple | None = None
-    best_params = None
-    stats: list[EpochStats] = []
-    for epoch in range(1, config.epochs + 1):
-        start = time.monotonic()
-        sums = {"nll": 0.0, "kd": 0.0, "policy": 0.0, "total": 0.0}
-        for index in rng.permutation(len(items)):
-            item = items[index]
-            tape = Tape()
-            log_probs, action = student.respond_forced(tape, item.history_ids, item.gold_ids)
-            j_nll = nll_loss(tape, log_probs, item.gold_ids[1:])
-            j_kd = j_policy = None
-            if needs_teacher:
-                if index not in teacher_cache:
-                    teacher_cache[index] = _teacher_targets(route_teacher(item, ensemble), item)
-                teacher_probs, teacher_action = teacher_cache[index]
-                if config.alpha1 > 0:
-                    j_kd = kd_text_loss(tape, teacher_probs, log_probs)
-                if config.alpha2 > 0:
-                    j_policy = kd_policy_loss(tape, teacher_action, action)
-            loss = combined_loss(tape, j_nll, j_kd, j_policy, config.alpha1, config.alpha2)
-            value = loss.item()
-            _check_finite(value, "student", epoch, item)
-            optimizer.zero_grad()
-            tape.backward(loss)
-            optimizer.step()
-            sums["nll"] += j_nll.item()
-            sums["kd"] += j_kd.item() if j_kd is not None else 0.0
-            sums["policy"] += j_policy.item() if j_policy is not None else 0.0
-            sums["total"] += value
-
-        n = max(1, len(items))
-        record = EpochStats(
-            epoch,
-            sums["nll"] / n,
-            sums["kd"] / n,
-            sums["policy"] / n,
-            sums["total"] / n,
-            time.monotonic() - start,
+    def losses(tape: Tape, index: int, item: PreparedTurn):
+        log_probs, action = student.respond_forced(tape, item.history_ids, item.gold_ids)
+        j_nll = nll_loss(tape, log_probs, item.gold_ids[1:])
+        j_kd = j_policy = None
+        if needs_teacher:
+            if index not in teacher_cache:
+                teacher_cache[index] = _teacher_targets(route_teacher(item, ensemble), item)
+            teacher_probs, teacher_action = teacher_cache[index]
+            if config.alpha1 > 0:
+                j_kd = kd_text_loss(tape, teacher_probs, log_probs)
+            if config.alpha2 > 0:
+                j_policy = kd_policy_loss(tape, teacher_action, action)
+        return j_nll, j_kd, j_policy, combined_loss(
+            tape, j_nll, j_kd, j_policy, config.alpha1, config.alpha2
         )
-        if config.select_best:
-            success, bleu = _student_validation(
-                student, val_part, in_vocab, out_vocab, config.max_decode_len
-            )
-            record.val_success, record.val_bleu = success, bleu
-            if success is not None:
-                key = (success, bleu, epoch)
-                if best_key is None or key > best_key:
-                    best_key = key
-                    best_params = _snapshot(student)
-        stats.append(record)
-        _append_log(log_path, {"model": "student", **record.to_dict()})
-        if progress is not None and progress(student, record):
-            break
 
-    if best_params is not None:
-        student.load_arrays(best_params)
-    return student, stats
+    def score(record: EpochStats) -> tuple | None:
+        if not config.select_best or not val_part.episodes:
+            return None
+        generated = generate_responses(student, val_part, in_vocab, out_vocab, config.max_decode_len)
+        report = score_corpus(val_part, generated)
+        record.val_success, record.val_bleu = report.success, report.bleu4
+        return report.success, report.bleu4, record.epoch
+
+    return student, _fit(student, items, config.epochs, rng, "student", losses, config, log_path, score)
 
 
 # -- evaluation ---------------------------------------------------------------------

@@ -24,6 +24,23 @@ TINY_TRAIN = {
 
 SYNTH = {"seed": 7, "train_episodes": 14, "test_episodes": 5, "entities_per_domain": 4}
 
+# Schemas and database of a one-domain MultiWOZ-style corpus.
+MULTIWOZ_BASE = {
+    "schemas": {
+        "restaurant": {
+            "informable": {"area": ["north", "south"]},
+            "requestable": ["name", "phone", "address"],
+        }
+    },
+    "database": {
+        "restaurant": [
+            {"id": "r0", "values": {"area": "north", "name": "golden wok",
+                                    "phone": "111", "address": "1 elm lane"}}
+        ]
+    },
+    "episodes": [],
+}
+
 
 @pytest.fixture(scope="module")
 def workspace(tmp_path_factory):
@@ -70,22 +87,7 @@ class TestPrepare:
         assert code == EXIT_DATA
 
     def test_multiwoz_route(self, tmp_path):
-        base = {
-            "schemas": {
-                "restaurant": {
-                    "informable": {"area": ["north", "south"]},
-                    "requestable": ["name", "phone", "address"],
-                }
-            },
-            "database": {
-                "restaurant": [
-                    {"id": "r0", "values": {"area": "north", "name": "golden wok",
-                                            "phone": "111", "address": "1 elm lane"}}
-                ]
-            },
-            "episodes": [],
-        }
-        (tmp_path / "base.json").write_text(json.dumps(base))
+        (tmp_path / "base.json").write_text(json.dumps(MULTIWOZ_BASE))
         dump = {
             "d1.json": {
                 "goal": {"restaurant": {"info": {"area": "north"}, "reqt": ["phone"]}},
@@ -204,9 +206,20 @@ class TestEvaluate:
         assert main(["evaluate", "--data", str(workspace / "data")]) == EXIT_USAGE
 
 
+def _checkpoint_bytes(manifest: dict) -> bytes:
+    doc = json.dumps(manifest).encode()
+    return b"MTSSCKP1" + len(doc).to_bytes(8, "little") + doc
+
+
 @pytest.mark.parametrize("command", ["chat", "evaluate"])
-@pytest.mark.parametrize("content", [b"junk", b"MTSSCKP1", b"MTSSCKP1" + b"\x05" + bytes(7) + b"{bad}"],
-                         ids=["not-a-checkpoint", "short-header", "bad-manifest"])
+@pytest.mark.parametrize("content", [
+    b"junk", b"MTSSCKP1", b"MTSSCKP1" + b"\x05" + bytes(7) + b"{bad}",
+    _checkpoint_bytes({"meta": {"x": 1}, "tensors": []}),
+    _checkpoint_bytes({"meta": {"kind": "student", "config": {"bogus": 1}, "in_vocab_size": 5,
+                                "out_vocab_size": 5}, "tensors": []}),
+    _checkpoint_bytes({"meta": {"kind": "student"}}),
+], ids=["not-a-checkpoint", "short-header", "bad-manifest", "meta-without-config",
+        "config-unknown-key", "manifest-without-tensors"])
 def test_malformed_checkpoint_is_data_error(workspace, tmp_path, capsys, command, content):
     junk = tmp_path / "junk.ckpt"
     junk.write_bytes(content)
@@ -235,6 +248,12 @@ def _teachers_with_student(workspace, tmp_path) -> str:
     shutil.copytree(workspace / "teachers", teachers)
     shutil.copy(workspace / "student" / "student.ckpt", teachers / "teacher_extra.ckpt")
     return str(teachers)
+
+
+def _multiwoz_prepare(tmp, dump) -> list[str]:
+    _write(tmp / "base.json", MULTIWOZ_BASE)
+    return ["prepare", "--data", _write(tmp / "data.json", dump), "--schemas", str(tmp / "base.json"),
+            "--database", str(tmp / "base.json"), "--out", str(tmp / "out")]
 
 
 def _checkpoint_of_unknown_kind(workspace, tmp_path) -> str:
@@ -297,6 +316,12 @@ MALFORMED_INPUTS = [
         "--out", str(tmp / "out")]),
     ("unknown-model-kind", EXIT_DATA, lambda ws, tmp: [
         "evaluate", "--model", _checkpoint_of_unknown_kind(ws, tmp), "--data", str(ws / "data")]),
+    ("multiwoz-dialogue-is-a-list", EXIT_DATA, lambda ws, tmp: _multiwoz_prepare(tmp, {"d1.json": []})),
+    ("multiwoz-log-entry-is-a-string", EXIT_DATA, lambda ws, tmp: _multiwoz_prepare(
+        tmp, {"d1.json": {"log": ["hello", "hi there"]}})),
+    ("multiwoz-metadata-is-a-string", EXIT_DATA, lambda ws, tmp: _multiwoz_prepare(
+        tmp, {"d1.json": {"log": [{"text": "hello", "metadata": {}},
+                                  {"text": "hi there", "metadata": "restaurant"}]}})),
 ]
 
 

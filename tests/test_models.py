@@ -11,7 +11,6 @@ from mtss.models import (
     StudentModel,
     TeacherModel,
     generate_responses,
-    history_token_ids,
     load_model,
     load_model_as,
 )
@@ -19,6 +18,14 @@ from mtss.synthcorpus import SynthConfig, gen_corpus
 
 TINY = ModelConfig(embed_size=5, hidden_size=7)
 V_IN, V_OUT, STATE = 12, 10, 6
+
+
+def full_history(episode, turn_index, in_vocab):
+    """All prior user and system utterances plus the current user utterance."""
+    history = []
+    for past in episode.turns[:turn_index]:
+        history += [in_vocab.encode(past.user), in_vocab.encode(past.system)]
+    return history + [in_vocab.encode(episode.turns[turn_index].user)]
 
 
 @pytest.fixture
@@ -152,7 +159,7 @@ class TestIncrementalInference:
         for index, turn in enumerate(episode.turns):
             dialogue.add(in_vocab.encode(turn.user))
             tape = Tape(record=False)
-            enc_outs, action = student.encode_history(tape, history_token_ids(episode, index, in_vocab))
+            enc_outs, action = student.encode_history(tape, full_history(episode, index, in_vocab))
             assert np.array_equal(dialogue.latest_outputs.data, enc_outs.data)
             assert np.array_equal(student.action_vector(tape, dialogue.vectors).data, action.data)
             dialogue.add(in_vocab.encode(turn.system))
@@ -176,7 +183,7 @@ class TestIncrementalInference:
 
         replies = []
         for index in range(turns):
-            history = history_token_ids(episode, index, in_vocab)
+            history = full_history(episode, index, in_vocab)
             tape = Tape(record=False)
             enc_outs, action = student.encode_history(tape, history)
             reference = student.decode_greedy(tape, action, enc_outs, 8)

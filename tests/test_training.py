@@ -272,27 +272,46 @@ def tiny_world():
     return train, test, in_vocab, out_vocab
 
 
+def prepared_split(corpus, in_vocab, out_vocab, config):
+    """The prepared train and validation turns, as the ensemble makes them."""
+    train_part, val_part = split_train_val(corpus, config.val_fraction)
+    return prepare_turns(train_part, in_vocab, out_vocab), prepare_turns(val_part, in_vocab, out_vocab)
+
+
+def universal_teacher(corpus, in_vocab, out_vocab, config):
+    items, _ = prepared_split(corpus, in_vocab, out_vocab, config)
+    return train_universal_teacher(items, in_vocab, out_vocab, state_size(corpus.schemas), config)
+
+
+def finetune(universal, domain, corpus, in_vocab, out_vocab, config):
+    items, val_items = prepared_split(corpus, in_vocab, out_vocab, config)
+    return finetune_domain_teacher(
+        universal, domain, sorted(corpus.schemas).index(domain),
+        [i for i in items if i.domain == domain], [i for i in val_items if i.domain == domain],
+        out_vocab, config,
+    )
+
+
 class TestTeacherTraining:
     def test_loss_decreases_and_is_deterministic(self, tiny_world):
         train, _, in_vocab, out_vocab = tiny_world
         config = TrainingConfig(teacher_epochs=3, lr=0.01, seed=1, model=TINY)
-        model_a, stats = train_universal_teacher(train, in_vocab, out_vocab, config)
+        model_a, stats = universal_teacher(train, in_vocab, out_vocab, config)
         assert stats[-1].nll < stats[0].nll
-        model_b, _ = train_universal_teacher(train, in_vocab, out_vocab, config)
+        model_b, _ = universal_teacher(train, in_vocab, out_vocab, config)
         assert model_a.param_bytes() == model_b.param_bytes()
 
     def test_zero_finetune_epochs_returns_universal_copy(self, tiny_world):
         train, _, in_vocab, out_vocab = tiny_world
         config = TrainingConfig(teacher_epochs=1, finetune_epochs=0, model=TINY, seed=1)
-        universal, _ = train_universal_teacher(train, in_vocab, out_vocab, config)
-        tuned, stats = finetune_domain_teacher(
-            universal, "restaurant", train, in_vocab, out_vocab, config
-        )
+        universal, _ = universal_teacher(train, in_vocab, out_vocab, config)
+        tuned, stats = finetune(universal, "restaurant", train, in_vocab, out_vocab, config)
         assert tuned.param_bytes() == universal.param_bytes()
         assert tuned.domain == "restaurant"
         assert stats == []
 
     def test_empty_bucket_warns_and_returns_universal(self, tiny_world, caplog):
+        # A schema domain that no turn is tagged with gets an empty bucket.
         train, _, in_vocab, out_vocab = tiny_world
         schemas = dict(train.schemas)
         schemas["cinema"] = DomainSchema("cinema", {"genre": ["drama"]}, ["name"])
@@ -301,22 +320,19 @@ class TestTeacherTraining:
         ]})
         widened = Corpus(schemas, database, train.episodes)
         config = TrainingConfig(teacher_epochs=1, finetune_epochs=1, model=TINY, seed=1)
-        universal = TeacherModel(
-            TINY, len(in_vocab), len(out_vocab), state_size(schemas), domain="all", seed=3
-        )
         with caplog.at_level("WARNING"):
-            tuned, _ = finetune_domain_teacher(
-                universal, "cinema", widened, in_vocab, out_vocab, config
-            )
-        assert "empty training bucket" in caplog.text
-        assert tuned.param_bytes() == universal.param_bytes()
+            ensemble, stats = train_teacher_ensemble(widened, in_vocab, out_vocab, config)
+        assert "empty training bucket for domain 'cinema'" in caplog.text
+        assert ensemble.teachers["cinema"].param_bytes() == ensemble.universal.param_bytes()
+        assert ensemble.teachers["cinema"].domain == "cinema"
+        assert stats["cinema"] == []
 
     def test_finetune_does_not_mutate_universal(self, tiny_world):
         train, _, in_vocab, out_vocab = tiny_world
         config = TrainingConfig(teacher_epochs=1, finetune_epochs=1, model=TINY, seed=1)
-        universal, _ = train_universal_teacher(train, in_vocab, out_vocab, config)
+        universal, _ = universal_teacher(train, in_vocab, out_vocab, config)
         before = universal.param_bytes()
-        finetune_domain_teacher(universal, "restaurant", train, in_vocab, out_vocab, config)
+        finetune(universal, "restaurant", train, in_vocab, out_vocab, config)
         assert universal.param_bytes() == before
 
     def test_ensemble_has_domains_plus_general(self, tiny_world):
@@ -325,6 +341,34 @@ class TestTeacherTraining:
         ensemble, _ = train_teacher_ensemble(train, in_vocab, out_vocab, config)
         assert set(ensemble.teachers) == set(train.schemas) | {"general"}
         ensemble.validate()
+
+    def test_ensemble_prepares_each_split_once(self, tiny_world, monkeypatch):
+        train, _, in_vocab, out_vocab = tiny_world
+        calls = []
+        prepare = training.prepare_turns
+
+        def counted(corpus, *args):
+            calls.append(len(corpus.episodes))
+            return prepare(corpus, *args)
+
+        monkeypatch.setattr(training, "prepare_turns", counted)
+        config = TrainingConfig(teacher_epochs=1, finetune_epochs=1, model=TINY, seed=2)
+        train_teacher_ensemble(train, in_vocab, out_vocab, config)
+        train_part, val_part = split_train_val(train, config.val_fraction)
+        assert calls == [len(train_part.episodes), len(val_part.episodes)]
+
+    def test_ensemble_matches_teachers_trained_one_by_one(self, tiny_world):
+        # Each domain teacher fine-tunes on its own bucket of the shared
+        # prepared turns, with its own shuffling seed.
+        train, _, in_vocab, out_vocab = tiny_world
+        config = TrainingConfig(teacher_epochs=1, finetune_epochs=1, model=TINY, seed=2)
+        ensemble, stats = train_teacher_ensemble(train, in_vocab, out_vocab, config)
+        universal, _ = universal_teacher(train, in_vocab, out_vocab, config)
+        assert universal.param_bytes() == ensemble.universal.param_bytes()
+        for domain in sorted(train.schemas):
+            tuned, tuned_stats = finetune(universal, domain, train, in_vocab, out_vocab, config)
+            assert tuned.param_bytes() == ensemble.teachers[domain].param_bytes()
+            assert [s.nll for s in tuned_stats] == [s.nll for s in stats[domain]]
 
     def test_unseen_domain_belief_columns_keep_initialization(self, tiny_world):
         # Two domains in the schema, corpus touching only one: the belief
@@ -338,7 +382,7 @@ class TestTeacherTraining:
         assert only
         solo = Corpus(train.schemas, train.database, only)
         config = TrainingConfig(teacher_epochs=1, model=TINY, seed=4, val_fraction=0.0)
-        model, _ = train_universal_teacher(solo, in_vocab, out_vocab, config)
+        model, _ = universal_teacher(solo, in_vocab, out_vocab, config)
         fresh = TeacherModel(
             TINY, len(in_vocab), len(out_vocab), state_size(train.schemas), domain="all",
             seed=int(np.random.default_rng([4, 0]).integers(2**31)),
@@ -448,3 +492,18 @@ class TestHelpers:
         assert {e.episode_id for e in a.episodes}.isdisjoint(e.episode_id for e in b.episodes)
         full, empty = split_train_val(train, 0.0)
         assert len(full.episodes) == len(train.episodes) and not empty.episodes
+
+    def test_prepared_history_is_the_full_history(self, tiny_world):
+        train, _, in_vocab, out_vocab = tiny_world
+        items = prepare_turns(train, in_vocab, out_vocab)
+        assert len(items) == sum(len(e.turns) for e in train.episodes)
+        episodes = {e.episode_id: e for e in train.episodes}
+        for item in items:
+            turns = episodes[item.episode_id].turns
+            history = []
+            for past in turns[:item.turn_index]:
+                history += [in_vocab.encode(past.user), in_vocab.encode(past.system)]
+            history.append(in_vocab.encode(turns[item.turn_index].user))
+            assert item.history_ids == history
+            assert item.user_ids == history[-1]
+            assert item.gold_ids == out_vocab.encode(turns[item.turn_index].system)
