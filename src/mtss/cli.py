@@ -36,7 +36,7 @@ from mtss.corpus import (
 )
 from mtss.diffnum import CheckpointError, DivergenceError
 from mtss.metrics import MetricReport, score_corpus
-from mtss.models import load_model, load_model_as
+from mtss.models import load_model
 from mtss.synthcorpus import SynthConfig, gen_corpus
 from mtss.training import (
     TeacherEnsemble,
@@ -104,8 +104,6 @@ def _read_config_file(path: str, what: str) -> dict:
 
 def _load_training_config(args) -> TrainingConfig:
     doc = _read_config_file(args.config, "training config") if getattr(args, "config", None) else {}
-    doc.pop("data", None)
-    doc.pop("checkpoint_dir", None)
     for key in ("alpha1", "alpha2", "seed", "epochs", "lr", "grad_clip"):
         value = getattr(args, key, None)
         if value is not None:
@@ -134,16 +132,20 @@ def _max_len(args) -> int:
     return args.max_len
 
 
-def _load_prepared(data_dir: Path, split: str = "train") -> tuple[Corpus, Vocabulary, Vocabulary]:
-    corpus_path = data_dir / f"corpus_{split}.json"
-    for path in (corpus_path, data_dir / "vocab_in.json", data_dir / "vocab_out.json"):
+def _load_split(data_dir: Path, split: str) -> Corpus:
+    path = data_dir / f"corpus_{split}.json"
+    if not path.exists():
+        raise CorpusError(f"prepared data file missing: {path}")
+    return load_corpus(path)
+
+
+def _load_prepared(data_dir: Path) -> tuple[Corpus, Vocabulary, Vocabulary]:
+    """The training split and both vocabularies of a prepared directory."""
+    vocab_paths = (data_dir / "vocab_in.json", data_dir / "vocab_out.json")
+    for path in vocab_paths:
         if not path.exists():
             raise CorpusError(f"prepared data file missing: {path}")
-    return (
-        load_corpus(corpus_path),
-        load_vocab(data_dir / "vocab_in.json"),
-        load_vocab(data_dir / "vocab_out.json"),
-    )
+    return _load_split(data_dir, "train"), *map(load_vocab, vocab_paths)
 
 
 # -- prepare -----------------------------------------------------------------------
@@ -219,26 +221,16 @@ def cmd_train_teachers(args) -> int:
     data_dir, out_dir = Path(args.data), Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     train, in_vocab, out_vocab = _load_prepared(data_dir)
-    test, _, _ = _load_prepared(data_dir, "test")
+    test = _load_split(data_dir, "test")
     config = _load_training_config(args)
 
     log_path = out_dir / "teacher_log.jsonl"
     log_path.write_text("")
     ensemble, _ = train_teacher_ensemble(train, in_vocab, out_vocab, config, log_path)
 
-    digest = schema_hash(train.schemas)
-    meta = {
-        "schema_hash": digest,
-        "in_vocab": in_vocab.tokens,
-        "out_vocab": out_vocab.tokens,
-        "train_config": config.to_dict(),
-    }
-    outputs = [out_dir / "universal.ckpt"]
-    ensemble.universal.save(outputs[0], extra_meta=meta)
-    for domain, teacher in ensemble.teachers.items():
-        path = out_dir / f"teacher_{domain}.ckpt"
-        teacher.save(path, extra_meta=meta)
-        outputs.append(path)
+    outputs = [out_dir / "universal.ckpt"] + [out_dir / f"teacher_{d}.ckpt" for d in ensemble.teachers]
+    for path, teacher in zip(outputs, [ensemble.universal, *ensemble.teachers.values()]):
+        teacher.save(path, train.schemas, in_vocab, out_vocab, config.to_dict())
 
     rows = _teacher_report(ensemble, test, in_vocab, out_vocab, config.max_decode_len)
     (out_dir / "teacher_report.json").write_text(json.dumps(rows, indent=1), encoding="utf-8")
@@ -257,78 +249,81 @@ def cmd_train_teachers(args) -> int:
     return EXIT_OK
 
 
+def _scores(report: MetricReport | None, domain: str) -> dict:
+    """BLEU and Entity Recall (in %) of one domain; None where nothing was measured."""
+    m = report.per_domain.get(domain) if report else None
+    recall = m.entity_recall if m else None
+    return {"bleu4": m.bleu4 if m else None, "entity_recall": None if recall is None else 100.0 * recall}
+
+
 def _teacher_report(ensemble: TeacherEnsemble, test: Corpus, in_vocab, out_vocab, max_len) -> dict:
     """Per-domain BLEU and Entity Recall for the universal and individual teachers."""
     universal_report, _ = evaluate_model(ensemble.universal, test, in_vocab, out_vocab, max_len)
     rows: dict[str, dict] = {}
     for domain, teacher in ensemble.teachers.items():
         bucket = [e for e in test.episodes if any(t.domain == domain for t in e.turns)]
-        if not bucket:
-            rows[domain] = {"universal": {"bleu4": None, "entity_recall": None},
-                            "individual": {"bleu4": None, "entity_recall": None}}
-            continue
-        sub = Corpus(test.schemas, test.database, bucket)
-        individual_report, _ = evaluate_model(teacher, sub, in_vocab, out_vocab, max_len)
-        uni = universal_report.per_domain.get(domain)
-        ind = individual_report.per_domain.get(domain)
-        rows[domain] = {
-            "universal": {
-                "bleu4": uni.bleu4 if uni else None,
-                "entity_recall": None if uni is None else
-                (None if uni.entity_recall is None else 100.0 * uni.entity_recall),
-            },
-            "individual": {
-                "bleu4": ind.bleu4 if ind else None,
-                "entity_recall": None if ind is None else
-                (None if ind.entity_recall is None else 100.0 * ind.entity_recall),
-            },
-        }
+        universal = individual = None
+        if bucket:
+            universal = universal_report
+            sub = Corpus(test.schemas, test.database, bucket)
+            individual, _ = evaluate_model(teacher, sub, in_vocab, out_vocab, max_len)
+        rows[domain] = {"universal": _scores(universal, domain), "individual": _scores(individual, domain)}
     return rows
 
 
 # -- student training -----------------------------------------------------------------
 
 
-def load_ensemble(teacher_dir: Path) -> tuple[TeacherEnsemble, dict]:
+def load_ensemble(teacher_dir: Path, schemas: dict, in_vocab: Vocabulary,
+                  out_vocab: Vocabulary) -> TeacherEnsemble:
+    """The teachers in ``teacher_dir``; each must have been trained on the
+    given schemas and vocabularies."""
+    def load(path: Path):
+        teacher, teacher_in, teacher_out = load_model(path, "teacher", schemas)
+        if (teacher_in.tokens, teacher_out.tokens) != (in_vocab.tokens, out_vocab.tokens):
+            raise CheckpointError(f"{path}: teacher was trained on other vocabularies than the data's")
+        return teacher
+
     universal_path = teacher_dir / "universal.ckpt"
     if not universal_path.exists():
         raise CorpusError(f"missing universal teacher checkpoint: {universal_path}")
-    universal, meta = load_model_as(universal_path, "teacher")
+    universal = load(universal_path)
     teachers = {}
     for path in sorted(teacher_dir.glob("teacher_*.ckpt")):
-        teacher, _ = load_model_as(path, "teacher")
+        teacher = load(path)
         teachers[teacher.domain] = teacher
     if not teachers:
         raise CorpusError(f"no teacher checkpoints found in {teacher_dir}")
     domains = tuple(sorted(d for d in teachers if d != GENERAL_DOMAIN))
     ensemble = TeacherEnsemble(teachers, universal, domains)
-    ensemble.validate()
-    return ensemble, meta
+    try:
+        ensemble.validate()
+    except ValueError as exc:
+        raise CheckpointError(f"{teacher_dir}: {exc}") from None
+    return ensemble
+
+
+def _train_and_save(data_dir: Path, teacher_dir: Path, config: TrainingConfig, path: Path,
+                   log_path: Path | None = None):
+    """Distil the teachers into a student on the prepared training split and
+    save it to ``path``; returns (student, epoch stats, in_vocab, out_vocab)."""
+    train, in_vocab, out_vocab = _load_prepared(data_dir)
+    ensemble = load_ensemble(teacher_dir, train.schemas, in_vocab, out_vocab)
+    student, stats = train_student(train, ensemble, in_vocab, out_vocab, config, log_path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    student.save(path, train.schemas, in_vocab, out_vocab, config.to_dict())
+    return student, stats, in_vocab, out_vocab
 
 
 def cmd_train_student(args) -> int:
     started = time.monotonic()
     data_dir, teacher_dir, out_dir = Path(args.data), Path(args.teachers), Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    train, in_vocab, out_vocab = _load_prepared(data_dir)
     config = _load_training_config(args)
-    ensemble, teacher_meta = load_ensemble(teacher_dir)
-    if teacher_meta.get("schema_hash") != schema_hash(train.schemas):
-        raise CorpusError("teacher checkpoints were trained against a different schema set")
-
     log_path = out_dir / "student_log.jsonl"
     log_path.write_text("")
-    student, stats = train_student(train, ensemble, in_vocab, out_vocab, config, log_path)
     student_path = out_dir / "student.ckpt"
-    student.save(
-        student_path,
-        extra_meta={
-            "schema_hash": schema_hash(train.schemas),
-            "in_vocab": in_vocab.tokens,
-            "out_vocab": out_vocab.tokens,
-            "train_config": config.to_dict(),
-        },
-    )
+    _, stats, _, _ = _train_and_save(data_dir, teacher_dir, config, student_path, log_path)
     last = stats[-1] if stats else None
     if last:
         print(
@@ -379,7 +374,7 @@ def cmd_evaluate(args) -> int:
     started = time.monotonic()
     max_len = _max_len(args)
     data_dir = Path(args.data)
-    corpus, in_vocab, out_vocab = _load_prepared(data_dir, args.split)
+    corpus = _load_split(data_dir, args.split)
     out_dir = Path(args.out) if args.out else None
 
     if args.generations:
@@ -387,20 +382,16 @@ def cmd_evaluate(args) -> int:
         report = score_corpus(corpus, generated)
         inputs = [Path(args.generations)]
         config_doc = {"generations": str(args.generations)}
-        seed = 0
     else:
         if not args.model:
             raise UsageError("evaluate needs --model or --generations")
-        model, meta = load_model(args.model)
-        if meta.get("schema_hash") != schema_hash(corpus.schemas):
-            raise CorpusError("checkpoint schema hash does not match the evaluation corpus")
+        model, in_vocab, out_vocab = load_model(args.model, schemas=corpus.schemas)
         report, generated = evaluate_model(model, corpus, in_vocab, out_vocab, max_len)
         inputs = [Path(args.model)]
         config_doc = {"model": str(args.model), "split": args.split}
-        seed = 0
     outputs = _report_outputs(report, out_dir, generated)
     if out_dir:
-        write_manifest(out_dir, "evaluate", config_doc, seed,
+        write_manifest(out_dir, "evaluate", config_doc, 0,
                        inputs + [data_dir / f"corpus_{args.split}.json"], outputs, started)
     return EXIT_OK
 
@@ -418,24 +409,10 @@ def worker_count() -> int:
 
 def _run_sweep_cell(packed) -> dict:
     data_dir, teacher_dir, out_dir, config_doc, alpha1, alpha2 = packed
-    args_doc = dict(config_doc)
-    args_doc["alpha1"], args_doc["alpha2"] = alpha1, alpha2
-    config = TrainingConfig.from_dict(args_doc)
-    train, in_vocab, out_vocab = _load_prepared(Path(data_dir))
-    test, _, _ = _load_prepared(Path(data_dir), "test")
-    ensemble, _ = load_ensemble(Path(teacher_dir))
-    student, _ = train_student(train, ensemble, in_vocab, out_vocab, config)
-    cell_dir = Path(out_dir) / f"cell_a1_{alpha1}_a2_{alpha2}"
-    cell_dir.mkdir(parents=True, exist_ok=True)
-    student.save(
-        cell_dir / "student.ckpt",
-        extra_meta={
-            "schema_hash": schema_hash(train.schemas),
-            "in_vocab": in_vocab.tokens,
-            "out_vocab": out_vocab.tokens,
-            "train_config": config.to_dict(),
-        },
-    )
+    config = TrainingConfig.from_dict({**config_doc, "alpha1": alpha1, "alpha2": alpha2})
+    path = Path(out_dir) / f"cell_a1_{alpha1}_a2_{alpha2}" / "student.ckpt"
+    student, _, in_vocab, out_vocab = _train_and_save(Path(data_dir), Path(teacher_dir), config, path)
+    test = _load_split(Path(data_dir), "test")
     report, _ = evaluate_model(student, test, in_vocab, out_vocab, config.max_decode_len)
     return {
         "alpha1": alpha1,
@@ -443,7 +420,7 @@ def _run_sweep_cell(packed) -> dict:
         "bleu4": report.bleu4,
         "inform": report.inform,
         "success": report.success,
-        "checkpoint": str(cell_dir / "student.ckpt"),
+        "checkpoint": str(path),
     }
 
 
@@ -505,15 +482,11 @@ def cmd_chat(args, stdin=None, stdout=None) -> int:
     stdin = stdin or sys.stdin
     stdout = stdout or sys.stdout
     max_len = _max_len(args)
-    student, meta = load_model_as(args.model, "student")
-    if not all(isinstance(meta.get(key), list) for key in ("in_vocab", "out_vocab")):
-        raise CheckpointError(f"{args.model}: manifest needs in_vocab and out_vocab token lists")
-    in_vocab = Vocabulary("input", meta["in_vocab"])
-    out_vocab = Vocabulary("output", meta["out_vocab"])
-    corpus = load_corpus(args.data) if args.data else None
-    delex = Delexicalizer(corpus.schemas, corpus.database) if corpus else None
-    if args.lexicalize and corpus is None:
+    if args.lexicalize and not args.data:
         raise UsageError("--lexicalize needs --data pointing at a corpus file")
+    corpus = load_corpus(args.data) if args.data else None
+    student, in_vocab, out_vocab = load_model(args.model, "student", corpus.schemas if corpus else None)
+    delex = Delexicalizer(corpus.schemas, corpus.database) if corpus else None
 
     def say(text: str) -> None:
         print(text, file=stdout)

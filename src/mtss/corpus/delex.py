@@ -70,10 +70,3 @@ class Delexicalizer:
                 matches.append((tag, " ".join(cand)))
                 i += len(cand)
         return out, seen, matches
-
-
-def delexicalize(
-    text: str, database: Database, schemas: dict[str, DomainSchema]
-) -> tuple[list[str], set[str]]:
-    """One-shot delexicalization; build a Delexicalizer when processing many texts."""
-    return Delexicalizer(schemas, database)(text)

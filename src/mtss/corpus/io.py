@@ -158,8 +158,7 @@ def _belief_from_metadata(metadata, schemas: dict[str, DomainSchema], dropped: l
         domain = domain.lower()
         if domain not in schemas:
             continue
-        semi = block.get("semi", {}) if isinstance(block, dict) else {}
-        for slot, value in semi.items():
+        for slot, value in block.get("semi", {}).items():
             slot = slot.lower()
             if not isinstance(value, str):
                 continue
@@ -175,7 +174,9 @@ def _belief_from_metadata(metadata, schemas: dict[str, DomainSchema], dropped: l
 
 def _check_dialogue(dialogue_id: str, dialogue) -> None:
     """The dialogue, each log entry, and any goal, metadata and dialog_act
-    must be JSON objects; the log must be a list."""
+    must be JSON objects; the log must be a list, each text a string, each
+    metadata block an object whose semi is an object, and each goal block's
+    info an object and reqt a list of strings."""
 
     def need(ok: bool, what: str) -> None:
         if not ok:
@@ -183,11 +184,21 @@ def _check_dialogue(dialogue_id: str, dialogue) -> None:
 
     need(isinstance(dialogue, dict), "expected an object")
     need(isinstance(dialogue.get("goal", {}), dict), "goal must be an object")
+    for domain, block in dialogue.get("goal", {}).items():
+        if isinstance(block, dict):
+            reqt = block.get("reqt") or []
+            need(isinstance(block.get("info") or {}, dict), f"goal {domain}: info must be an object")
+            need(isinstance(reqt, list) and all(isinstance(slot, str) for slot in reqt),
+                 f"goal {domain}: reqt must be a list of slot names")
     need(isinstance(dialogue.get("log", []), list), "log must be a list")
     for k, entry in enumerate(dialogue.get("log", [])):
         need(isinstance(entry, dict), f"log entry {k} must be an object")
+        need(isinstance(entry.get("text", ""), str), f"log entry {k}: text must be a string")
         for key in ("metadata", "dialog_act"):
             need(isinstance(entry.get(key, {}), dict), f"log entry {k}: {key} must be an object")
+        for domain, block in entry.get("metadata", {}).items():
+            need(isinstance(block, dict) and isinstance(block.get("semi", {}), dict),
+                 f"log entry {k}: metadata {domain} must be an object whose semi is an object")
 
 
 def read_multiwoz(

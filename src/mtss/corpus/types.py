@@ -98,10 +98,6 @@ class Corpus:
                         f"not in schemas or {GENERAL_DOMAIN!r}"
                     )
 
-    def turn_count(self) -> int:
-        return sum(len(e.turns) for e in self.episodes)
-
-
 class TurnRef(NamedTuple):
     """A turn addressed inside its episode, the unit of training and scoring."""
 

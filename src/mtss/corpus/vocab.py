@@ -34,9 +34,6 @@ class Vocabulary:
     def __len__(self) -> int:
         return len(self.tokens)
 
-    def __contains__(self, token: str) -> bool:
-        return token in self.token_to_id
-
     def encode(self, utterance: Iterable[str]) -> list[int]:
         """BOS ... EOS id sequence, mapping out-of-vocabulary tokens to UNK."""
         ids = [BOS_ID]

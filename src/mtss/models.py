@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from mtss.corpus import Corpus
+from mtss.corpus import Corpus, CorpusError, DomainSchema, schema_hash
 from mtss.corpus.state import BeliefLayout, turn_state
 from mtss.corpus.vocab import BOS_ID, EOS_ID, Vocabulary
 from mtss.diffnum import (
@@ -147,17 +147,22 @@ class _SeqModel:
 
     # -- persistence ---------------------------------------------------------------
 
-    def save(self, path: str | Path, extra_meta: dict | None = None) -> None:
+    def save(self, path: str | Path, schemas: dict[str, DomainSchema], in_vocab: Vocabulary,
+             out_vocab: Vocabulary, train_config: dict) -> None:
+        """Write the parameters with a manifest that pairs them with the
+        vocabularies and the schema set they were trained on."""
         meta = {
             "kind": self.kind,
             "config": asdict(self.config),
             "config_hash": self.config.hash(),
             "in_vocab_size": self.in_vocab_size,
             "out_vocab_size": self.out_vocab_size,
+            "schema_hash": schema_hash(schemas),
+            "in_vocab": in_vocab.tokens,
+            "out_vocab": out_vocab.tokens,
+            "train_config": train_config,
         }
         meta.update(self._extra_save_meta())
-        if extra_meta:
-            meta.update(extra_meta)
         save_checkpoint(path, {name: p.data for name, p in self.params.items()}, meta)
 
     def _extra_save_meta(self) -> dict:
@@ -293,12 +298,6 @@ class StudentModel(_SeqModel):
         enc_outs, action = self.encode_history(tape, history)
         return self.decode_teacher_forced(tape, action, enc_outs, gold_ids), action
 
-    def generate(self, history: Sequence[Sequence[int]], max_len: int = 30) -> list[int]:
-        dialogue = self.dialogue()
-        for ids in history:
-            dialogue.add(ids)
-        return dialogue.reply(max_len)
-
     def dialogue(self) -> "Dialogue":
         return Dialogue(self)
 
@@ -333,20 +332,27 @@ class Dialogue:
         return self.model.decode_greedy(self.tape, action, self.latest_outputs, max_len)
 
 
-def load_model(path: str | Path):
-    """Load either model kind; returns (model, meta). The manifest's kind
-    decides; a manifest whose kind, config or sizes are malformed raises
-    ``CheckpointError``.
+def load_model(path: str | Path, kind: str | None = None,
+               schemas: dict[str, DomainSchema] | None = None):
+    """Load a checkpoint; returns (model, in_vocab, out_vocab).
+
+    Checks the model kind (against ``kind`` when given), then the schema hash
+    when ``schemas`` is given, then the config, the sizes and the vocabulary
+    token lists the sizes must match. Each failure raises ``CheckpointError``.
     """
     arrays, meta = load_checkpoint(path)
-    kind = meta.get("kind")
-    if kind not in ("teacher", "student"):
-        raise CheckpointError(f"unknown model kind {kind!r} in {path}")
+    found = meta.get("kind")
+    if found not in ("teacher", "student"):
+        raise CheckpointError(f"unknown model kind {found!r} in {path}")
+    if kind is not None and found != kind:
+        raise CheckpointError(f"{path}: checkpoint holds a {found} model, expected {kind}")
+    if schemas is not None and meta.get("schema_hash") != schema_hash(schemas):
+        raise CheckpointError(f"{path}: checkpoint was trained against a different schema set")
     try:
         config = ModelConfig(**meta.get("config"))
     except TypeError as exc:
         raise CheckpointError(f"{path}: bad model config in manifest ({exc})") from None
-    keys = ["in_vocab_size", "out_vocab_size"] + (["state_size"] if kind == "teacher" else [])
+    keys = ["in_vocab_size", "out_vocab_size"] + (["state_size"] if found == "teacher" else [])
     sizes = {"config.embed_size": config.embed_size, "config.hidden_size": config.hidden_size,
              **{key: meta.get(key) for key in keys}}
     for key, value in sizes.items():
@@ -354,7 +360,19 @@ def load_model(path: str | Path):
             raise CheckpointError(f"{path}: manifest {key} must be a positive integer, got {value!r}")
     if isinstance(config.init_scale, bool) or not isinstance(config.init_scale, (int, float)):
         raise CheckpointError(f"{path}: manifest config.init_scale must be a number")
-    if kind == "teacher":
+    vocabs = []
+    for role, key in (("input", "in_vocab"), ("output", "out_vocab")):
+        tokens = meta.get(key)
+        if not isinstance(tokens, list) or not all(isinstance(t, str) for t in tokens):
+            raise CheckpointError(f"{path}: manifest {key} must be a list of tokens")
+        try:
+            vocabs.append(Vocabulary(role, tokens))
+        except CorpusError as exc:
+            raise CheckpointError(f"{path}: {exc}") from None
+        if len(tokens) != meta[f"{key}_size"]:
+            raise CheckpointError(f"{path}: manifest {key} has {len(tokens)} tokens, "
+                                  f"{key}_size is {meta[f'{key}_size']}")
+    if found == "teacher":
         domain = meta.get("domain", "all")
         if not isinstance(domain, str):
             raise CheckpointError(f"{path}: manifest domain must be a string, got {domain!r}")
@@ -367,14 +385,7 @@ def load_model(path: str | Path):
         model.load_arrays(arrays)
     except ValueError as exc:
         raise CheckpointError(f"{path}: {exc}") from None
-    return model, meta
-
-
-def load_model_as(path: str | Path, expected_kind: str):
-    model, meta = load_model(path)
-    if model.kind != expected_kind:
-        raise CheckpointError(f"{path}: checkpoint holds a {model.kind} model, expected {expected_kind}")
-    return model, meta
+    return model, *vocabs
 
 
 # -- corpus-level generation ---------------------------------------------------

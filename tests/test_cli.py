@@ -7,10 +7,11 @@ from pathlib import Path
 
 import pytest
 
+from mtss import cli
 from mtss.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, build_parser, cmd_chat, main
-from mtss.corpus import Delexicalizer, Vocabulary, load_corpus, load_vocab
+from mtss.corpus import Delexicalizer, load_corpus, load_vocab
 from mtss.diffnum import Tape, load_checkpoint, save_checkpoint
-from mtss.models import ModelConfig, StudentModel, load_model_as
+from mtss.models import ModelConfig, StudentModel, TeacherModel, load_model
 
 TINY_TRAIN = {
     "model": {"embed_size": 6, "hidden_size": 8, "init_scale": 0.08},
@@ -60,6 +61,23 @@ def workspace(tmp_path_factory):
     return root
 
 
+@pytest.fixture(scope="module")
+def foreign(workspace, tmp_path_factory):
+    """Data prepared from another seed (same schemas, other vocabularies) and
+    untrained teachers saved on it."""
+    root = tmp_path_factory.mktemp("foreign")
+    (root / "synth.json").write_text(json.dumps(dict(SYNTH, seed=8)))
+    (root / "train.json").write_text(json.dumps(dict(TINY_TRAIN, teacher_epochs=0, finetune_epochs=0)))
+    assert main(["prepare", "--synth-config", str(root / "synth.json"), "--out", str(root / "data")]) == EXIT_OK
+    assert main(["train-teachers", "--data", str(root / "data"), "--config", str(root / "train.json"),
+                 "--out", str(root / "teachers")]) == EXIT_OK
+    report, own = (json.loads((d / "data" / "split_report.json").read_text()) for d in (root, workspace))
+    assert report["schema_hash"] == own["schema_hash"]
+    for name in ("vocab_in.json", "vocab_out.json"):
+        assert (root / "data" / name).read_text() != (workspace / "data" / name).read_text()
+    return root
+
+
 class TestPrepare:
     def test_outputs_and_report(self, workspace):
         data = workspace / "data"
@@ -70,7 +88,7 @@ class TestPrepare:
         assert report["episodes"] == {"train": SYNTH["train_episodes"], "test": SYNTH["test_episodes"]}
         counts = report["turns_per_domain"]["train"]
         train = load_corpus(data / "corpus_train.json")
-        assert sum(counts.values()) == train.turn_count()
+        assert sum(counts.values()) == sum(len(e.turns) for e in train.episodes)
 
     def test_deterministic_given_seed(self, workspace, tmp_path):
         again = tmp_path / "data2"
@@ -152,6 +170,28 @@ class TestTrainStudent:
             for key in ("nll", "kd_text", "kd_policy", "total"):
                 assert key in line
 
+    @pytest.mark.parametrize("command", ["train-student", "sweep"])
+    def test_teachers_on_other_vocabularies_are_data_error(self, workspace, foreign, tmp_path, capsys,
+                                                           monkeypatch, command):
+        monkeypatch.setattr(cli, "SWEEP_GRID", [(0.005, 0.005)])
+        code = main([command, "--data", str(workspace / "data"), "--teachers", str(foreign / "teachers"),
+                     "--config", str(workspace / "train.json"), "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == EXIT_DATA
+        assert len(err.strip().splitlines()) == 1 and "vocabularies" in err
+
+    def test_sweep_cell_matches_train_student(self, workspace, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "SWEEP_GRID", [(0.005, 0.005), (0.0, 0.0)])
+        monkeypatch.delenv("MTSS_THREADS", raising=False)
+        out = tmp_path / "sweep"
+        assert main(["sweep", "--data", str(workspace / "data"), "--teachers", str(workspace / "teachers"),
+                     "--config", str(workspace / "train.json"), "--out", str(out)]) == EXIT_OK
+        rows = json.loads((out / "sweep_results.json").read_text())
+        assert [(r["alpha1"], r["alpha2"]) for r in rows] == cli.SWEEP_GRID
+        cell = Path(rows[0]["checkpoint"])
+        assert cell.read_bytes() == (workspace / "student" / "student.ckpt").read_bytes()
+        assert Path(rows[1]["checkpoint"]).read_bytes() != cell.read_bytes()
+
     def test_missing_teachers_is_data_error(self, workspace, tmp_path):
         code = main(["train-student", "--data", str(workspace / "data"),
                      "--teachers", str(tmp_path / "empty"),
@@ -202,6 +242,21 @@ class TestEvaluate:
                      "--data", str(other)])
         assert code == EXIT_DATA
 
+    @pytest.mark.parametrize("vocabularies", ["other", "none"])
+    def test_vocabularies_come_from_the_checkpoint(self, workspace, foreign, tmp_path, vocabularies):
+        data = tmp_path / "data"
+        data.mkdir()
+        shutil.copy(workspace / "data" / "corpus_test.json", data)
+        if vocabularies == "other":
+            for name in ("vocab_in.json", "vocab_out.json"):
+                shutil.copy(foreign / "data" / name, data)
+        outputs = []
+        for data_dir, out in ((workspace / "data", tmp_path / "own"), (data, tmp_path / "other")):
+            assert main(["evaluate", "--model", str(workspace / "student" / "student.ckpt"),
+                         "--data", str(data_dir), "--max-len", "14", "--out", str(out)]) == EXIT_OK
+            outputs.append((out / "generated.jsonl").read_text())
+        assert outputs[0] == outputs[1]
+
     def test_needs_model_or_generations(self, workspace):
         assert main(["evaluate", "--data", str(workspace / "data")]) == EXIT_USAGE
 
@@ -250,6 +305,24 @@ def _teachers_with_student(workspace, tmp_path) -> str:
     return str(teachers)
 
 
+def _teachers_with_other_size(workspace, tmp_path) -> str:
+    """The workspace teachers with the hotel teacher replaced by a smaller model
+    saved on the same data."""
+    teachers = tmp_path / "teachers"
+    shutil.copytree(workspace / "teachers", teachers)
+    data = workspace / "data"
+    in_vocab, out_vocab = load_vocab(data / "vocab_in.json"), load_vocab(data / "vocab_out.json")
+    state_size = load_checkpoint(teachers / "universal.ckpt")[1]["state_size"]
+    TeacherModel(ModelConfig(embed_size=4, hidden_size=4), len(in_vocab), len(out_vocab), state_size,
+                 "hotel").save(teachers / "teacher_hotel.ckpt",
+                               load_corpus(data / "corpus_train.json").schemas, in_vocab, out_vocab, {})
+    return str(teachers)
+
+
+# A well-formed one-turn MultiWOZ log.
+HELLO_LOG = [{"text": "hello", "metadata": {}}, {"text": "hi there", "metadata": {}}]
+
+
 def _multiwoz_prepare(tmp, dump) -> list[str]:
     _write(tmp / "base.json", MULTIWOZ_BASE)
     return ["prepare", "--data", _write(tmp / "data.json", dump), "--schemas", str(tmp / "base.json"),
@@ -267,6 +340,9 @@ MALFORMED_INPUTS = [
     ("config-unknown-key", EXIT_USAGE, lambda ws, tmp: [
         "train-teachers", "--data", str(ws / "data"), "--out", str(tmp / "out"),
         "--config", _write(tmp / "train.json", {"bogus": 1})]),
+    ("config-data-key", EXIT_USAGE, lambda ws, tmp: [
+        "train-teachers", "--data", str(ws / "data"), "--out", str(tmp / "out"),
+        "--config", _write(tmp / "train.json", {**TINY_TRAIN, "data": str(ws / "data")})]),
     ("negative-epochs", EXIT_USAGE, lambda ws, tmp: [
         "train-teachers", "--data", str(ws / "data"), "--out", str(tmp / "out"), "--epochs", "-1"]),
     ("config-missing", EXIT_USAGE, lambda ws, tmp: [
@@ -303,7 +379,7 @@ MALFORMED_INPUTS = [
         "evaluate", "--data", str(ws / "data"),
         "--generations", _write(tmp / "gen.jsonl", '{"episode": "test-0000", "turn": 0}\n')]),
     ("vocab-no-role", EXIT_DATA, lambda ws, tmp: [
-        "evaluate", "--data", _data_without_vocab_role(ws, tmp), "--generations", _write(tmp / "gen.jsonl", "")]),
+        "train-teachers", "--data", _data_without_vocab_role(ws, tmp), "--out", str(tmp / "out")]),
     ("evaluate-zero-max-len", EXIT_USAGE, lambda ws, tmp: [
         "evaluate", "--model", str(ws / "student" / "student.ckpt"), "--data", str(ws / "data"),
         "--max-len", "0"]),
@@ -314,6 +390,9 @@ MALFORMED_INPUTS = [
     ("student-among-teachers", EXIT_DATA, lambda ws, tmp: [
         "train-student", "--data", str(ws / "data"), "--teachers", _teachers_with_student(ws, tmp),
         "--out", str(tmp / "out")]),
+    ("teacher-of-another-size", EXIT_DATA, lambda ws, tmp: [
+        "train-student", "--data", str(ws / "data"), "--teachers", _teachers_with_other_size(ws, tmp),
+        "--out", str(tmp / "out")]),
     ("unknown-model-kind", EXIT_DATA, lambda ws, tmp: [
         "evaluate", "--model", _checkpoint_of_unknown_kind(ws, tmp), "--data", str(ws / "data")]),
     ("multiwoz-dialogue-is-a-list", EXIT_DATA, lambda ws, tmp: _multiwoz_prepare(tmp, {"d1.json": []})),
@@ -322,6 +401,16 @@ MALFORMED_INPUTS = [
     ("multiwoz-metadata-is-a-string", EXIT_DATA, lambda ws, tmp: _multiwoz_prepare(
         tmp, {"d1.json": {"log": [{"text": "hello", "metadata": {}},
                                   {"text": "hi there", "metadata": "restaurant"}]}})),
+    ("multiwoz-text-is-a-number", EXIT_DATA, lambda ws, tmp: _multiwoz_prepare(
+        tmp, {"d1.json": {"log": [{"text": 5, "metadata": {}}, {"text": "hi there", "metadata": {}}]}})),
+    ("multiwoz-goal-info-is-a-string", EXIT_DATA, lambda ws, tmp: _multiwoz_prepare(
+        tmp, {"d1.json": {"goal": {"restaurant": {"info": "north", "reqt": ["phone"]}}, "log": HELLO_LOG}})),
+    ("multiwoz-goal-reqt-is-a-string", EXIT_DATA, lambda ws, tmp: _multiwoz_prepare(
+        tmp, {"d1.json": {"goal": {"restaurant": {"info": {"area": "north"}, "reqt": "phone"}},
+                          "log": HELLO_LOG}})),
+    ("multiwoz-semi-is-a-list", EXIT_DATA, lambda ws, tmp: _multiwoz_prepare(
+        tmp, {"d1.json": {"log": [{"text": "hello", "metadata": {}},
+                                  {"text": "hi there", "metadata": {"restaurant": {"semi": ["area"]}}}]}})),
 ]
 
 
@@ -372,18 +461,17 @@ class TestChat:
         depend on the whole history, so a history mix-up changes the text."""
         in_vocab = load_vocab(workspace / "data" / "vocab_in.json")
         out_vocab = load_vocab(workspace / "data" / "vocab_out.json")
+        schemas = load_corpus(workspace / "data" / "corpus_train.json").schemas
         path = tmp_path_factory.mktemp("chat") / "student.ckpt"
         config = ModelConfig(embed_size=12, hidden_size=16, init_scale=2.0)
         StudentModel(config, len(in_vocab), len(out_vocab), seed=0).save(
-            path, extra_meta={"in_vocab": in_vocab.tokens, "out_vocab": out_vocab.tokens})
+            path, schemas, in_vocab, out_vocab, {})
         return path
 
     @staticmethod
     def reference_replies(workspace, model, lines):
         """Replies from re-encoding the whole history every turn."""
-        student, meta = load_model_as(model, "student")
-        in_vocab = Vocabulary("input", meta["in_vocab"])
-        out_vocab = Vocabulary("output", meta["out_vocab"])
+        student, in_vocab, out_vocab = load_model(model, "student")
         corpus = load_corpus(workspace / "data" / "corpus_train.json")
         delex = Delexicalizer(corpus.schemas, corpus.database)
         history, replies = [], []

@@ -20,7 +20,6 @@ from mtss.corpus import (
     Vocabulary,
     build_vocab,
     db_pointer,
-    delexicalize,
     kb_pointer_vector,
     load_corpus,
     query_db,
@@ -118,18 +117,18 @@ def corpus(schemas, database):
 
 class TestDelexicalize:
     def test_direct_substitution(self, schemas, database):
-        tokens, seen = delexicalize("book the golden wok", database, schemas)
+        tokens, seen = Delexicalizer(schemas, database)("book the golden wok")
         assert tokens == ["book", "the", "[restaurant_name]"]
         assert seen == {"[restaurant_name]"}
 
     def test_no_db_values_pass_through(self, schemas, database):
-        tokens, seen = delexicalize("i would like something nice", database, schemas)
+        tokens, seen = Delexicalizer(schemas, database)("i would like something nice")
         assert tokens == "i would like something nice".split()
         assert seen == set()
 
     def test_longest_match_wins(self, schemas, database):
         # "north indian" (food) must beat its prefix "north" (area).
-        tokens, seen = delexicalize("some north indian food", database, schemas)
+        tokens, seen = Delexicalizer(schemas, database)("some north indian food")
         assert tokens == ["some", "[restaurant_food]", "food"]
         assert seen == {"[restaurant_food]"}
 
@@ -171,8 +170,8 @@ class TestDelexicalize:
             assert tokens == expected
 
     def test_idempotent(self, schemas, database):
-        once, _ = delexicalize("golden wok in the north", database, schemas)
-        twice, _ = delexicalize(" ".join(once), database, schemas)
+        once, _ = Delexicalizer(schemas, database)("golden wok in the north")
+        twice, _ = Delexicalizer(schemas, database)(" ".join(once))
         assert once == twice
 
 
@@ -273,7 +272,7 @@ class TestSplitByDomain:
 
     def test_partition_covers_corpus(self, corpus):
         buckets = split_by_domain(corpus)
-        assert sum(len(b) for b in buckets.values()) == corpus.turn_count()
+        assert sum(len(b) for b in buckets.values()) == sum(len(e.turns) for e in corpus.episodes)
 
 
 class TestVocabulary:
@@ -288,7 +287,7 @@ class TestVocabulary:
         vocab = build_vocab(
             Corpus(schemas, database, [Episode("e", turns)]), "input"
         )
-        assert "rareword" not in vocab
+        assert "rareword" not in vocab.token_to_id
         ids = vocab.encode(["rareword", "common"])
         assert ids[1] == UNK_ID
 

@@ -3,21 +3,32 @@
 import numpy as np
 import pytest
 
-from mtss.corpus import Corpus, build_vocab
-from mtss.corpus.vocab import BOS_ID, EOS_ID, PAD_ID
-from mtss.diffnum import Adam, CheckpointError, ShapeMismatchError, Tape, Tensor, grad_check_params
+from mtss.corpus import Corpus, DomainSchema, Vocabulary, build_vocab
+from mtss.corpus.vocab import BOS_ID, EOS_ID, PAD_ID, RESERVED
+from mtss.diffnum import (
+    Adam,
+    CheckpointError,
+    ShapeMismatchError,
+    Tape,
+    Tensor,
+    grad_check_params,
+    load_checkpoint,
+    save_checkpoint,
+)
 from mtss.models import (
     ModelConfig,
     StudentModel,
     TeacherModel,
     generate_responses,
     load_model,
-    load_model_as,
 )
 from mtss.synthcorpus import SynthConfig, gen_corpus
 
 TINY = ModelConfig(embed_size=5, hidden_size=7)
 V_IN, V_OUT, STATE = 12, 10, 6
+IN_VOCAB = Vocabulary("input", RESERVED + [f"in{i}" for i in range(V_IN - len(RESERVED))])
+OUT_VOCAB = Vocabulary("output", RESERVED + [f"out{i}" for i in range(V_OUT - len(RESERVED))])
+SCHEMAS = {"hotel": DomainSchema("hotel", {"area": ["north"]}, ["phone"])}
 
 
 def full_history(episode, turn_index, in_vocab):
@@ -187,7 +198,10 @@ class TestIncrementalInference:
             tape = Tape(record=False)
             enc_outs, action = student.encode_history(tape, history)
             reference = student.decode_greedy(tape, action, enc_outs, 8)
-            assert student.generate(history, max_len=8) == reference
+            dialogue = student.dialogue()
+            for utterance in history:
+                dialogue.add(utterance)
+            assert dialogue.reply(8) == reference
             expected = out_vocab.decode(reference)
             assert generated[(episode.episode_id, index)] == expected
             replies.append(tuple(expected))
@@ -315,22 +329,41 @@ class TestPersistence:
         log_probs, _ = teacher.respond_forced(tape, ids(4, 5), state, ids(6, 7))
         before_log_probs = log_probs.data.copy()
 
-        teacher.save(path, extra_meta={"schema_hash": "h123"})
-        loaded, meta = load_model(path)
-        assert meta["schema_hash"] == "h123"
-        assert meta["domain"] == "hotel"
+        teacher.save(path, SCHEMAS, IN_VOCAB, OUT_VOCAB, {"seed": 1})
+        loaded, in_vocab, out_vocab = load_model(path, "teacher", SCHEMAS)
+        assert (in_vocab, out_vocab) == (IN_VOCAB, OUT_VOCAB)
+        assert loaded.domain == "hotel"
+        assert load_checkpoint(path)[1]["train_config"] == {"seed": 1}
         tape = Tape(record=False)
         log_probs, _ = loaded.respond_forced(tape, ids(4, 5), state, ids(6, 7))
         assert np.array_equal(log_probs.data, before_log_probs)
         assert loaded.generate(ids(4, 5), state, max_len=6) == before
 
     def test_kind_mismatch_rejected(self, teacher, student, tmp_path):
-        teacher.save(tmp_path / "t.ckpt")
-        student.save(tmp_path / "s.ckpt")
+        teacher.save(tmp_path / "t.ckpt", SCHEMAS, IN_VOCAB, OUT_VOCAB, {})
+        student.save(tmp_path / "s.ckpt", SCHEMAS, IN_VOCAB, OUT_VOCAB, {})
         with pytest.raises(CheckpointError, match="expected teacher"):
-            load_model_as(tmp_path / "s.ckpt", "teacher")
+            load_model(tmp_path / "s.ckpt", "teacher")
         with pytest.raises(CheckpointError, match="expected student"):
-            load_model_as(tmp_path / "t.ckpt", "student")
+            load_model(tmp_path / "t.ckpt", "student")
+        assert load_model(tmp_path / "s.ckpt")[0].kind == "student"
+
+    def test_schema_mismatch_rejected(self, student, tmp_path):
+        student.save(tmp_path / "s.ckpt", SCHEMAS, IN_VOCAB, OUT_VOCAB, {})
+        other = {"hotel": DomainSchema("hotel", {"area": ["north", "east"]}, ["phone"])}
+        with pytest.raises(CheckpointError, match="schema set"):
+            load_model(tmp_path / "s.ckpt", "student", other)
+
+    @pytest.mark.parametrize("key,tokens", [
+        ("in_vocab", None), ("out_vocab", "<pad> <bos>"), ("in_vocab", RESERVED + [1] * 8),
+        ("in_vocab", RESERVED + ["w"] * 8), ("out_vocab", RESERVED + ["w0"]),
+    ], ids=["missing", "not-a-list", "not-tokens", "duplicates", "size-mismatch"])
+    def test_malformed_vocabulary_rejected(self, student, tmp_path, key, tokens):
+        student.save(tmp_path / "s.ckpt", SCHEMAS, IN_VOCAB, OUT_VOCAB, {})
+        arrays, meta = load_checkpoint(tmp_path / "s.ckpt")
+        save_checkpoint(tmp_path / "bad.ckpt", arrays, {**meta, key: tokens})
+        with pytest.raises(CheckpointError):
+            load_model(tmp_path / "bad.ckpt")
 
     def test_clone_is_independent(self, teacher):
         copy = teacher.clone()

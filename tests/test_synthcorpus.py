@@ -69,7 +69,7 @@ class TestGeneration:
         train, _ = small_corpora
         buckets = split_by_domain(train)
         assert len(buckets["general"]) > 0
-        assert sum(len(b) for b in buckets.values()) == train.turn_count()
+        assert sum(len(b) for b in buckets.values()) == sum(len(e.turns) for e in train.episodes)
         named = [d for d, b in buckets.items() if d != "general" and b]
         assert len(named) == SMALL.domains
 
@@ -95,7 +95,7 @@ class TestGeneration:
             for turn in episode.turns:
                 for token in list(turn.user) + list(turn.system):
                     total += 1
-                    covered += token in vocab
+                    covered += token in vocab.token_to_id
         assert covered / total >= 0.95
 
     def test_round_trips_through_corpus_format(self, small_corpora, tmp_path):
