@@ -32,14 +32,12 @@ from mtss.corpus import (
     save_corpus,
     save_vocab,
     schema_hash,
-    split_by_domain,
 )
 from mtss.diffnum import CheckpointError, DivergenceError
 from mtss.metrics import MetricReport, score_corpus
-from mtss.models import load_model
+from mtss.models import TeacherEnsemble, load_model
 from mtss.synthcorpus import SynthConfig, gen_corpus
 from mtss.training import (
-    TeacherEnsemble,
     TrainingConfig,
     TrainingDivergenceError,
     evaluate_model,
@@ -151,6 +149,16 @@ def _load_prepared(data_dir: Path) -> tuple[Corpus, Vocabulary, Vocabulary]:
 # -- prepare -----------------------------------------------------------------------
 
 
+def _turns_per_domain(corpus: Corpus) -> dict[str, int]:
+    """Turn counts by domain tag: every schema domain in schema order, then
+    the generic one, zeros included."""
+    counts = dict.fromkeys([*corpus.schemas, GENERAL_DOMAIN], 0)
+    for episode in corpus.episodes:
+        for turn in episode.turns:
+            counts[turn.domain] += 1
+    return counts
+
+
 def cmd_prepare(args) -> int:
     started = time.monotonic()
     out_dir = Path(args.out)
@@ -182,10 +190,7 @@ def cmd_prepare(args) -> int:
         report = {}
         synth_doc = synth.to_dict()
 
-    counts = {
-        "train": {d: len(refs) for d, refs in split_by_domain(train).items()},
-        "test": {d: len(refs) for d, refs in split_by_domain(test).items()},
-    }
+    counts = {"train": _turns_per_domain(train), "test": _turns_per_domain(test)}
     in_vocab = build_vocab(train, "input")
     out_vocab = build_vocab(train, "output")
 
@@ -249,26 +254,21 @@ def cmd_train_teachers(args) -> int:
     return EXIT_OK
 
 
-def _scores(report: MetricReport | None, domain: str) -> dict:
-    """BLEU and Entity Recall (in %) of one domain; None where nothing was measured."""
-    m = report.per_domain.get(domain) if report else None
-    recall = m.entity_recall if m else None
-    return {"bleu4": m.bleu4 if m else None, "entity_recall": None if recall is None else 100.0 * recall}
+def _scores(report: MetricReport, domain: str) -> dict:
+    """BLEU and Entity Recall (in %) of one domain's turns; None where no turn carries the domain."""
+    m = report.per_domain.get(domain)
+    if m is None or not m.turns:
+        return {"bleu4": None, "entity_recall": None}
+    return {"bleu4": m.bleu4, "entity_recall": None if m.entity_recall is None else 100.0 * m.entity_recall}
 
 
 def _teacher_report(ensemble: TeacherEnsemble, test: Corpus, in_vocab, out_vocab, max_len) -> dict:
-    """Per-domain BLEU and Entity Recall for the universal and individual teachers."""
-    universal_report, _ = evaluate_model(ensemble.universal, test, in_vocab, out_vocab, max_len)
-    rows: dict[str, dict] = {}
-    for domain, teacher in ensemble.teachers.items():
-        bucket = [e for e in test.episodes if any(t.domain == domain for t in e.turns)]
-        universal = individual = None
-        if bucket:
-            universal = universal_report
-            sub = Corpus(test.schemas, test.database, bucket)
-            individual, _ = evaluate_model(teacher, sub, in_vocab, out_vocab, max_len)
-        rows[domain] = {"universal": _scores(universal, domain), "individual": _scores(individual, domain)}
-    return rows
+    """Per-domain BLEU and Entity Recall of the universal teacher and of the
+    individual teachers, each test turn decoded once by each."""
+    universal, _ = evaluate_model(ensemble.universal, test, in_vocab, out_vocab, max_len)
+    individual, _ = evaluate_model(ensemble, test, in_vocab, out_vocab, max_len)
+    return {domain: {"universal": _scores(universal, domain), "individual": _scores(individual, domain)}
+            for domain in ensemble.teachers}
 
 
 # -- student training -----------------------------------------------------------------
@@ -276,8 +276,8 @@ def _teacher_report(ensemble: TeacherEnsemble, test: Corpus, in_vocab, out_vocab
 
 def load_ensemble(teacher_dir: Path, schemas: dict, in_vocab: Vocabulary,
                   out_vocab: Vocabulary) -> TeacherEnsemble:
-    """The teachers in ``teacher_dir``; each must have been trained on the
-    given schemas and vocabularies."""
+    """The teachers in ``teacher_dir``: exactly one per schema domain plus
+    the generic one, each trained on the given schemas and vocabularies."""
     def load(path: Path):
         teacher, teacher_in, teacher_out = load_model(path, "teacher", schemas)
         if (teacher_in.tokens, teacher_out.tokens) != (in_vocab.tokens, out_vocab.tokens):
@@ -291,13 +291,12 @@ def load_ensemble(teacher_dir: Path, schemas: dict, in_vocab: Vocabulary,
     teachers = {}
     for path in sorted(teacher_dir.glob("teacher_*.ckpt")):
         teacher = load(path)
+        if teacher.domain in teachers:
+            raise CheckpointError(f"{path}: a second teacher for domain {teacher.domain!r}")
         teachers[teacher.domain] = teacher
-    if not teachers:
-        raise CorpusError(f"no teacher checkpoints found in {teacher_dir}")
-    domains = tuple(sorted(d for d in teachers if d != GENERAL_DOMAIN))
-    ensemble = TeacherEnsemble(teachers, universal, domains)
+    ensemble = TeacherEnsemble(teachers, universal)
     try:
-        ensemble.validate()
+        ensemble.validate(schemas)
     except ValueError as exc:
         raise CheckpointError(f"{teacher_dir}: {exc}") from None
     return ensemble

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, NamedTuple
 
 GENERAL_DOMAIN = "general"
 
@@ -98,22 +97,6 @@ class Corpus:
                         f"not in schemas or {GENERAL_DOMAIN!r}"
                     )
 
-class TurnRef(NamedTuple):
-    """A turn addressed inside its episode, the unit of training and scoring."""
-
-    episode: Episode
-    turn_index: int
-
-    @property
-    def turn(self) -> Turn:
-        return self.episode.turns[self.turn_index]
-
-
-def iter_turns(corpus: Corpus) -> Iterator[TurnRef]:
-    for episode in corpus.episodes:
-        for i in range(len(episode.turns)):
-            yield TurnRef(episode, i)
-
 
 def query_db(database: Database, domain: str, constraints: dict[str, str]) -> list[EntityRecord]:
     """Entities of ``domain`` whose slots equal every constraint, by exact string match."""
@@ -122,15 +105,3 @@ def query_db(database: Database, domain: str, constraints: dict[str, str]) -> li
         if all(record.values.get(slot) == value for slot, value in constraints.items()):
             matches.append(record)
     return matches
-
-
-def split_by_domain(corpus: Corpus) -> dict[str, list[TurnRef]]:
-    """Partition turns into per-domain buckets; unknown tags land in the general bucket."""
-    buckets: dict[str, list[TurnRef]] = {domain: [] for domain in corpus.schemas}
-    buckets[GENERAL_DOMAIN] = []
-    for ref in iter_turns(corpus):
-        domain = ref.turn.domain
-        if domain not in corpus.schemas:
-            domain = GENERAL_DOMAIN
-        buckets[domain].append(ref)
-    return buckets

@@ -118,22 +118,6 @@ def _episode_outcome(episode, corpus: Corpus, generated: GeneratedMap) -> dict[s
     return outcome
 
 
-def inform_success(corpus: Corpus, generated: GeneratedMap) -> tuple[float, float]:
-    """Episode-level rates; an episode informs/succeeds iff all its goal domains do."""
-    if not corpus.episodes:
-        raise ValueError("cannot score an empty corpus")
-    informed = 0
-    succeeded = 0
-    for episode in corpus.episodes:
-        outcome = _episode_outcome(episode, corpus, generated)
-        if all(ok for ok, _ in outcome.values()):
-            informed += 1
-            if all(ok for _, ok in outcome.values()):
-                succeeded += 1
-    n = len(corpus.episodes)
-    return informed / n, succeeded / n
-
-
 # -- combined report ----------------------------------------------------------------
 
 
@@ -193,30 +177,34 @@ class MetricReport:
 
 
 def score_corpus(corpus: Corpus, generated: GeneratedMap) -> MetricReport:
-    """Full report over generated responses keyed by (episode id, turn index)."""
+    """Full report over generated responses keyed by (episode id, turn index).
+
+    An episode informs (succeeds) iff every one of its goal domains does;
+    the per-domain rows are in sorted domain order.
+    """
     all_pairs = []
     by_domain_pairs: dict[str, list] = {}
+    domain_outcomes: dict[str, list[tuple[bool, bool]]] = {}
+    informed = succeeded = 0
     for episode in corpus.episodes:
         for index, turn in enumerate(episode.turns):
             pair = (generated.get((episode.episode_id, index), []), turn.system)
             all_pairs.append(pair)
             by_domain_pairs.setdefault(turn.domain, []).append(pair)
+        outcome = _episode_outcome(episode, corpus, generated)
+        for domain, result in outcome.items():
+            domain_outcomes.setdefault(domain, []).append(result)
+        if all(ok for ok, _ in outcome.values()):
+            informed += 1
+            succeeded += all(ok for _, ok in outcome.values())
 
     report = MetricReport(
         bleu4=bleu4([g for g, _ in all_pairs], [r for _, r in all_pairs]),
-        inform=0.0,
-        success=0.0,
+        inform=informed / len(corpus.episodes),
+        success=succeeded / len(corpus.episodes),
         entity_recall=mean_entity_recall(all_pairs),
     )
-    report.inform, report.success = inform_success(corpus, generated)
-
-    domain_outcomes: dict[str, list[tuple[bool, bool]]] = {}
-    for episode in corpus.episodes:
-        for domain, result in _episode_outcome(episode, corpus, generated).items():
-            domain_outcomes.setdefault(domain, []).append(result)
-
-    domains = set(by_domain_pairs) | set(domain_outcomes)
-    for domain in domains:
+    for domain in sorted(set(by_domain_pairs) | set(domain_outcomes)):
         pairs = by_domain_pairs.get(domain, [])
         outcomes = domain_outcomes.get(domain, [])
         report.per_domain[domain] = DomainMetrics(

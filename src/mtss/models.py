@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from mtss.corpus import Corpus, CorpusError, DomainSchema, schema_hash
+from mtss.corpus import GENERAL_DOMAIN, Corpus, CorpusError, DomainSchema, schema_hash
 from mtss.corpus.state import BeliefLayout, turn_state
 from mtss.corpus.vocab import BOS_ID, EOS_ID, Vocabulary
 from mtss.diffnum import (
@@ -244,6 +244,37 @@ class TeacherModel(_SeqModel):
         return {"state_size": self.state_size, "domain": self.domain}
 
 
+def ensemble_domains(schemas: dict[str, DomainSchema]) -> list[str]:
+    """The domains of a teacher ensemble, in training order: every schema
+    domain, sorted, then the generic one."""
+    return sorted(schemas) + [GENERAL_DOMAIN]
+
+
+@dataclass
+class TeacherEnsemble:
+    """The universal teacher and the complete ``{domain: teacher}`` map; the
+    teacher of a turn is ``teachers[turn.domain]``."""
+
+    teachers: dict[str, TeacherModel]
+    universal: TeacherModel
+
+    def validate(self, schemas: dict[str, DomainSchema]) -> None:
+        """Exactly one teacher per domain of ``ensemble_domains(schemas)``,
+        each shaped like the universal teacher; raises ``ValueError``."""
+        domains = ensemble_domains(schemas)
+        for domain in domains:
+            if domain not in self.teachers:
+                raise ValueError(f"no teacher for domain {domain!r}")
+        shapes = {name: p.data.shape for name, p in self.universal.params.items()}
+        for domain, teacher in self.teachers.items():
+            if domain not in domains:
+                raise ValueError(f"teacher for domain {domain!r}, which is not in the schemas "
+                                 f"or {GENERAL_DOMAIN!r}")
+            for name, p in teacher.params.items():
+                if p.data.shape != shapes[name]:
+                    raise ValueError(f"teacher {domain!r} parameter {name!r} shape mismatch")
+
+
 class StudentModel(_SeqModel):
     """HRED: word-level encoder per utterance, context LSTM over utterance vectors."""
 
@@ -400,17 +431,20 @@ def generate_responses(
 ) -> dict[tuple[str, int], list[str]]:
     """Greedy responses for every turn, keyed by (episode id, turn index).
 
-    Students see only the raw history, each utterance encoded once per
-    episode; teachers get the oracle state of the turn.
+    ``model`` is a student, a teacher, or a ``TeacherEnsemble``, which
+    answers each turn with the teacher of the turn's domain. Students see
+    only the raw history, each utterance encoded once per episode; teachers
+    get the oracle state of the turn.
     """
     layout = BeliefLayout(corpus.schemas)
     generated: dict[tuple[str, int], list[str]] = {}
     for episode in corpus.episodes:
-        dialogue = model.dialogue() if model.kind == "student" else None
+        dialogue = model.dialogue() if isinstance(model, StudentModel) else None
         for index, turn in enumerate(episode.turns):
             if dialogue is None:
+                teacher = model.teachers[turn.domain] if isinstance(model, TeacherEnsemble) else model
                 state = turn_state(turn, corpus.schemas, corpus.database, layout)
-                ids = model.generate(in_vocab.encode(turn.user), state, max_len)
+                ids = teacher.generate(in_vocab.encode(turn.user), state, max_len)
             else:
                 if index:
                     dialogue.add(in_vocab.encode(episode.turns[index - 1].system))

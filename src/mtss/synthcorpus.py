@@ -116,14 +116,16 @@ class SynthConfig:
     multi_domain_fraction: float = 0.3
 
     def validate(self) -> None:
-        counts = (
-            self.domains, self.slots_per_domain, self.values_per_slot,
-            self.entities_per_domain, self.train_episodes, self.test_episodes, self.max_turns,
-        )
-        if any(c <= 0 for c in counts):
-            raise ValueError("all generator counts must be positive")
-        if not 0.0 <= self.multi_domain_fraction <= 1.0:
-            raise ValueError("multi_domain_fraction must lie in [0, 1]")
+        """Integer counts of at least 1, an integer seed of at least 0 and a
+        fraction in [0, 1]; a bool is not a number here."""
+        for name in ("seed", "domains", "slots_per_domain", "values_per_slot", "entities_per_domain",
+                     "train_episodes", "test_episodes", "max_turns"):
+            value, least = getattr(self, name), 0 if name == "seed" else 1
+            if isinstance(value, bool) or not isinstance(value, int) or value < least:
+                raise ValueError(f"{name} must be an integer of at least {least}, got {value!r}")
+        fraction = self.multi_domain_fraction
+        if isinstance(fraction, bool) or not isinstance(fraction, (int, float)) or not 0 <= fraction <= 1:
+            raise ValueError(f"multi_domain_fraction must lie in [0, 1], got {fraction!r}")
 
     def to_dict(self) -> dict:
         return asdict(self)

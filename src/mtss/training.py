@@ -1,4 +1,4 @@
-"""Loss functions, teacher routing, warm-start curriculum, and the training loop.
+"""Loss functions, warm-start curriculum, and the training loop.
 
 The student objective is the response negative log likelihood plus two
 weighted distillation terms: a text-level cross entropy against the frozen
@@ -17,11 +17,18 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from mtss.corpus import GENERAL_DOMAIN, Corpus, Vocabulary
+from mtss.corpus import Corpus, Vocabulary
 from mtss.corpus.state import BeliefLayout, state_size, turn_state
 from mtss.diffnum import Adam, Tape, Tensor
 from mtss.metrics import mean_entity_recall, score_corpus
-from mtss.models import ModelConfig, StudentModel, TeacherModel, generate_responses
+from mtss.models import (
+    ModelConfig,
+    StudentModel,
+    TeacherEnsemble,
+    TeacherModel,
+    ensemble_domains,
+    generate_responses,
+)
 
 log = logging.getLogger(__name__)
 
@@ -46,13 +53,23 @@ class TrainingConfig:
     model: ModelConfig = field(default_factory=ModelConfig)
 
     def validate(self) -> None:
-        if self.alpha1 < 0 or self.alpha2 < 0:
-            raise ValueError("distillation weights must be non-negative")
-        if self.lr < 0:
-            raise ValueError("learning rate must be non-negative")
-        if not 0.0 <= self.val_fraction < 1.0:
+        """Raise ``ValueError`` naming the first value of the wrong type or
+        range. A bool is not a number here, and NaN is in no range."""
+        def check_number(name: str, value, positive: bool) -> None:
+            if (isinstance(value, bool) or not isinstance(value, (int, float))
+                    or not (value > 0 or (value == 0 and not positive))):
+                raise ValueError(f"{name} must be a {'positive' if positive else 'non-negative'} "
+                                 f"number, got {value!r}")
+
+        for name in ("alpha1", "alpha2", "lr", "val_fraction"):
+            check_number(name, getattr(self, name), positive=False)
+        check_number("model.init_scale", self.model.init_scale, positive=True)
+        if self.grad_clip is not None:
+            check_number("grad_clip", self.grad_clip, positive=True)
+        if not self.val_fraction < 1.0:
             raise ValueError("val_fraction must lie in [0, 1)")
         counts = {
+            "seed": (self.seed, 0),
             "epochs": (self.epochs, 0),
             "teacher_epochs": (self.teacher_epochs, 0),
             "finetune_epochs": (self.finetune_epochs, 0),
@@ -61,8 +78,10 @@ class TrainingConfig:
             "model.hidden_size": (self.model.hidden_size, 1),
         }
         for name, (value, least) in counts.items():
-            if not isinstance(value, int) or value < least:
-                raise ValueError(f"{name} must be an integer of at least {least}")
+            if isinstance(value, bool) or not isinstance(value, int) or value < least:
+                raise ValueError(f"{name} must be an integer of at least {least}, got {value!r}")
+        if not isinstance(self.select_best, bool):
+            raise ValueError(f"select_best must be true or false, got {self.select_best!r}")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -71,7 +90,7 @@ class TrainingConfig:
     def from_dict(cls, doc: dict) -> "TrainingConfig":
         doc = dict(doc)
         model = doc.pop("model", None)
-        config = cls(**doc, model=ModelConfig(**model)) if model else cls(**doc)
+        config = cls(**doc) if model is None else cls(**doc, model=ModelConfig(**model))
         config.validate()
         return config
 
@@ -90,22 +109,6 @@ class EpochStats:
 
     def to_dict(self) -> dict:
         return asdict(self)
-
-
-@dataclass
-class TeacherEnsemble:
-    """One fine-tuned teacher per domain plus the generic one and the universal base."""
-
-    teachers: dict[str, TeacherModel]
-    universal: TeacherModel
-    domains: tuple[str, ...]
-
-    def validate(self) -> None:
-        shapes = {name: p.data.shape for name, p in self.universal.params.items()}
-        for domain, teacher in self.teachers.items():
-            for name, p in teacher.params.items():
-                if p.data.shape != shapes[name]:
-                    raise ValueError(f"teacher {domain!r} parameter {name!r} shape mismatch")
 
 
 # -- loss functions ------------------------------------------------------------
@@ -161,21 +164,6 @@ def combined_loss(tape: Tape, j_nll: Tensor, j_kd: Tensor | None, j_kd_policy: T
     return total
 
 
-# -- teacher routing -------------------------------------------------------------
-
-
-def route_teacher(turn, ensemble: TeacherEnsemble) -> TeacherModel:
-    """The teacher whose domain matches the turn's tag; the generic one otherwise."""
-    domain = turn.domain
-    if domain in ensemble.domains:
-        if domain not in ensemble.teachers:
-            raise KeyError(f"no teacher available for tagged domain {domain!r}")
-        return ensemble.teachers[domain]
-    if GENERAL_DOMAIN not in ensemble.teachers:
-        raise KeyError(f"no {GENERAL_DOMAIN!r} teacher available")
-    return ensemble.teachers[GENERAL_DOMAIN]
-
-
 # -- prepared training items -------------------------------------------------------
 
 
@@ -218,7 +206,7 @@ def prepare_turns(corpus: Corpus, in_vocab: Vocabulary, out_vocab: Vocabulary) -
                 PreparedTurn(
                     episode_id=episode.episode_id,
                     turn_index=index,
-                    domain=turn.domain if turn.domain in corpus.schemas else GENERAL_DOMAIN,
+                    domain=turn.domain,
                     user_ids=history[-1],
                     gold_ids=out_vocab.encode(turn.system),
                     history_ids=history,
@@ -404,15 +392,15 @@ def train_teacher_ensemble(
     )
     all_stats = {"all": universal_stats}
     teachers: dict[str, TeacherModel] = {}
-    for index, domain in enumerate(sorted(corpus.schemas) + [GENERAL_DOMAIN]):
+    for index, domain in enumerate(ensemble_domains(corpus.schemas)):
         teachers[domain], all_stats[domain] = finetune_domain_teacher(
             universal, domain, index,
             [i for i in items if i.domain == domain],
             [i for i in val_items if i.domain == domain],
             out_vocab, config, log_path,
         )
-    ensemble = TeacherEnsemble(teachers, universal, tuple(sorted(corpus.schemas)))
-    ensemble.validate()
+    ensemble = TeacherEnsemble(teachers, universal)
+    ensemble.validate(corpus.schemas)
     return ensemble, all_stats
 
 
@@ -438,10 +426,11 @@ def train_student(
 ) -> tuple[StudentModel, list[EpochStats]]:
     """Distill the teacher ensemble into one HRED student.
 
-    Per turn the routed teacher runs teacher-forced on the oracle state to
-    produce constants; the student runs teacher-forced on the raw history;
-    the combined loss backpropagates into student parameters only. With both
-    weights zero this is the plain history-only baseline and no teacher runs.
+    Per turn the teacher of the turn's domain runs teacher-forced on the
+    oracle state to produce constants; the student runs teacher-forced on
+    the raw history; the combined loss backpropagates into student
+    parameters only. With both weights zero this is the plain history-only
+    baseline and no teacher runs.
     """
     config.validate()
     if not corpus.episodes:
@@ -464,7 +453,7 @@ def train_student(
         j_kd = j_policy = None
         if needs_teacher:
             if index not in teacher_cache:
-                teacher_cache[index] = _teacher_targets(route_teacher(item, ensemble), item)
+                teacher_cache[index] = _teacher_targets(ensemble.teachers[item.domain], item)
             teacher_probs, teacher_action = teacher_cache[index]
             if config.alpha1 > 0:
                 j_kd = kd_text_loss(tape, teacher_probs, log_probs)

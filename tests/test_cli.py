@@ -2,16 +2,20 @@
 
 import io
 import json
+import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from mtss import cli
 from mtss.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, build_parser, cmd_chat, main
-from mtss.corpus import Delexicalizer, load_corpus, load_vocab
+from mtss.corpus import Corpus, Delexicalizer, load_corpus, load_vocab
 from mtss.diffnum import Tape, load_checkpoint, save_checkpoint
 from mtss.models import ModelConfig, StudentModel, TeacherModel, load_model
+from mtss.training import evaluate_model
 
 TINY_TRAIN = {
     "model": {"embed_size": 6, "hidden_size": 8, "init_scale": 0.08},
@@ -133,8 +137,8 @@ class TestPrepare:
                      "--test-list", str(tmp_path / "test_ids.txt"),
                      "--out", str(out)]) == EXIT_OK
         report = json.loads((out / "split_report.json").read_text())
-        assert report["turns_per_domain"]["train"]["restaurant"] == 1
-        assert report["turns_per_domain"]["test"]["general"] == 1
+        assert report["turns_per_domain"] == {"train": {"restaurant": 1, "general": 0},
+                                              "test": {"restaurant": 0, "general": 1}}
 
 
 class TestTrainTeachers:
@@ -157,6 +161,34 @@ class TestTrainTeachers:
                      "--out", str(again)]) == EXIT_OK
         for name in ("universal.ckpt", "teacher_general.ckpt"):
             assert (again / name).read_bytes() == (workspace / "teachers" / name).read_bytes()
+
+    def test_report_decodes_each_test_turn_once_per_column(self, workspace, monkeypatch):
+        data, max_len = workspace / "data", TINY_TRAIN["max_decode_len"]
+        train, in_vocab, out_vocab = cli._load_prepared(data)
+        test = load_corpus(data / "corpus_test.json")
+        ensemble = cli.load_ensemble(workspace / "teachers", train.schemas, in_vocab, out_vocab)
+        calls, generate = [], TeacherModel.generate
+
+        def counted_generate(self, *args):
+            calls.append(self.domain)
+            return generate(self, *args)
+
+        monkeypatch.setattr(TeacherModel, "generate", counted_generate)
+        rows = cli._teacher_report(ensemble, test, in_vocab, out_vocab, max_len)
+        assert len(calls) == 2 * sum(len(e.turns) for e in test.episodes)
+        assert rows == json.loads((workspace / "teachers" / "teacher_report.json").read_text())
+        # Reference: each teacher decodes the episodes that carry its domain.
+        for domain, teacher in ensemble.teachers.items():
+            bucket = [e for e in test.episodes if any(t.domain == domain for t in e.turns)]
+            report, _ = evaluate_model(teacher, Corpus(test.schemas, test.database, bucket),
+                                       in_vocab, out_vocab, max_len)
+            m = report.per_domain[domain]
+            recall = None if m.entity_recall is None else 100.0 * m.entity_recall
+            assert rows[domain]["individual"] == {"bleu4": m.bleu4, "entity_recall": recall}
+        no_hotel = [e for e in test.episodes if all(t.domain != "hotel" for t in e.turns)]
+        rows = cli._teacher_report(ensemble, Corpus(test.schemas, test.database, no_hotel),
+                                   in_vocab, out_vocab, max_len)
+        assert rows["hotel"]["universal"] == rows["hotel"]["individual"] == {"bleu4": None, "entity_recall": None}
 
 
 class TestTrainStudent:
@@ -260,6 +292,20 @@ class TestEvaluate:
     def test_needs_model_or_generations(self, workspace):
         assert main(["evaluate", "--data", str(workspace / "data")]) == EXIT_USAGE
 
+    def test_report_does_not_depend_on_the_hash_seed(self, workspace, tmp_path):
+        src = str(Path(cli.__file__).resolve().parents[1])
+        reports = set()
+        for seed in range(4):
+            out = tmp_path / f"eval{seed}"
+            env = {**os.environ, "PYTHONHASHSEED": str(seed),
+                   "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+            subprocess.run([sys.executable, "-m", "mtss.cli", "evaluate",
+                            "--model", str(workspace / "student" / "student.ckpt"),
+                            "--data", str(workspace / "data"), "--max-len", "14", "--out", str(out)],
+                           env=env, check=True, capture_output=True, timeout=120)
+            reports.add((out / "report.json").read_bytes())
+        assert len(reports) == 1
+
 
 def _checkpoint_bytes(manifest: dict) -> bytes:
     doc = json.dumps(manifest).encode()
@@ -317,6 +363,28 @@ def _teachers_with_other_size(workspace, tmp_path) -> str:
                  "hotel").save(teachers / "teacher_hotel.ckpt",
                                load_corpus(data / "corpus_train.json").schemas, in_vocab, out_vocab, {})
     return str(teachers)
+
+
+def _teachers_edited(workspace, tmp_path, drop=(), duplicate=()) -> str:
+    """The workspace teachers without the checkpoints of the ``drop`` domains
+    and with a second checkpoint for each ``duplicate`` domain."""
+    teachers = tmp_path / "teachers"
+    shutil.copytree(workspace / "teachers", teachers)
+    for domain in drop:
+        (teachers / f"teacher_{domain}.ckpt").unlink()
+    for domain in duplicate:
+        shutil.copy(teachers / f"teacher_{domain}.ckpt", teachers / f"teacher_{domain}_again.ckpt")
+    return str(teachers)
+
+
+def _train_student_with(teachers: str, workspace, tmp_path) -> list[str]:
+    return ["train-student", "--data", str(workspace / "data"), "--teachers", teachers,
+            "--config", str(workspace / "train.json"), "--out", str(tmp_path / "out")]
+
+
+def _train_teachers_with(config: dict, workspace, tmp_path) -> list[str]:
+    return ["train-teachers", "--data", str(workspace / "data"), "--out", str(tmp_path / "out"),
+            "--config", _write(tmp_path / "train.json", {**TINY_TRAIN, **config})]
 
 
 # A well-formed one-turn MultiWOZ log.
@@ -393,6 +461,25 @@ MALFORMED_INPUTS = [
     ("teacher-of-another-size", EXIT_DATA, lambda ws, tmp: [
         "train-student", "--data", str(ws / "data"), "--teachers", _teachers_with_other_size(ws, tmp),
         "--out", str(tmp / "out")]),
+    ("teachers-without-general", EXIT_DATA, lambda ws, tmp: _train_student_with(
+        _teachers_edited(ws, tmp, drop=["general"]), ws, tmp)),
+    ("teachers-without-hotel", EXIT_DATA, lambda ws, tmp: _train_student_with(
+        _teachers_edited(ws, tmp, drop=["hotel"]), ws, tmp)),
+    ("teachers-with-two-for-hotel", EXIT_DATA, lambda ws, tmp: _train_student_with(
+        _teachers_edited(ws, tmp, duplicate=["hotel"]), ws, tmp)),
+    ("init-scale-not-a-number", EXIT_USAGE, lambda ws, tmp: _train_teachers_with(
+        {"model": {**TINY_TRAIN["model"], "init_scale": "big"}}, ws, tmp)),
+    ("model-not-an-object", EXIT_USAGE, lambda ws, tmp: _train_teachers_with({"model": []}, ws, tmp)),
+    ("grad-clip-not-a-number", EXIT_USAGE, lambda ws, tmp: _train_teachers_with({"grad_clip": "x"}, ws, tmp)),
+    ("negative-seed", EXIT_USAGE, lambda ws, tmp: _train_teachers_with({"seed": -1}, ws, tmp)),
+    ("fractional-seed", EXIT_USAGE, lambda ws, tmp: _train_teachers_with({"seed": 1.5}, ws, tmp)),
+    ("select-best-not-a-bool", EXIT_USAGE, lambda ws, tmp: _train_teachers_with({"select_best": "no"}, ws, tmp)),
+    ("negative-seed-flag", EXIT_USAGE, lambda ws, tmp: [
+        "train-teachers", "--data", str(ws / "data"), "--out", str(tmp / "out"),
+        "--config", str(ws / "train.json"), "--seed", "-3"]),
+    ("prepare-negative-seed", EXIT_USAGE, lambda ws, tmp: ["prepare", "--out", str(tmp / "out"), "--seed", "-1"]),
+    ("synth-fractional-domains", EXIT_USAGE, lambda ws, tmp: [
+        "prepare", "--out", str(tmp / "out"), "--synth-config", _write(tmp / "synth.json", {"domains": 2.5})]),
     ("unknown-model-kind", EXIT_DATA, lambda ws, tmp: [
         "evaluate", "--model", _checkpoint_of_unknown_kind(ws, tmp), "--data", str(ws / "data")]),
     ("multiwoz-dialogue-is-a-list", EXIT_DATA, lambda ws, tmp: _multiwoz_prepare(tmp, {"d1.json": []})),

@@ -26,11 +26,11 @@ from mtss.corpus import (
     read_multiwoz,
     save_corpus,
     schema_hash,
-    split_by_domain,
     state_size,
     turn_state,
 )
 from mtss.corpus.vocab import BOS_ID, EOS_ID, RESERVED, UNK_ID, UNK_TOKEN
+from mtss.cli import _turns_per_domain
 
 
 @pytest.fixture
@@ -254,25 +254,27 @@ class TestDbQueriesAndPointer:
 
 
 class TestSplitByDomain:
-    def test_buckets_by_tag(self, corpus):
-        buckets = split_by_domain(corpus)
-        assert len(buckets["restaurant"]) == 2
-        assert len(buckets["hotel"]) == 1
-        assert len(buckets["general"]) == 1
+    """The per-domain turn counts that `mtss prepare` writes to split_report.json."""
 
-    def test_unknown_tag_goes_general(self, schemas, database):
-        corpus = Corpus(
-            schemas,
-            database,
-            [Episode("e", [Turn(["hi"], ["hello"], "general"), Turn(["x"], ["y"], "restaurant")])],
-        )
-        corpus.episodes[0].turns[0].domain = "weather"  # not a declared domain
-        buckets = split_by_domain(corpus)
-        assert len(buckets["general"]) == 1
+    def test_buckets_by_tag(self, corpus):
+        counts = _turns_per_domain(corpus)
+        assert counts == {"restaurant": 2, "hotel": 1, "general": 1}
+        assert list(counts) == ["restaurant", "hotel", "general"]  # schema order, then general
+
+    def test_unknown_tag_is_rejected(self, schemas, database, tmp_path):
+        corpus = Corpus(schemas, database, [Episode("e", [Turn(["x"], ["y"], "restaurant")])])
+        save_corpus(corpus, tmp_path / "c.json")
+        doc = json.loads((tmp_path / "c.json").read_text())
+        doc["episodes"][0]["turns"][0]["domain"] = "weather"  # not a declared domain
+        (tmp_path / "c.json").write_text(json.dumps(doc))
+        with pytest.raises(CorpusError, match="'weather'"):
+            load_corpus(tmp_path / "c.json")
 
     def test_partition_covers_corpus(self, corpus):
-        buckets = split_by_domain(corpus)
-        assert sum(len(b) for b in buckets.values()) == sum(len(e.turns) for e in corpus.episodes)
+        counts = _turns_per_domain(corpus)
+        assert sum(counts.values()) == sum(len(e.turns) for e in corpus.episodes)
+        corpus.episodes = [corpus.episodes[1]]  # no restaurant or general turn left
+        assert _turns_per_domain(corpus) == {"restaurant": 0, "hotel": 1, "general": 0}
 
 
 class TestVocabulary:

@@ -19,7 +19,6 @@ from mtss.metrics import (
     bleu4,
     entity_recall,
     extract_placeholders,
-    inform_success,
     mean_entity_recall,
     offer_slot,
     score_corpus,
@@ -174,6 +173,12 @@ def fixture_corpus():
     goal = {"restaurant": DomainGoal({"area": "north"}, ["phone"], offer=True)}
     corpus = Corpus(schemas, database, [episode("ep", turns, goal)])
     return corpus
+
+
+def inform_success(corpus, generated):
+    """Episode-level (Inform, Success) of the full report."""
+    report = score_corpus(corpus, generated)
+    return report.inform, report.success
 
 
 def generated_like_gold(corpus):

@@ -5,7 +5,8 @@ import json
 import numpy as np
 import pytest
 
-from mtss.corpus import build_vocab, load_corpus, save_corpus, split_by_domain, turn_state
+from mtss.cli import _turns_per_domain
+from mtss.corpus import build_vocab, load_corpus, save_corpus, turn_state
 from mtss.corpus.state import BeliefLayout, db_pointer, kb_pointer_vector
 from mtss.corpus.types import query_db
 from mtss.metrics import score_corpus
@@ -67,10 +68,10 @@ class TestGeneration:
 
     def test_domain_tags_and_general_turns_present(self, small_corpora):
         train, _ = small_corpora
-        buckets = split_by_domain(train)
-        assert len(buckets["general"]) > 0
-        assert sum(len(b) for b in buckets.values()) == sum(len(e.turns) for e in train.episodes)
-        named = [d for d, b in buckets.items() if d != "general" and b]
+        counts = _turns_per_domain(train)
+        assert counts["general"] > 0
+        assert sum(counts.values()) == sum(len(e.turns) for e in train.episodes)
+        named = [d for d, n in counts.items() if d != "general" and n]
         assert len(named) == SMALL.domains
 
     def test_beliefs_are_cumulative_and_schema_valid(self, small_corpora):

@@ -1,4 +1,4 @@
-"""Losses (hand-computed oracles), routing, training loops, distillation wiring."""
+"""Losses (hand-computed oracles), the teacher map, training loops, distillation wiring."""
 
 import math
 
@@ -17,11 +17,10 @@ from mtss.corpus.types import (
     Turn,
 )
 from mtss.diffnum import Tape, Tensor, grad_check_params
-from mtss.models import ModelConfig, StudentModel, TeacherModel
+from mtss.models import ModelConfig, StudentModel, TeacherEnsemble, TeacherModel, ensemble_domains
 from mtss.synthcorpus import SynthConfig, gen_corpus
 from mtss import training
 from mtss.training import (
-    TeacherEnsemble,
     TrainingConfig,
     combined_loss,
     finetune_domain_teacher,
@@ -29,7 +28,6 @@ from mtss.training import (
     kd_text_loss,
     nll_loss,
     prepare_turns,
-    route_teacher,
     split_train_val,
     train_student,
     train_teacher_ensemble,
@@ -235,34 +233,6 @@ class TestCombinedLoss:
             combined_loss(tape, j, j, j, -0.1, 0.0)
 
 
-def tiny_ensemble(domains=("hotel", "taxi"), state=6, v_in=12, v_out=10):
-    teachers = {
-        d: TeacherModel(TINY, v_in, v_out, state, domain=d, seed=i)
-        for i, d in enumerate(domains)
-    }
-    teachers["general"] = TeacherModel(TINY, v_in, v_out, state, domain="general", seed=7)
-    universal = TeacherModel(TINY, v_in, v_out, state, domain="all", seed=9)
-    return TeacherEnsemble(teachers, universal, tuple(domains))
-
-
-class TestRouting:
-    def test_tagged_domains_route_directly(self):
-        ensemble = tiny_ensemble()
-        assert route_teacher(Turn(["x"], ["y"], "hotel"), ensemble).domain == "hotel"
-        assert route_teacher(Turn(["x"], ["y"], "taxi"), ensemble).domain == "taxi"
-
-    def test_general_and_unknown_tags_use_generic_teacher(self):
-        ensemble = tiny_ensemble()
-        assert route_teacher(Turn(["x"], ["y"], "general"), ensemble).domain == "general"
-        assert route_teacher(Turn(["x"], ["y"], "weather"), ensemble).domain == "general"
-
-    def test_missing_teacher_for_tagged_domain_errors(self):
-        ensemble = tiny_ensemble()
-        del ensemble.teachers["taxi"]
-        with pytest.raises(KeyError, match="taxi"):
-            route_teacher(Turn(["x"], ["y"], "taxi"), ensemble)
-
-
 @pytest.fixture(scope="module")
 def tiny_world():
     config = SynthConfig(seed=5, train_episodes=12, test_episodes=4, entities_per_domain=4)
@@ -290,6 +260,50 @@ def finetune(universal, domain, corpus, in_vocab, out_vocab, config):
         [i for i in items if i.domain == domain], [i for i in val_items if i.domain == domain],
         out_vocab, config,
     )
+
+
+def tiny_ensemble(schemas, v_in=12, v_out=10):
+    """An untrained ensemble: one teacher per schema domain plus the generic one."""
+    state = state_size(schemas)
+    teachers = {
+        d: TeacherModel(TINY, v_in, v_out, state, domain=d, seed=i)
+        for i, d in enumerate(ensemble_domains(schemas))
+    }
+    universal = TeacherModel(TINY, v_in, v_out, state, domain="all", seed=9)
+    return TeacherEnsemble(teachers, universal)
+
+
+class TestRouting:
+    def test_tagged_domains_route_directly(self, tiny_world, monkeypatch):
+        # Every turn, generic ones included, is distilled from the teacher of its own tag.
+        train, _, in_vocab, out_vocab = tiny_world
+        ensemble = tiny_ensemble(train.schemas, len(in_vocab), len(out_vocab))
+        routed, targets = [], training._teacher_targets
+
+        def recorded_targets(teacher, item):
+            routed.append((teacher.domain, item.domain))
+            return targets(teacher, item)
+
+        monkeypatch.setattr(training, "_teacher_targets", recorded_targets)
+        config = TrainingConfig(epochs=1, seed=0, model=TINY, select_best=False)
+        train_student(train, ensemble, in_vocab, out_vocab, config)
+        assert all(teacher == tag for teacher, tag in routed)
+        assert {tag for _, tag in routed} == set(ensemble_domains(train.schemas))
+
+    def test_missing_teacher_for_tagged_domain_errors(self, tiny_world):
+        schemas = tiny_world[0].schemas
+        ensemble = tiny_ensemble(schemas)
+        ensemble.validate(schemas)
+        del ensemble.teachers["hotel"]
+        with pytest.raises(ValueError, match="no teacher for domain 'hotel'"):
+            ensemble.validate(schemas)
+
+    def test_teacher_for_unknown_domain_errors(self, tiny_world):
+        schemas = tiny_world[0].schemas
+        ensemble = tiny_ensemble(schemas)
+        ensemble.teachers["weather"] = ensemble.teachers["general"]
+        with pytest.raises(ValueError, match="'weather'"):
+            ensemble.validate(schemas)
 
 
 class TestTeacherTraining:
@@ -339,8 +353,8 @@ class TestTeacherTraining:
         train, _, in_vocab, out_vocab = tiny_world
         config = TrainingConfig(teacher_epochs=1, finetune_epochs=1, model=TINY, seed=2)
         ensemble, _ = train_teacher_ensemble(train, in_vocab, out_vocab, config)
-        assert set(ensemble.teachers) == set(train.schemas) | {"general"}
-        ensemble.validate()
+        assert list(ensemble.teachers) == ensemble_domains(train.schemas) == sorted(train.schemas) + ["general"]
+        ensemble.validate(train.schemas)
 
     def test_ensemble_prepares_each_split_once(self, tiny_world, monkeypatch):
         train, _, in_vocab, out_vocab = tiny_world
@@ -434,10 +448,7 @@ class TestStudentTraining:
         config = TrainingConfig(
             epochs=1, alpha1=0.0, alpha2=0.0, seed=5, model=TINY, select_best=False
         )
-        ensemble = tiny_ensemble(
-            domains=tuple(sorted(train.schemas)), state=state_size(train.schemas),
-            v_in=len(in_vocab), v_out=len(out_vocab),
-        )
+        ensemble = tiny_ensemble(train.schemas, len(in_vocab), len(out_vocab))
         student_a, stats = train_student(train, ensemble, in_vocab, out_vocab, config)
         student_b, _ = train_student(train, ensemble, in_vocab, out_vocab, config)
         assert student_a.param_bytes() == student_b.param_bytes()
@@ -458,10 +469,7 @@ class TestStudentTraining:
         # Targets are computed once per turn, and every epoch distils from
         # exactly what a fresh teacher forward gives.
         train, _, in_vocab, out_vocab = tiny_world
-        ensemble = tiny_ensemble(
-            domains=tuple(sorted(train.schemas)), state=state_size(train.schemas),
-            v_in=len(in_vocab), v_out=len(out_vocab),
-        )
+        ensemble = tiny_ensemble(train.schemas, len(in_vocab), len(out_vocab))
         computed, used = [], []
         targets, kd_text = training._teacher_targets, training.kd_text_loss
 
@@ -479,7 +487,7 @@ class TestStudentTraining:
         train_student(train, ensemble, in_vocab, out_vocab, config)
 
         items = prepare_turns(split_train_val(train, config.val_fraction)[0], in_vocab, out_vocab)
-        fresh = sorted(targets(route_teacher(item, ensemble), item)[0].tobytes() for item in items)
+        fresh = sorted(targets(ensemble.teachers[item.domain], item)[0].tobytes() for item in items)
         assert len(computed) == len(items)
         assert sorted(used[:len(items)]) == fresh and sorted(used[len(items):]) == fresh
 
