@@ -69,7 +69,7 @@ def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()[:16]
 
 
-def write_manifest(out_dir: Path, command: str, config: dict, seed: int,
+def write_manifest(out_dir: Path, command: str, config: dict, seed: int | None,
                    inputs: list[Path], outputs: list[Path], started: float) -> Path:
     manifest = {
         "command": command,
@@ -181,14 +181,14 @@ def cmd_prepare(args) -> int:
             test_ids = set(Path(args.test_list).read_text().split())
             inputs.append(Path(args.test_list))
         train, test, report = read_multiwoz(data_path, base.schemas, db_doc.database, test_ids)
-        synth_doc = None
+        synth_doc, seed = None, None
     else:
         synth = _load_synth_config(args)
         if args.synth_config:
             inputs.append(Path(args.synth_config))
         train, test = gen_corpus(synth)
         report = {}
-        synth_doc = synth.to_dict()
+        synth_doc, seed = synth.to_dict(), synth.seed
 
     counts = {"train": _turns_per_domain(train), "test": _turns_per_domain(test)}
     in_vocab = build_vocab(train, "input")
@@ -214,7 +214,7 @@ def cmd_prepare(args) -> int:
     outputs = [out_dir / name for name in
                ("corpus_train.json", "corpus_test.json", "vocab_in.json", "vocab_out.json",
                 "split_report.json")]
-    write_manifest(out_dir, "prepare", {"synth": synth_doc}, args.seed or 0, inputs, outputs, started)
+    write_manifest(out_dir, "prepare", {"synth": synth_doc}, seed, inputs, outputs, started)
     return EXIT_OK
 
 

@@ -1,4 +1,4 @@
-"""Reverse-mode autodiff core: tensors, tape, Adam, gradient checks, checkpoints."""
+"""Reverse-mode autodiff core: tensors, tape, Adam, checkpoints."""
 
 from mtss.diffnum.tape import (
     Tensor,
@@ -6,8 +6,6 @@ from mtss.diffnum.tape import (
     ShapeMismatchError,
     TapeError,
     attend,
-    grad_check,
-    grad_check_params,
 )
 from mtss.diffnum.optim import Adam, AdamState, DivergenceError, adam_step
 from mtss.diffnum.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
@@ -18,8 +16,6 @@ __all__ = [
     "ShapeMismatchError",
     "TapeError",
     "attend",
-    "grad_check",
-    "grad_check_params",
     "Adam",
     "AdamState",
     "DivergenceError",

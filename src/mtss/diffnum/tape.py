@@ -65,13 +65,18 @@ def _softmax(x: Array) -> Array:
 
 
 def _gate_blocks(packed: Array) -> tuple[Array, Array, Array, Array]:
-    """Views of the (input, forget, cell, output) blocks of a packed 4H vector."""
-    h = packed.shape[0] // 4
+    """Views of the (input, forget, cell, output) blocks along the last axis
+    of packed 4H gates."""
+    h = packed.shape[-1] // 4
+    if packed.ndim == 2:
+        return packed[:, :h], packed[:, h:2 * h], packed[:, 2 * h:3 * h], packed[:, 3 * h:]
+    # Plain slices: a vector is the hot case, and ``...`` indexing costs more.
     return packed[:h], packed[h:2 * h], packed[2 * h:3 * h], packed[3 * h:]
 
 
 def _cell(z: Array, c_prev: Array, gates: Array) -> tuple[Array, Array, Array]:
-    """LSTM cell update from the packed gate pre-activations ``z``.
+    """LSTM cell update from the packed gate pre-activations ``z`` (one 4H
+    vector, or one row per sequence).
 
     Writes the activated gates into ``gates`` and returns (h, c, tanh(c)).
     """
@@ -95,56 +100,109 @@ def _cell_grad(dh, dc, c_prev: Array, gates: Array, tc: Array, dz: Array) -> Arr
     return d_cn * gf
 
 
+def _pack(lengths: Sequence[int]):
+    """Packed layout of sequences whose rows are given one after another:
+    (sequence order, source row of each packed row, active rows per step).
+
+    The order sorts the sequences by length, stable and descending; packed
+    step t holds one row per sequence longer than t, in that order. One
+    sequence is already packed, so both indices are then identity slices.
+    """
+    if len(lengths) == 1:
+        return slice(None), slice(None), [1] * lengths[0]
+    lengths = np.asarray(lengths, dtype=np.intp)
+    order = np.argsort(-lengths, kind="stable")
+    steps, seq = np.nonzero(np.arange(lengths.max())[:, None] < lengths[order])
+    starts = np.cumsum(lengths) - lengths
+    return order, starts[order][seq] + steps, np.bincount(steps).tolist()
+
+
+def _unpack(packed: Array, index) -> Array:
+    """Inverse of ``packed = a[index]``; an identity slice returns ``packed``."""
+    if isinstance(index, slice):
+        return packed
+    out = np.empty_like(packed)
+    out[index] = packed
+    return out
+
+
 class _Recurrence:
-    """One LSTM cell unrolled over the rows of ``xs``: the forward steps, then
+    """One LSTM cell run over n sequences in lockstep: the forward steps, then
     the backward pass and its weight reductions.
 
-    The input half of the pre-activations is one batched ``xs @ wx.T + b``;
-    only ``wh @ h`` runs per step.
+    ``xs`` is packed (PyTorch's ``pack_padded_sequence`` layout): the
+    sequences are ordered by non-increasing length and step t holds
+    ``sizes[t]`` rows, one per sequence still running, so those sequences are
+    the first ``sizes[t]`` rows of the (n, H) state. The input half of the
+    pre-activations is one ``xs @ wx.T + b`` over all rows; only the
+    ``h @ wh.T`` product runs per step.
     """
 
-    def __init__(self, xs: Array, h0: Array, c0: Array, w: Array, b: Array):
-        steps, d = xs.shape
-        hidden = h0.shape[0]
-        self.xs, self.wx, self.wh = xs, w[:, :d], w[:, d:]
-        # Row t holds step t's input projection until the step overwrites it
-        # with the activated gates.
+    def __init__(self, xs: Array, h0: Array, c0: Array, w: Array, b: Array, sizes: Sequence[int]):
+        rows, d = xs.shape
+        hidden = h0.shape[1]
+        self.wx, self.wh, self.sizes = w[:, :d], w[:, d:], sizes
+        # Row r holds its input projection until its step overwrites it with
+        # the activated gates.
         self.gates = xs @ self.wx.T + b
-        self.tc = np.empty((steps, hidden))
-        self.h_prev = np.empty((steps, hidden))
-        self.c_prev = np.empty((steps, hidden))
-        self.hs = np.empty((steps, hidden))
-        self.h, self.c = h0, c0
+        # Row r is [x; h_prev] of its step, so the weight gradient is one product.
+        self.xh = np.empty((rows, d + hidden))
+        self.xh[:, :d] = xs
+        h_prev = self.xh[:, d:]
+        self.tc, self.c_prev, self.hs = (np.empty((rows, hidden)) for _ in range(3))
+        # Several running sequences multiply by one contiguous copy of wh.T,
+        # faster than the strided view. One runs on vectors with lstm_step's
+        # ``wh @ h``: cheaper elementwise work and the same rounding.
+        wide = np.ascontiguousarray(self.wh.T) if sizes[0] > 1 else None
+        self.h, self.c = np.empty_like(h0), np.empty_like(c0)
+        h, c = (h0[0], c0[0]) if sizes[0] == 1 else (h0, c0)
+        active, start = sizes[0], 0
+        for k in sizes:
+            if k < active:  # sequences k.. ended at the previous step
+                self.h[k:active], self.c[k:active] = h[k:], c[k:]
+                h, c = (h[0], c[0]) if k == 1 else (h[:k], c[:k])
+                active = k
+            r = start if k == 1 else slice(start, start + k)
+            h_prev[r], self.c_prev[r] = h, c
+            h, c, self.tc[r] = _cell(self.gates[r] + (self.wh @ h if k == 1 else h @ wide), c, self.gates[r])
+            self.hs[r] = h
+            start += k
+        self.h[:active], self.c[:active] = h, c
 
-    def step(self, t: int) -> Array:
-        """Advance to step ``t`` (in order from 0); returns its hidden state."""
-        self.h_prev[t] = self.h
-        self.c_prev[t] = self.c
-        self.h, self.c, self.tc[t] = _cell(self.gates[t] + self.wh @ self.h, self.c, self.gates[t])
-        self.hs[t] = self.h
-        return self.h
-
-    def backward(self, dh: Array, dc: Array, dh_at: Callable[[int, Array], Array]) -> tuple[Array, ...]:
-        """Gradients of (xs, h0, c0, w, b) given those of the final h and c.
-
-        ``dh_at(t, dh)`` returns step t's whole hidden-state gradient from
-        ``dh``, the part carried back through the recurrence.
+    def backward(self, dh: Array, dc: Array, dhs: Array | None) -> tuple[Array, ...]:
+        """Gradients of (xs, h0, c0, w, b) given those of the final h and c,
+        one row per sequence, and ``dhs``: gradients of the per-step hidden
+        states reaching them from outside the recurrence, one row per packed
+        row, or None.
         """
         dz_all = np.empty_like(self.gates)
-        for t in range(len(dz_all) - 1, -1, -1):
-            dc = _cell_grad(dh_at(t, dh), dc, self.c_prev[t], self.gates[t], self.tc[t], dz_all[t])
-            dh = self.wh.T @ dz_all[t]
-        dw = np.concatenate([dz_all.T @ self.xs, dz_all.T @ self.h_prev], axis=1)
-        return dz_all @ self.wx, dh, dc, dw, dz_all.sum(axis=0)
+        final_dh, final_dc = dh, dc
+        dh, dc = dh[:0], dc[:0]
+        active, end = 0, len(dz_all)
+        for k in reversed(self.sizes):
+            if k > active:  # sequences active..k-1 end at this step
+                dh, dc = np.vstack([dh, final_dh[active:k]]), np.vstack([dc, final_dc[active:k]])
+                if k == 1:
+                    dh, dc = dh[0], dc[0]
+                active = k
+            end -= k
+            r = end if k == 1 else slice(end, end + k)
+            g = dh if dhs is None else dh + dhs[r]
+            dc = _cell_grad(g, dc, self.c_prev[r], self.gates[r], self.tc[r], dz_all[r])
+            dh = self.wh.T @ dz_all[r] if k == 1 else dz_all[r] @ self.wh
+        dw = dz_all.T @ self.xh
+        return dz_all @ self.wx, dh.reshape(final_dh.shape), dc.reshape(final_dc.shape), dw, dz_all.sum(axis=0)
 
 
 def attend(h: Array, enc: Array, att_w: Array) -> tuple[Array, Array, Array]:
     """Dot-product attention of ``h`` over the rows of ``enc``, then the tanh
     merge of [h; context] through ``att_w``: (weights, [h; context], merged).
+
+    ``h`` is one hidden state, or a (T, H) matrix of them attended row by row.
     """
-    weights = _softmax(enc @ h)
-    cat = np.concatenate([h, weights @ enc])
-    return weights, cat, np.tanh(att_w @ cat)
+    weights = _softmax(h @ enc.T)
+    cat = np.concatenate([h, weights @ enc], axis=-1)
+    return weights, cat, np.tanh(cat @ att_w.T)
 
 
 # A tape entry is (inputs, outputs, backward) where backward maps the list
@@ -371,37 +429,52 @@ class Tape:
         return h_out, c_out
 
     def lstm_sequence(
-        self, xs: Tensor, h0: Tensor, c0: Tensor, w: Tensor, b: Tensor
+        self, xs: Tensor, h0: Tensor, c0: Tensor, w: Tensor, b: Tensor, lengths: Sequence[int] | None = None
     ) -> tuple[Tensor, Tensor, Tensor]:
-        """Run a whole input sequence through one LSTM cell in a single record.
+        """Run input sequences through one LSTM cell in a single record.
 
-        ``xs`` holds one input row per step. Returns (per-step hidden states,
-        final hidden, final cell). Equivalent to chaining ``lstm_step`` but the
-        weight gradient reduces to one matrix product over the sequence.
+        ``xs`` holds the sequences' input rows one after another, ``lengths``
+        rows each; with ``lengths`` None it is one sequence, one row per step.
+        ``h0`` and ``c0`` hold one initial state row per sequence, or are
+        vectors for one sequence. Returns (hidden state after each row of
+        ``xs``, final hidden, final cell), the final states shaped like ``h0``.
+
+        Equivalent to chaining ``lstm_step`` over each sequence, but the
+        sequences run in lockstep (see ``_Recurrence``), so the per-step loop
+        follows the longest one, and the weight gradient reduces to one matrix
+        product over all rows.
         """
-        hidden = h0.data.shape[0] if h0.data.ndim == 1 else -1
+        shape = h0.data.shape
+        n, hidden = shape if h0.data.ndim == 2 else (1, shape[0] if h0.data.ndim == 1 else -1)
         steps, d = xs.data.shape if xs.data.ndim == 2 else (-1, -1)
+        lengths = [steps] if lengths is None else list(lengths)
         if (
             xs.data.ndim != 2
-            or h0.data.ndim != 1
-            or c0.data.shape != h0.data.shape
+            or h0.data.ndim not in (1, 2)
+            or c0.data.shape != shape
             or w.data.shape != (4 * hidden, d + hidden)
             or b.data.shape != (4 * hidden,)
+            or len(lengths) != n
+            or sum(lengths) != steps
+            or not lengths
+            or min(lengths) < 1
         ):
-            raise ShapeMismatchError("lstm_sequence", xs.shape, h0.shape, c0.shape, w.shape, b.shape)
+            raise ShapeMismatchError("lstm_sequence", xs.shape, h0.shape, c0.shape, w.shape, b.shape, lengths)
 
-        rec = _Recurrence(xs.data, h0.data, c0.data, w.data, b.data)
-        for t in range(steps):
-            rec.step(t)
-        hs_out = self._out(rec.hs, (xs, h0, c0, w, b))
-        h_out = self._out(rec.h.copy(), (xs, h0, c0, w, b))
-        c_out = self._out(rec.c.copy(), (xs, h0, c0, w, b))
+        order, rows, sizes = _pack(lengths)
+        rec = _Recurrence(xs.data[rows], h0.data.reshape(n, hidden)[order], c0.data.reshape(n, hidden)[order],
+                          w.data, b.data, sizes)
+        hs_out = self._out(_unpack(rec.hs, rows), (xs, h0, c0, w, b))
+        h_out = self._out(_unpack(rec.h, order).reshape(shape), (xs, h0, c0, w, b))
+        c_out = self._out(_unpack(rec.c, order).reshape(shape), (xs, h0, c0, w, b))
 
         def backward(gs):
-            g_hs, g_hlast, g_clast = gs
-            dh = np.zeros(hidden) if g_hlast is None else g_hlast.copy()
-            dc = np.zeros(hidden) if g_clast is None else g_clast.copy()
-            return rec.backward(dh, dc, (lambda t, dh: dh) if g_hs is None else (lambda t, dh: dh + g_hs[t]))
+            g_hs, g_h, g_c = gs
+            dh = np.zeros((n, hidden)) if g_h is None else g_h.reshape(n, hidden)[order]
+            dc = np.zeros((n, hidden)) if g_c is None else g_c.reshape(n, hidden)[order]
+            dxs, dh0, dc0, dw, db = rec.backward(dh, dc, None if g_hs is None else g_hs[rows])
+            return (_unpack(dxs, rows), _unpack(dh0, order).reshape(shape),
+                    _unpack(dc0, order).reshape(shape), dw, db)
 
         self._emit((xs, h0, c0, w, b), (hs_out, h_out, c_out), backward)
         return hs_out, h_out, c_out
@@ -423,7 +496,9 @@ class Tape:
         Per step: LSTM cell on the prefix embedding, dot-product attention of
         the new hidden state over ``enc`` rows, tanh merge of [hidden; context]
         through ``att_w``, linear projection to logits. Returns the (T, V)
-        logit matrix; weight gradients reduce to matrix products.
+        logit matrix. The gold prefix, not the attention, feeds the next
+        cell, so only the cell runs per step; the attention and every weight
+        gradient are matrix products over all steps.
         """
         hidden = h0.data.shape[0] if h0.data.ndim == 1 else -1
         steps, d = xs.data.shape if xs.data.ndim == 2 else (-1, -1)
@@ -447,12 +522,8 @@ class Tape:
             )
 
         enc_data, att_w_data, out_w_data = enc.data, att_w.data, out_w.data
-        rec = _Recurrence(xs.data, h0.data, c0.data, w.data, b.data)
-        att = np.empty((steps, positions))
-        cats = np.empty((steps, 2 * hidden))
-        merged = np.empty((steps, hidden))
-        for t in range(steps):
-            att[t], cats[t], merged[t] = attend(rec.step(t), enc_data, att_w_data)
+        rec = _Recurrence(xs.data, h0.data[None], c0.data[None], w.data, b.data, [1] * steps)
+        att, cats, merged = attend(rec.hs, enc_data, att_w_data)
         logits = merged @ out_w_data.T + out_b.data
         out = self._out(logits, (xs, h0, c0, enc, w, b, att_w, out_w, out_b))
 
@@ -460,19 +531,13 @@ class Tape:
             g = gs[0]
             d_merged = (g @ out_w_data) * (1.0 - merged * merged)
             d_cat = d_merged @ att_w_data
-            d_enc = np.zeros_like(enc_data)
-
-            def dh_at(t, dh_chain):
-                nonlocal d_enc
-                d_ctx = d_cat[t, hidden:]
-                d_att = enc_data @ d_ctx
-                d_enc += np.outer(att[t], d_ctx)
-                d_scores = att[t] * (d_att - float(d_att @ att[t]))
-                d_enc += np.outer(d_scores, rec.hs[t])
-                return d_cat[t, :hidden] + dh_chain + enc_data.T @ d_scores
-
-            dxs, dh0, dc0, dw, db = rec.backward(np.zeros(hidden), np.zeros(hidden), dh_at)
-            return dxs, dh0, dc0, d_enc, dw, db, d_merged.T @ cats, g.T @ merged, g.sum(axis=0)
+            d_ctx = d_cat[:, hidden:]
+            d_att = d_ctx @ enc_data.T
+            d_scores = att * (d_att - (d_att * att).sum(axis=1, keepdims=True))
+            d_enc = att.T @ d_ctx + d_scores.T @ rec.hs
+            dhs = d_cat[:, :hidden] + d_scores @ enc_data
+            dxs, dh0, dc0, dw, db = rec.backward(np.zeros((1, hidden)), np.zeros((1, hidden)), dhs)
+            return dxs, dh0[0], dc0[0], d_enc, dw, db, d_merged.T @ cats, g.T @ merged, g.sum(axis=0)
 
         self._emit((xs, h0, c0, enc, w, b, att_w, out_w, out_b), (out,), backward)
         return out
@@ -515,48 +580,3 @@ class Tape:
         for tid, t in wants.items():
             g = np.asarray(grads[tid])
             t.grad = g if t.grad is None else t.grad + g
-
-
-def grad_check(f: Callable[[Tape, Tensor], Tensor], point: Tensor, eps: float = 1e-5) -> float:
-    """Compare backward gradients of ``f`` at ``point`` with central differences.
-
-    Returns max over coordinates of |analytic - numeric| / max(1, |analytic|).
-    ``f`` must build a scalar from documented primitives on the tape it is given.
-    """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    return grad_check_params(lambda tape: f(tape, point), [point], eps)
-
-
-def grad_check_params(f: Callable[[Tape], Tensor], params: Sequence[Tensor], eps: float = 1e-5) -> float:
-    """grad_check over several tensors at once; returns the worst relative error."""
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    saved = [(p.requires_grad, p.grad) for p in params]
-    for p in params:
-        p.requires_grad = True
-        p.grad = None
-    tape = Tape()
-    out = f(tape)
-    if out.data.ndim != 0:
-        raise TapeError(f"grad_check needs a scalar-valued function, got shape {out.shape}")
-    tape.backward(out)
-    analytic = [np.zeros_like(p.data) if p.grad is None else p.grad.copy() for p in params]
-    for p, (rg, g) in zip(params, saved):
-        p.requires_grad = rg
-        p.grad = g
-
-    worst = 0.0
-    for p, ana in zip(params, analytic):
-        flat = p.data.reshape(-1)
-        ana_flat = ana.reshape(-1)
-        for k in range(flat.size):
-            orig = flat[k]
-            flat[k] = orig + eps
-            f_plus = float(f(Tape(record=False)).data)
-            flat[k] = orig - eps
-            f_minus = float(f(Tape(record=False)).data)
-            flat[k] = orig
-            numeric = (f_plus - f_minus) / (2.0 * eps)
-            worst = max(worst, abs(ana_flat[k] - numeric) / max(1.0, abs(ana_flat[k])))
-    return worst

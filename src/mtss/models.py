@@ -8,8 +8,6 @@ LSTM hidden size so teacher and student actions are directly comparable.
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Sequence
@@ -36,16 +34,29 @@ class ModelConfig:
     hidden_size: int = 150
     init_scale: float = 0.08
 
-    def hash(self) -> str:
-        return hashlib.sha256(json.dumps(asdict(self), sort_keys=True).encode()).hexdigest()[:12]
-
 
 def _uniform(rng: np.random.Generator, shape, scale: float) -> Tensor:
     return Tensor(rng.uniform(-scale, scale, shape), requires_grad=True)
 
 
-def _zeros(n: int) -> Tensor:
-    return Tensor(np.zeros(n))
+def _zeros(*shape: int) -> Tensor:
+    return Tensor(np.zeros(shape))
+
+
+def _read_length(token_ids: Sequence[int]) -> int:
+    """How many tokens the encoder reads: up to and including the first EOS."""
+    if len(token_ids) == 0:
+        raise ValueError("cannot encode an empty id sequence")
+    for t, token in enumerate(token_ids):
+        if token == EOS_ID:
+            return t + 1
+    return len(token_ids)
+
+
+def _output_rows(start: int, read: int, size: int) -> list[int]:
+    """Encoder output rows for a ``size``-token utterance whose ``read``
+    tokens were encoded from row ``start``: positions past EOS repeat its state."""
+    return list(range(start, start + read)) + [start + read - 1] * (size - read)
 
 
 class _SeqModel:
@@ -65,9 +76,6 @@ class _SeqModel:
     def parameter_list(self) -> list[Tensor]:
         return list(self.params.values())
 
-    def param_bytes(self) -> bytes:
-        return b"".join(p.data.tobytes() for p in self.params.values())
-
     # -- word-level utterance encoder ------------------------------------------
 
     def encode_utterance(self, tape: Tape, token_ids: Sequence[int]) -> tuple[Tensor, Tensor]:
@@ -77,21 +85,14 @@ class _SeqModel:
         and later positions repeat its state, so padding beyond EOS cannot
         change the final hidden vector.
         """
-        if len(token_ids) == 0:
-            raise ValueError("cannot encode an empty id sequence")
         hidden = self.config.hidden_size
-        consumed = len(token_ids)
-        for t, token in enumerate(token_ids):
-            if token == EOS_ID:
-                consumed = t + 1
-                break
-        emb = tape.take_rows(self.params["embed_in"], token_ids[:consumed])
+        read = _read_length(token_ids)
+        emb = tape.take_rows(self.params["embed_in"], token_ids[:read])
         outs, h_last, _ = tape.lstm_sequence(
             emb, _zeros(hidden), _zeros(hidden), self.params["enc_w"], self.params["enc_b"]
         )
-        if consumed < len(token_ids):
-            rows = list(range(consumed)) + [consumed - 1] * (len(token_ids) - consumed)
-            outs = tape.take_rows(outs, rows)
+        if read < len(token_ids):
+            outs = tape.take_rows(outs, _output_rows(0, read, len(token_ids)))
         return outs, h_last
 
     # -- attention decoder ------------------------------------------------------
@@ -154,7 +155,6 @@ class _SeqModel:
         meta = {
             "kind": self.kind,
             "config": asdict(self.config),
-            "config_hash": self.config.hash(),
             "in_vocab_size": self.in_vocab_size,
             "out_vocab_size": self.out_vocab_size,
             "schema_hash": schema_hash(schemas),
@@ -300,27 +300,29 @@ class StudentModel(_SeqModel):
             },
         )
 
-    def action_vector(self, tape: Tape, utterance_vecs: Sequence[Tensor]) -> Tensor:
-        """Final hidden state of the context LSTM over the utterance vectors."""
-        if not utterance_vecs:
-            raise ValueError("student action needs at least one utterance vector")
+    def action_vector(self, tape: Tape, utterance_vecs: Tensor) -> Tensor:
+        """Final hidden state of the context LSTM over the (n, H) utterance vectors."""
         hidden = self.config.hidden_size
-        stacked = tape.stack(utterance_vecs)
         _, h_last, _ = tape.lstm_sequence(
-            stacked, _zeros(hidden), _zeros(hidden), self.params["ctx_w"], self.params["ctx_b"]
+            utterance_vecs, _zeros(hidden), _zeros(hidden), self.params["ctx_w"], self.params["ctx_b"]
         )
         return h_last
 
     def encode_history(self, tape: Tape, history: Sequence[Sequence[int]]) -> tuple[Tensor, Tensor]:
-        """Encode every history utterance; returns (current-utterance outputs, action)."""
+        """Encode every history utterance; returns (current-utterance outputs, action).
+
+        One packed ``lstm_sequence`` encodes all the utterances, each read as
+        ``encode_utterance`` reads it; the context LSTM then runs over their
+        final states.
+        """
         if not history:
             raise ValueError("history must contain at least the current user utterance")
-        vecs = []
-        enc_outs = None
-        for ids in history:
-            enc_outs, v = self.encode_utterance(tape, ids)
-            vecs.append(v)
-        return enc_outs, self.action_vector(tape, vecs)
+        reads = [_read_length(ids) for ids in history]
+        emb = tape.take_rows(self.params["embed_in"], [t for ids, n in zip(history, reads) for t in ids[:n]])
+        zeros = _zeros(len(history), self.config.hidden_size)
+        outs, finals, _ = tape.lstm_sequence(emb, zeros, zeros, self.params["enc_w"], self.params["enc_b"], reads)
+        current = tape.take_rows(outs, _output_rows(sum(reads) - reads[-1], reads[-1], len(history[-1])))
+        return current, self.action_vector(tape, finals)
 
     def respond_forced(
         self, tape: Tape, history: Sequence[Sequence[int]], gold_ids: Sequence[int]
@@ -336,7 +338,9 @@ class StudentModel(_SeqModel):
 class Dialogue:
     """Incremental student inference: each utterance is encoded once, when added.
     Keeps its vector and the latest utterance's encoder outputs; every reply
-    reruns the context LSTM, so it computes exactly what ``encode_history`` would.
+    reruns the context LSTM. It computes what ``encode_history`` computes:
+    bit for bit with one utterance, and to rounding (about 1e-15) with more,
+    where ``encode_history`` runs the utterances as one packed sequence.
     """
 
     def __init__(self, model: StudentModel):
@@ -359,7 +363,7 @@ class Dialogue:
         """Greedy response attending over the latest utterance."""
         if self.latest_outputs is None:
             raise ValueError("add an utterance before asking for a reply")
-        action = self.model.action_vector(self.tape, self.vectors)
+        action = self.model.action_vector(self.tape, self.tape.stack(self.vectors))
         return self.model.decode_greedy(self.tape, action, self.latest_outputs, max_len)
 
 

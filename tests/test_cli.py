@@ -101,6 +101,14 @@ class TestPrepare:
         for name in ("corpus_train.json", "vocab_in.json"):
             assert (again / name).read_text() == (workspace / "data" / name).read_text()
 
+    def test_manifest_records_the_seed_used(self, workspace, tmp_path):
+        manifest = json.loads((workspace / "data" / "prepare-manifest.json").read_text())
+        assert manifest["seed"] == SYNTH["seed"] == manifest["config"]["synth"]["seed"]
+        assert main(["prepare", "--synth-config", str(workspace / "synth.json"), "--seed", "9",
+                     "--out", str(tmp_path / "out")]) == EXIT_OK
+        manifest = json.loads((tmp_path / "out" / "prepare-manifest.json").read_text())
+        assert manifest["seed"] == 9 == manifest["config"]["synth"]["seed"]
+
     def test_missing_file_is_data_error(self, tmp_path):
         code = main(["prepare", "--data", str(tmp_path / "nope.json"),
                      "--schemas", str(tmp_path / "s.json"),
@@ -139,6 +147,8 @@ class TestPrepare:
         report = json.loads((out / "split_report.json").read_text())
         assert report["turns_per_domain"] == {"train": {"restaurant": 1, "general": 0},
                                               "test": {"restaurant": 0, "general": 1}}
+        # Nothing is seeded on this route.
+        assert json.loads((out / "prepare-manifest.json").read_text())["seed"] is None
 
 
 class TestTrainTeachers:

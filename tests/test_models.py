@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from helpers import grad_check_params, param_bytes
 from mtss.corpus import Corpus, DomainSchema, Vocabulary, build_vocab
 from mtss.corpus.vocab import BOS_ID, EOS_ID, PAD_ID, RESERVED
 from mtss.diffnum import (
@@ -11,7 +12,6 @@ from mtss.diffnum import (
     ShapeMismatchError,
     Tape,
     Tensor,
-    grad_check_params,
     load_checkpoint,
     save_checkpoint,
 )
@@ -139,6 +139,21 @@ class TestStudentAction:
         with pytest.raises(ValueError):
             student.encode_history(Tape(), [])
 
+    @pytest.mark.parametrize("history", [
+        [ids(4), ids(5, 6) + [PAD_ID, 7], ids(7, 8, 9)],
+        [ids(4, 5, 6), ids(5), ids(7) + [PAD_ID, PAD_ID, 8]],
+    ], ids=["early-eos-in-history", "early-eos-in-current"])
+    def test_packed_history_matches_one_encode_per_utterance(self, student, history):
+        """Each utterance is read up to its first EOS, and outputs past it
+        repeat its state, exactly as ``encode_utterance`` reads it."""
+        tape = Tape(record=False)
+        enc_outs, action = student.encode_history(tape, history)
+        encoded = [student.encode_utterance(tape, utterance) for utterance in history]
+        expected = student.action_vector(tape, tape.stack([v for _, v in encoded]))
+        assert enc_outs.data.shape == (len(history[-1]), TINY.hidden_size)
+        assert np.allclose(enc_outs.data, encoded[-1][0].data, rtol=1e-12, atol=1e-15)
+        assert np.allclose(action.data, expected.data, rtol=1e-12, atol=1e-15)
+
     def test_appending_utterance_changes_action(self, student):
         tape = Tape()
         _, short = student.encode_history(tape, [ids(4)])
@@ -164,6 +179,8 @@ class TestIncrementalInference:
         return Corpus(train.schemas, train.database, [episode]), in_vocab, out_vocab, student
 
     def test_state_matches_encode_history_bitwise(self, episode_setup):
+        """Bit for bit on the first turn, a one-utterance history; later turns
+        pack several utterances into one sequence, which rounds differently."""
         corpus, in_vocab, _, student = episode_setup
         episode = corpus.episodes[0]
         dialogue = student.dialogue()
@@ -171,8 +188,13 @@ class TestIncrementalInference:
             dialogue.add(in_vocab.encode(turn.user))
             tape = Tape(record=False)
             enc_outs, action = student.encode_history(tape, full_history(episode, index, in_vocab))
-            assert np.array_equal(dialogue.latest_outputs.data, enc_outs.data)
-            assert np.array_equal(student.action_vector(tape, dialogue.vectors).data, action.data)
+            state = (dialogue.latest_outputs.data,
+                     student.action_vector(tape, tape.stack(dialogue.vectors)).data)
+            for got, expected in zip(state, (enc_outs.data, action.data)):
+                if index == 0:
+                    assert np.array_equal(got, expected)
+                else:
+                    assert np.allclose(got, expected, rtol=1e-12, atol=0.0)
             dialogue.add(in_vocab.encode(turn.system))
 
     def test_generate_responses_matches_reference(self, episode_setup, monkeypatch):
@@ -365,15 +387,26 @@ class TestPersistence:
         with pytest.raises(CheckpointError):
             load_model(tmp_path / "bad.ckpt")
 
+    def test_checkpoint_with_config_hash_loads(self, student, tmp_path):
+        """Checkpoints written while the manifest still held the unread
+        ``config_hash`` key load as before."""
+        student.save(tmp_path / "s.ckpt", SCHEMAS, IN_VOCAB, OUT_VOCAB, {})
+        arrays, meta = load_checkpoint(tmp_path / "s.ckpt")
+        assert "config_hash" not in meta
+        save_checkpoint(tmp_path / "old.ckpt", arrays, {**meta, "config_hash": "4f6c0a93e1d2"})
+        loaded, in_vocab, out_vocab = load_model(tmp_path / "old.ckpt", "student", SCHEMAS)
+        assert (in_vocab, out_vocab) == (IN_VOCAB, OUT_VOCAB)
+        assert param_bytes(loaded) == param_bytes(student)
+
     def test_clone_is_independent(self, teacher):
         copy = teacher.clone()
-        assert copy.param_bytes() == teacher.param_bytes()
+        assert param_bytes(copy) == param_bytes(teacher)
         copy.params["out_b"].data += 1.0
-        assert copy.param_bytes() != teacher.param_bytes()
+        assert param_bytes(copy) != param_bytes(teacher)
 
     def test_same_seed_same_params(self):
         a = TeacherModel(TINY, V_IN, V_OUT, STATE, seed=9)
         b = TeacherModel(TINY, V_IN, V_OUT, STATE, seed=9)
-        assert a.param_bytes() == b.param_bytes()
+        assert param_bytes(a) == param_bytes(b)
         c = TeacherModel(TINY, V_IN, V_OUT, STATE, seed=10)
-        assert c.param_bytes() != a.param_bytes()
+        assert param_bytes(c) != param_bytes(a)

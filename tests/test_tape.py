@@ -3,11 +3,21 @@
 import numpy as np
 import pytest
 
-from mtss.diffnum import ShapeMismatchError, Tape, TapeError, Tensor, attend, grad_check, grad_check_params
+from helpers import grad_check, grad_check_params
+from mtss.diffnum import ShapeMismatchError, Tape, TapeError, Tensor, attend
+from mtss.diffnum.tape import _cell, _cell_grad
 
 
 def rand(rng, *shape, lo=-1.0, hi=1.0):
     return Tensor(rng.uniform(lo, hi, shape), requires_grad=True)
+
+
+def weighted_sum(tape, outs, weights):
+    """Sum of ``sum(out * weight)`` over the outputs: each output's gradient is its weight."""
+    loss = Tensor(0.0)
+    for out, weight in zip(outs, weights):
+        loss = tape.add(loss, tape.sum(tape.mul(out, Tensor(weight))))
+    return loss
 
 
 class TestForwardValues:
@@ -122,6 +132,96 @@ class TestBackwardBasics:
         weights = Tensor(rng.normal(size=pick(Tape(record=False)).shape))
         loss = lambda tape: tape.sum(tape.mul(pick(tape), weights))
         assert grad_check_params(loss, args, eps=1e-5) < 1e-4
+
+
+class TestPackedSequences:
+    """``lstm_sequence`` over several sequences runs them in lockstep; it must
+    compute what one record per sequence computes."""
+
+    D, H = 3, 4
+    # Unequal and tied lengths, and one of length 1, in no particular order.
+    LENGTHS = [3, 1, 4, 3, 2]
+
+    def args(self, rng, lengths):
+        n = len(lengths)
+        return [rand(rng, sum(lengths), self.D), rand(rng, n, self.H), rand(rng, n, self.H),
+                rand(rng, 4 * self.H, self.D + self.H, lo=-0.5, hi=0.5), rand(rng, 4 * self.H, lo=-0.5, hi=0.5)]
+
+    @pytest.mark.parametrize("output", [0, 1, 2], ids=["hs", "h_last", "c_last"])
+    def test_matches_finite_differences(self, output):
+        rng = np.random.default_rng(29)
+        args = self.args(rng, self.LENGTHS)
+        pick = lambda tape: tape.lstm_sequence(*args, self.LENGTHS)[output]
+        weights = Tensor(rng.normal(size=pick(Tape(record=False)).shape))
+        loss = lambda tape: tape.sum(tape.mul(pick(tape), weights))
+        assert grad_check_params(loss, args, eps=1e-5) < 1e-4
+
+    def test_matches_one_record_per_sequence(self):
+        rng = np.random.default_rng(31)
+        xs, h0, c0, w, b = self.args(rng, self.LENGTHS)
+        g_hs, g_h, g_c = (rng.normal(size=shape) for shape in ((len(xs.data), self.H), h0.shape, h0.shape))
+
+        tape = Tape()
+        outs = tape.lstm_sequence(xs, h0, c0, w, b, self.LENGTHS)
+        tape.backward(weighted_sum(tape, outs, (g_hs, g_h, g_c)))
+        packed = [o.data for o in outs] + [t.grad for t in (xs, h0, c0, w, b)]
+
+        for t in (xs, h0, c0, w, b):
+            t.grad = None
+        tape = Tape()
+        parts, weights, start = [], [], 0
+        for i, n in enumerate(self.LENGTHS):
+            rows = list(range(start, start + n))
+            parts.append(tape.lstm_sequence(tape.take_rows(xs, rows), tape.take_rows(h0, [i]),
+                                            tape.take_rows(c0, [i]), w, b, [n]))
+            weights += [g_hs[rows], g_h[[i]], g_c[[i]]]
+            start += n
+        tape.backward(weighted_sum(tape, [o for part in parts for o in part], weights))
+        single = [np.concatenate([part[j].data for part in parts]) for j in range(3)]
+        single += [t.grad for t in (xs, h0, c0, w, b)]
+
+        for got, expected in zip(packed, single):
+            assert np.allclose(got, expected, rtol=1e-12, atol=1e-15)
+
+    def test_one_sequence_is_bitwise_the_per_step_cell(self):
+        """One sequence rounds exactly like the cell stepped with ``wh @ h``
+        products, forward and backward, so inference keeps its bits."""
+        rng = np.random.default_rng(37)
+        steps, d, h = 6, 5, 7
+        xs, h0, c0 = rng.normal(size=(steps, d)), rng.normal(size=h), rng.normal(size=h)
+        w, b = rng.uniform(-0.5, 0.5, (4 * h, d + h)), rng.uniform(-0.5, 0.5, 4 * h)
+        g_hs, g_h, g_c = rng.normal(size=(steps, h)), rng.normal(size=h), rng.normal(size=h)
+        wx, wh = w[:, :d], w[:, d:]
+
+        gates = xs @ wx.T + b
+        hs, tcs, h_prev, c_prev = (np.empty((steps, h)) for _ in range(4))
+        state, cell = h0, c0
+        for t in range(steps):
+            h_prev[t], c_prev[t] = state, cell
+            state, cell, tcs[t] = _cell(gates[t] + wh @ state, cell, gates[t])
+            hs[t] = state
+        dz = np.empty_like(gates)
+        dh, dc = g_h.copy(), g_c.copy()
+        for t in range(steps - 1, -1, -1):
+            dc = _cell_grad(dh + g_hs[t], dc, c_prev[t], gates[t], tcs[t], dz[t])
+            dh = wh.T @ dz[t]
+        reference = [hs, state, cell, dz @ wx, dh, dc,
+                     np.concatenate([dz.T @ xs, dz.T @ h_prev], axis=1), dz.sum(axis=0)]
+
+        params = [Tensor(a, requires_grad=True) for a in (xs, h0, c0, w, b)]
+        tape = Tape()
+        outs = tape.lstm_sequence(*params)
+        tape.backward(weighted_sum(tape, outs, (g_hs, g_h, g_c)))
+        for got, expected in zip([o.data for o in outs] + [p.grad for p in params], reference):
+            assert np.array_equal(got, expected)
+
+    @pytest.mark.parametrize("lengths", [[2, 0], [2], [1, 2]], ids=["empty-sequence", "one-length", "wrong-total"])
+    def test_lengths_must_cover_the_rows(self, lengths):
+        rng = np.random.default_rng(41)
+        xs, _, _, w, b = self.args(rng, [2])
+        h0 = Tensor(np.zeros((2, self.H)))
+        with pytest.raises(ShapeMismatchError, match="lstm_sequence"):
+            Tape().lstm_sequence(xs, h0, h0, w, b, lengths)
 
 
 class TestGradCheckExamples:

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from helpers import grad_check_params, param_bytes
 from mtss.corpus import build_vocab
 from mtss.corpus.state import BeliefLayout, state_size
 from mtss.corpus.types import (
@@ -16,7 +17,7 @@ from mtss.corpus.types import (
     Episode,
     Turn,
 )
-from mtss.diffnum import Tape, Tensor, grad_check_params
+from mtss.diffnum import Tape, Tensor
 from mtss.models import ModelConfig, StudentModel, TeacherEnsemble, TeacherModel, ensemble_domains
 from mtss.synthcorpus import SynthConfig, gen_corpus
 from mtss import training
@@ -313,14 +314,14 @@ class TestTeacherTraining:
         model_a, stats = universal_teacher(train, in_vocab, out_vocab, config)
         assert stats[-1].nll < stats[0].nll
         model_b, _ = universal_teacher(train, in_vocab, out_vocab, config)
-        assert model_a.param_bytes() == model_b.param_bytes()
+        assert param_bytes(model_a) == param_bytes(model_b)
 
     def test_zero_finetune_epochs_returns_universal_copy(self, tiny_world):
         train, _, in_vocab, out_vocab = tiny_world
         config = TrainingConfig(teacher_epochs=1, finetune_epochs=0, model=TINY, seed=1)
         universal, _ = universal_teacher(train, in_vocab, out_vocab, config)
         tuned, stats = finetune(universal, "restaurant", train, in_vocab, out_vocab, config)
-        assert tuned.param_bytes() == universal.param_bytes()
+        assert param_bytes(tuned) == param_bytes(universal)
         assert tuned.domain == "restaurant"
         assert stats == []
 
@@ -337,7 +338,7 @@ class TestTeacherTraining:
         with caplog.at_level("WARNING"):
             ensemble, stats = train_teacher_ensemble(widened, in_vocab, out_vocab, config)
         assert "empty training bucket for domain 'cinema'" in caplog.text
-        assert ensemble.teachers["cinema"].param_bytes() == ensemble.universal.param_bytes()
+        assert param_bytes(ensemble.teachers["cinema"]) == param_bytes(ensemble.universal)
         assert ensemble.teachers["cinema"].domain == "cinema"
         assert stats["cinema"] == []
 
@@ -345,9 +346,9 @@ class TestTeacherTraining:
         train, _, in_vocab, out_vocab = tiny_world
         config = TrainingConfig(teacher_epochs=1, finetune_epochs=1, model=TINY, seed=1)
         universal, _ = universal_teacher(train, in_vocab, out_vocab, config)
-        before = universal.param_bytes()
+        before = param_bytes(universal)
         finetune(universal, "restaurant", train, in_vocab, out_vocab, config)
-        assert universal.param_bytes() == before
+        assert param_bytes(universal) == before
 
     def test_ensemble_has_domains_plus_general(self, tiny_world):
         train, _, in_vocab, out_vocab = tiny_world
@@ -378,10 +379,10 @@ class TestTeacherTraining:
         config = TrainingConfig(teacher_epochs=1, finetune_epochs=1, model=TINY, seed=2)
         ensemble, stats = train_teacher_ensemble(train, in_vocab, out_vocab, config)
         universal, _ = universal_teacher(train, in_vocab, out_vocab, config)
-        assert universal.param_bytes() == ensemble.universal.param_bytes()
+        assert param_bytes(universal) == param_bytes(ensemble.universal)
         for domain in sorted(train.schemas):
             tuned, tuned_stats = finetune(universal, domain, train, in_vocab, out_vocab, config)
-            assert tuned.param_bytes() == ensemble.teachers[domain].param_bytes()
+            assert param_bytes(tuned) == param_bytes(ensemble.teachers[domain])
             assert [s.nll for s in tuned_stats] == [s.nll for s in stats[domain]]
 
     def test_unseen_domain_belief_columns_keep_initialization(self, tiny_world):
@@ -435,10 +436,10 @@ class TestStudentTraining:
             model=TINY, select_best=False,
         )
         ensemble, _ = train_teacher_ensemble(train, in_vocab, out_vocab, config)
-        before = {d: t.param_bytes() for d, t in ensemble.teachers.items()}
+        before = {d: param_bytes(t) for d, t in ensemble.teachers.items()}
         student, stats = train_student(train, ensemble, in_vocab, out_vocab, config)
         assert stats[-1].total < stats[0].total
-        assert all(ensemble.teachers[d].param_bytes() == b for d, b in before.items())
+        assert all(param_bytes(ensemble.teachers[d]) == b for d, b in before.items())
         assert stats[0].kd_text > 0.0 and stats[0].kd_policy > 0.0
 
     def test_zero_weights_equal_plain_hred(self, tiny_world):
@@ -451,7 +452,7 @@ class TestStudentTraining:
         ensemble = tiny_ensemble(train.schemas, len(in_vocab), len(out_vocab))
         student_a, stats = train_student(train, ensemble, in_vocab, out_vocab, config)
         student_b, _ = train_student(train, ensemble, in_vocab, out_vocab, config)
-        assert student_a.param_bytes() == student_b.param_bytes()
+        assert param_bytes(student_a) == param_bytes(student_b)
         assert stats[0].kd_text == 0.0 and stats[0].kd_policy == 0.0
         assert stats[0].total == stats[0].nll
 
@@ -463,7 +464,7 @@ class TestStudentTraining:
         ensemble, _ = train_teacher_ensemble(train, in_vocab, out_vocab, config)
         student_a, _ = train_student(train, ensemble, in_vocab, out_vocab, config)
         student_b, _ = train_student(train, ensemble, in_vocab, out_vocab, config)
-        assert student_a.param_bytes() == student_b.param_bytes()
+        assert param_bytes(student_a) == param_bytes(student_b)
 
     def test_teacher_cache_does_not_change_results(self, tiny_world, monkeypatch):
         # Targets are computed once per turn, and every epoch distils from
