@@ -35,7 +35,7 @@ from mtss.corpus import (
 )
 from mtss.diffnum import CheckpointError, DivergenceError
 from mtss.metrics import MetricReport, score_corpus
-from mtss.models import TeacherEnsemble, load_model
+from mtss.models import TeacherEnsemble, generate_responses, load_model, prepare_turns
 from mtss.synthcorpus import SynthConfig, gen_corpus
 from mtss.training import (
     TrainingConfig,
@@ -264,9 +264,10 @@ def _scores(report: MetricReport, domain: str) -> dict:
 
 def _teacher_report(ensemble: TeacherEnsemble, test: Corpus, in_vocab, out_vocab, max_len) -> dict:
     """Per-domain BLEU and Entity Recall of the universal teacher and of the
-    individual teachers, each test turn decoded once by each."""
-    universal, _ = evaluate_model(ensemble.universal, test, in_vocab, out_vocab, max_len)
-    individual, _ = evaluate_model(ensemble, test, in_vocab, out_vocab, max_len)
+    individual teachers; the test turns are prepared once and decoded once by each."""
+    items = prepare_turns(test, in_vocab, out_vocab)
+    universal = score_corpus(test, generate_responses(ensemble.universal, items, out_vocab, max_len))
+    individual = score_corpus(test, generate_responses(ensemble, items, out_vocab, max_len))
     return {domain: {"universal": _scores(universal, domain), "individual": _scores(individual, domain)}
             for domain in ensemble.teachers}
 
@@ -538,7 +539,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("prepare", help="normalize or synthesize a corpus, build vocabularies")
-    p.add_argument("--synth", action="store_true", help="generate a synthetic corpus (default)")
     p.add_argument("--synth-config", help="JSON file with synthetic generator settings")
     p.add_argument("--data", help="MultiWOZ-style data.json to normalize")
     p.add_argument("--schemas", help="corpus-format file providing schemas")

@@ -85,17 +85,41 @@ class Corpus:
     episodes: list[Episode]
 
     def validate(self) -> None:
-        domains = set(self.schemas)
+        """Raise ``CorpusError`` at the first unknown domain tag, belief entry that is
+        no informable value of its schema, or goal or record field of the wrong type."""
+        for domain, records in self.database.records.items():
+            for record in records:
+                if not _strings(record.values):
+                    raise CorpusError(f"database {domain} record {record.entity_id!r} has non-string values")
         for episode in self.episodes:
-            for domain in episode.goal:
-                if domain not in domains:
+            for domain, goal in episode.goal.items():
+                if domain not in self.schemas:
                     raise CorpusError(f"{episode.episode_id}: goal domain {domain!r} not in schemas")
+                if not (_strings(goal.constraints) and isinstance(goal.requested, list)
+                        and all(isinstance(slot, str) for slot in goal.requested)):
+                    raise CorpusError(f"{episode.episode_id}: goal {domain} constraints or requested mistyped")
             for i, turn in enumerate(episode.turns):
-                if turn.domain not in domains and turn.domain != GENERAL_DOMAIN:
-                    raise CorpusError(
-                        f"{episode.episode_id} turn {i}: domain tag {turn.domain!r} "
-                        f"not in schemas or {GENERAL_DOMAIN!r}"
-                    )
+                if turn.domain not in self.schemas and turn.domain != GENERAL_DOMAIN:
+                    raise CorpusError(f"{episode.episode_id} turn {i}: domain tag {turn.domain!r} "
+                                      f"not in schemas or {GENERAL_DOMAIN!r}")
+                if not self._is_belief(turn.belief):
+                    raise CorpusError(f"{episode.episode_id} turn {i}: belief {turn.belief!r} is off the schemas")
+
+    def _is_belief(self, belief) -> bool:
+        if not isinstance(belief, dict):
+            return False
+        for domain, slots in belief.items():
+            if domain not in self.schemas or not isinstance(slots, dict):
+                return False
+            informable = self.schemas[domain].informable
+            for slot, value in slots.items():
+                if value not in informable.get(slot, ()):
+                    return False
+        return True
+
+
+def _strings(doc) -> bool:
+    return isinstance(doc, dict) and all(isinstance(v, str) for v in doc.values())
 
 
 def query_db(database: Database, domain: str, constraints: dict[str, str]) -> list[EntityRecord]:

@@ -151,8 +151,9 @@ class _Recurrence:
         h_prev = self.xh[:, d:]
         self.tc, self.c_prev, self.hs = (np.empty((rows, hidden)) for _ in range(3))
         # Several running sequences multiply by one contiguous copy of wh.T,
-        # faster than the strided view. One runs on vectors with lstm_step's
-        # ``wh @ h``: cheaper elementwise work and the same rounding.
+        # faster than the strided view. One runs on vectors with ``wh @ h``:
+        # cheaper elementwise work, and bitwise its per-step reference, which
+        # lstm_step's single ``w @ [x; h]`` product matches only to rounding.
         wide = np.ascontiguousarray(self.wh.T) if sizes[0] > 1 else None
         self.h, self.c = np.empty_like(h0), np.empty_like(c0)
         h, c = (h0[0], c0[0]) if sizes[0] == 1 else (h0, c0)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Iterable, Mapping, Sequence
 
 from mtss.corpus import Corpus, CorpusError, DomainSchema, query_db
@@ -140,23 +140,7 @@ class MetricReport:
     per_domain: dict[str, DomainMetrics] = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "bleu4": self.bleu4,
-            "inform": self.inform,
-            "success": self.success,
-            "entity_recall": self.entity_recall,
-            "per_domain": {
-                d: {
-                    "bleu4": m.bleu4,
-                    "entity_recall": m.entity_recall,
-                    "inform": m.inform,
-                    "success": m.success,
-                    "turns": m.turns,
-                    "episodes": m.episodes,
-                }
-                for d, m in self.per_domain.items()
-            },
-        }
+        return asdict(self)
 
     def format_table(self) -> str:
         def pct(x):

@@ -1,4 +1,4 @@
-"""Network architectures: the state-conditioned seq2seq teacher and the HRED student.
+"""Teacher and student networks, the prepared turns they read, and greedy generation.
 
 Both models expose a latent action vector that seeds the decoder's hidden
 state, and both decode with dot-product attention over the word-level
@@ -423,36 +423,60 @@ def load_model(path: str | Path, kind: str | None = None,
     return model, *vocabs
 
 
-# -- corpus-level generation ---------------------------------------------------
+# -- model inputs and corpus-level generation ------------------------------------
 
 
-def generate_responses(
-    model,
-    corpus: Corpus,
-    in_vocab: Vocabulary,
-    out_vocab: Vocabulary,
-    max_len: int = 30,
-) -> dict[tuple[str, int], list[str]]:
-    """Greedy responses for every turn, keyed by (episode id, turn index).
+@dataclass
+class PreparedTurn:
+    episode_id: str
+    turn_index: int
+    domain: str
+    user_ids: list[int]
+    gold_ids: list[int]
+    history_ids: list[list[int]]
+    state: np.ndarray
 
-    ``model`` is a student, a teacher, or a ``TeacherEnsemble``, which
-    answers each turn with the teacher of the turn's domain. Students see
-    only the raw history, each utterance encoded once per episode; teachers
-    get the oracle state of the turn.
+
+def prepare_turns(corpus: Corpus, in_vocab: Vocabulary, out_vocab: Vocabulary) -> list[PreparedTurn]:
+    """Every turn in corpus order, as the models read it. Each utterance of
+    an episode is encoded once; turn t's history is the first 2t + 1 of them
+    (all prior user and system utterances, then the current user utterance).
     """
     layout = BeliefLayout(corpus.schemas)
-    generated: dict[tuple[str, int], list[str]] = {}
+    prepared = []
     for episode in corpus.episodes:
-        dialogue = model.dialogue() if isinstance(model, StudentModel) else None
+        utterances = [in_vocab.encode(u) for turn in episode.turns for u in (turn.user, turn.system)]
         for index, turn in enumerate(episode.turns):
-            if dialogue is None:
-                teacher = model.teachers[turn.domain] if isinstance(model, TeacherEnsemble) else model
-                state = turn_state(turn, corpus.schemas, corpus.database, layout)
-                ids = teacher.generate(in_vocab.encode(turn.user), state, max_len)
-            else:
-                if index:
-                    dialogue.add(in_vocab.encode(episode.turns[index - 1].system))
-                dialogue.add(in_vocab.encode(turn.user))
-                ids = dialogue.reply(max_len)
-            generated[(episode.episode_id, index)] = out_vocab.decode(ids)
+            history = utterances[:2 * index + 1]
+            prepared.append(PreparedTurn(
+                episode_id=episode.episode_id, turn_index=index, domain=turn.domain,
+                user_ids=history[-1], gold_ids=out_vocab.encode(turn.system), history_ids=history,
+                state=turn_state(turn, corpus.schemas, corpus.database, layout)))
+    return prepared
+
+
+def generate_responses(model, items: Sequence[PreparedTurn], out_vocab: Vocabulary,
+                       max_len: int = 30) -> dict[tuple[str, int], list[str]]:
+    """Greedy responses for the prepared turns, keyed by (episode id, turn index).
+
+    ``model`` is a student, a teacher, or a ``TeacherEnsemble``, which
+    answers each turn with the teacher of the turn's domain. Teachers read
+    the user utterance and the oracle state. A student reads the raw
+    history through one ``Dialogue``, kept while each turn extends the last
+    one's episode history and replaced otherwise, so turns in corpus order
+    encode each utterance once.
+    """
+    dialogue, episode_id = None, None
+    generated: dict[tuple[str, int], list[str]] = {}
+    for item in items:
+        if isinstance(model, StudentModel):
+            if item.episode_id != episode_id or len(dialogue.vectors) >= len(item.history_ids):
+                dialogue, episode_id = model.dialogue(), item.episode_id
+            for utterance in item.history_ids[len(dialogue.vectors):]:
+                dialogue.add(utterance)
+            ids = dialogue.reply(max_len)
+        else:
+            teacher = model.teachers[item.domain] if isinstance(model, TeacherEnsemble) else model
+            ids = teacher.generate(item.user_ids, item.state, max_len)
+        generated[(item.episode_id, item.turn_index)] = out_vocab.decode(ids)
     return generated

@@ -18,16 +18,18 @@ from typing import Callable, Sequence
 import numpy as np
 
 from mtss.corpus import Corpus, Vocabulary
-from mtss.corpus.state import BeliefLayout, state_size, turn_state
+from mtss.corpus.state import state_size
 from mtss.diffnum import Adam, Tape, Tensor
 from mtss.metrics import mean_entity_recall, score_corpus
 from mtss.models import (
     ModelConfig,
+    PreparedTurn,
     StudentModel,
     TeacherEnsemble,
     TeacherModel,
     ensemble_domains,
     generate_responses,
+    prepare_turns,
 )
 
 log = logging.getLogger(__name__)
@@ -164,18 +166,7 @@ def combined_loss(tape: Tape, j_nll: Tensor, j_kd: Tensor | None, j_kd_policy: T
     return total
 
 
-# -- prepared training items -------------------------------------------------------
-
-
-@dataclass
-class PreparedTurn:
-    episode_id: str
-    turn_index: int
-    domain: str
-    user_ids: list[int]
-    gold_ids: list[int]
-    history_ids: list[list[int]]
-    state: np.ndarray
+# -- splits and run records ------------------------------------------------------
 
 
 def split_train_val(corpus: Corpus, val_fraction: float) -> tuple[Corpus, Corpus]:
@@ -189,31 +180,6 @@ def split_train_val(corpus: Corpus, val_fraction: float) -> tuple[Corpus, Corpus
         Corpus(corpus.schemas, corpus.database, train_eps),
         Corpus(corpus.schemas, corpus.database, val_eps),
     )
-
-
-def prepare_turns(corpus: Corpus, in_vocab: Vocabulary, out_vocab: Vocabulary) -> list[PreparedTurn]:
-    """Every turn in corpus order. Each utterance of an episode is encoded
-    once; turn t's history is the first 2t + 1 of them (all prior user and
-    system utterances, then the current user utterance).
-    """
-    layout = BeliefLayout(corpus.schemas)
-    prepared = []
-    for episode in corpus.episodes:
-        utterances = [in_vocab.encode(u) for turn in episode.turns for u in (turn.user, turn.system)]
-        for index, turn in enumerate(episode.turns):
-            history = utterances[:2 * index + 1]
-            prepared.append(
-                PreparedTurn(
-                    episode_id=episode.episode_id,
-                    turn_index=index,
-                    domain=turn.domain,
-                    user_ids=history[-1],
-                    gold_ids=out_vocab.encode(turn.system),
-                    history_ids=history,
-                    state=turn_state(turn, corpus.schemas, corpus.database, layout),
-                )
-            )
-    return prepared
 
 
 def _append_log(log_path, record: dict) -> None:
@@ -356,9 +322,9 @@ def finetune_domain_teacher(
     def validation_recall(record: EpochStats | None = None) -> float | None:
         if not config.select_best:
             return None
+        generated = generate_responses(model, val_bucket, out_vocab, config.max_decode_len)
         recall = mean_entity_recall(
-            (out_vocab.decode(model.generate(item.user_ids, item.state, config.max_decode_len)),
-             out_vocab.decode(item.gold_ids))
+            (generated[(item.episode_id, item.turn_index)], out_vocab.decode(item.gold_ids))
             for item in val_bucket
         )
         if record is not None:
@@ -437,6 +403,7 @@ def train_student(
         raise ValueError("cannot train on an empty corpus")
     train_part, val_part = split_train_val(corpus, config.val_fraction)
     items = prepare_turns(train_part, in_vocab, out_vocab)
+    val_items = prepare_turns(val_part, in_vocab, out_vocab)
     student = StudentModel(
         config.model, len(in_vocab), len(out_vocab),
         seed=int(np.random.default_rng([config.seed, 10]).integers(2**31)),
@@ -466,7 +433,7 @@ def train_student(
     def score(record: EpochStats) -> tuple | None:
         if not config.select_best or not val_part.episodes:
             return None
-        generated = generate_responses(student, val_part, in_vocab, out_vocab, config.max_decode_len)
+        generated = generate_responses(student, val_items, out_vocab, config.max_decode_len)
         report = score_corpus(val_part, generated)
         record.val_success, record.val_bleu = report.success, report.bleu4
         return report.success, report.bleu4, record.epoch
@@ -485,6 +452,6 @@ def evaluate_model(
     max_len: int = 30,
 ):
     """Generate responses for every turn and score them; returns (report, generated)."""
-    generated = generate_responses(model, corpus, in_vocab, out_vocab, max_len)
+    generated = generate_responses(model, prepare_turns(corpus, in_vocab, out_vocab), out_vocab, max_len)
     return score_corpus(corpus, generated), generated
 

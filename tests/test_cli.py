@@ -3,6 +3,7 @@
 import io
 import json
 import os
+import shlex
 import shutil
 import subprocess
 import sys
@@ -199,6 +200,22 @@ class TestTrainTeachers:
         rows = cli._teacher_report(ensemble, Corpus(test.schemas, test.database, no_hotel),
                                    in_vocab, out_vocab, max_len)
         assert rows["hotel"]["universal"] == rows["hotel"]["individual"] == {"bleu4": None, "entity_recall": None}
+
+    def test_report_prepares_the_test_split_once(self, workspace, monkeypatch):
+        data = workspace / "data"
+        train, in_vocab, out_vocab = cli._load_prepared(data)
+        test = load_corpus(data / "corpus_test.json")
+        ensemble = cli.load_ensemble(workspace / "teachers", train.schemas, in_vocab, out_vocab)
+        prepared, prepare_turns = [], cli.prepare_turns
+
+        def counted(corpus, *args):
+            prepared.append(corpus)
+            return prepare_turns(corpus, *args)
+
+        monkeypatch.setattr(cli, "prepare_turns", counted)
+        rows = cli._teacher_report(ensemble, test, in_vocab, out_vocab, TINY_TRAIN["max_decode_len"])
+        assert prepared == [test]
+        assert rows == json.loads((workspace / "teachers" / "teacher_report.json").read_text())
 
 
 class TestTrainStudent:
@@ -413,6 +430,49 @@ def _checkpoint_of_unknown_kind(workspace, tmp_path) -> str:
     return str(tmp_path / "bogus.ckpt")
 
 
+def _data_edited(workspace, tmp_path, split, edit) -> str:
+    """A copy of the workspace data whose corpus_<split>.json went through
+    ``edit``, a function that changes the parsed JSON document in place."""
+    data = tmp_path / "data"
+    shutil.copytree(workspace / "data", data)
+    doc = json.loads((data / f"corpus_{split}.json").read_text())
+    edit(doc)
+    _write(data / f"corpus_{split}.json", doc)
+    return str(data)
+
+
+def _train_teachers_on_edited(workspace, tmp_path, edit) -> list[str]:
+    return ["train-teachers", "--data", _data_edited(workspace, tmp_path, "train", edit),
+            "--config", str(workspace / "train.json"), "--out", str(tmp_path / "out")]
+
+
+def _evaluate_gold_on_edited(workspace, tmp_path, edit) -> list[str]:
+    """Score the gold responses of the test split, so that every goal's
+    database query runs, on a test split edited by ``edit``."""
+    test = load_corpus(workspace / "data" / "corpus_test.json")
+    gold = "".join(json.dumps({"episode": e.episode_id, "turn": i, "response": " ".join(t.system)}) + "\n"
+                   for e in test.episodes for i, t in enumerate(e.turns))
+    return ["evaluate", "--data", _data_edited(workspace, tmp_path, "test", edit),
+            "--generations", _write(tmp_path / "gold.jsonl", gold)]
+
+
+def _set_first_belief(value):
+    def edit(doc):
+        doc["episodes"][0]["turns"][0]["belief"] = value
+    return edit
+
+
+def _set_goal_constraints(doc):
+    for episode in doc["episodes"]:
+        for goal in episode["goal"].values():
+            goal["constraints"] = []
+
+
+def _set_record_values(doc):
+    for records in doc["database"].values():
+        records[0]["values"] = []
+
+
 # (id, argv builder, expected exit code): each input is malformed in one way.
 MALFORMED_INPUTS = [
     ("config-unknown-key", EXIT_USAGE, lambda ws, tmp: [
@@ -505,6 +565,14 @@ MALFORMED_INPUTS = [
     ("multiwoz-goal-reqt-is-a-string", EXIT_DATA, lambda ws, tmp: _multiwoz_prepare(
         tmp, {"d1.json": {"goal": {"restaurant": {"info": {"area": "north"}, "reqt": "phone"}},
                           "log": HELLO_LOG}})),
+    ("belief-value-not-in-schema", EXIT_DATA, lambda ws, tmp: _train_teachers_on_edited(
+        ws, tmp, _set_first_belief({"attraction": {"area": "mars"}}))),
+    ("belief-domain-not-in-schema", EXIT_DATA, lambda ws, tmp: _train_teachers_on_edited(
+        ws, tmp, _set_first_belief({"cinema": {"area": "north"}}))),
+    ("belief-is-a-list", EXIT_DATA, lambda ws, tmp: _train_teachers_on_edited(ws, tmp, _set_first_belief([]))),
+    ("goal-constraints-is-a-list", EXIT_DATA, lambda ws, tmp: _evaluate_gold_on_edited(
+        ws, tmp, _set_goal_constraints)),
+    ("record-values-is-a-list", EXIT_DATA, lambda ws, tmp: _evaluate_gold_on_edited(ws, tmp, _set_record_values)),
     ("multiwoz-semi-is-a-list", EXIT_DATA, lambda ws, tmp: _multiwoz_prepare(
         tmp, {"d1.json": {"log": [{"text": "hello", "metadata": {}},
                                   {"text": "hi there", "metadata": {"restaurant": {"semi": ["area"]}}}]}})),
@@ -630,3 +698,22 @@ class TestUsage:
 
     def test_help_exits_zero(self):
         assert main(["--help"]) == EXIT_OK
+
+    def test_synth_flag_is_gone(self, tmp_path):
+        assert main(["prepare", "--synth", "--out", str(tmp_path / "out")]) == EXIT_USAGE
+        assert not (tmp_path / "out").exists()
+
+    def test_readme_walkthrough_parses(self):
+        """Every ``mtss`` line of README's CLI walkthrough parses, so a flag
+        removed from the parser cannot stay documented."""
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        block = readme.split("## CLI walkthrough", 1)[1].split("```bash\n", 1)[1].split("```", 1)[0]
+        lines = [line for line in block.replace("\\\n", " ").splitlines()
+                 if line.strip() and not line.lstrip().startswith("#")]
+        assert len(lines) == 6
+        for line in lines:
+            words = shlex.split(line)
+            while "=" in words[0]:
+                words.pop(0)
+            assert words[0] == "mtss", line
+            build_parser().parse_args(words[1:])

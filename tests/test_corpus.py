@@ -346,6 +346,28 @@ class TestCorpusIO:
         with pytest.raises(CorpusError, match="malformed"):
             load_corpus(path)
 
+    @pytest.mark.parametrize("edit,match", [
+        (lambda doc: doc["episodes"][0]["turns"][1].update(belief={"restaurant": {"area": "mars"}}), "belief"),
+        (lambda doc: doc["episodes"][0]["turns"][1].update(belief={"restaurant": {"name": "golden wok"}}),
+         "belief"),
+        (lambda doc: doc["episodes"][0]["turns"][1].update(belief={"bar": {"area": "north"}}), "belief"),
+        (lambda doc: doc["episodes"][0]["turns"][1].update(belief={"restaurant": "north"}), "belief"),
+        (lambda doc: doc["episodes"][0]["turns"][1].update(belief=["restaurant"]), "belief"),
+        (lambda doc: doc["episodes"][0]["goal"]["restaurant"].update(constraints={"area": 3}), "goal"),
+        (lambda doc: doc["episodes"][0]["goal"]["restaurant"].update(requested="phone"), "goal"),
+        (lambda doc: doc["database"]["hotel"][0].update(values={"price": ["cheap"]}), "hotel-0"),
+    ], ids=["belief-value", "belief-slot-not-informable", "belief-domain", "belief-slots-not-an-object",
+            "belief-not-an-object", "goal-constraint-not-a-string", "goal-requested-not-a-list",
+            "record-value-not-a-string"])
+    def test_fields_the_models_read_are_checked(self, corpus, tmp_path, edit, match):
+        path = tmp_path / "c.json"
+        save_corpus(corpus, path)
+        doc = json.loads(path.read_text())
+        edit(doc)
+        path.write_text(json.dumps(doc))
+        with pytest.raises(CorpusError, match=match):
+            load_corpus(path)
+
 
 class TestMultiwozReader:
     def make_dump(self, tmp_path):

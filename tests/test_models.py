@@ -15,12 +15,16 @@ from mtss.diffnum import (
     load_checkpoint,
     save_checkpoint,
 )
+from mtss import models
 from mtss.models import (
     ModelConfig,
     StudentModel,
+    TeacherEnsemble,
     TeacherModel,
+    ensemble_domains,
     generate_responses,
     load_model,
+    prepare_turns,
 )
 from mtss.synthcorpus import SynthConfig, gen_corpus
 
@@ -209,8 +213,9 @@ class TestIncrementalInference:
             calls.append(len(token_ids))
             return encode(self, tape, token_ids)
 
+        items = prepare_turns(corpus, in_vocab, out_vocab)
         monkeypatch.setattr(StudentModel, "encode_utterance", counting)
-        generated = generate_responses(student, corpus, in_vocab, out_vocab, max_len=8)
+        generated = generate_responses(student, items, out_vocab, max_len=8)
         monkeypatch.undo()
         assert len(calls) == 2 * turns - 1
 
@@ -228,6 +233,36 @@ class TestIncrementalInference:
             assert generated[(episode.episode_id, index)] == expected
             replies.append(tuple(expected))
         assert len(set(replies)) > 1  # replies really depend on the history
+
+    def test_generation_reads_only_the_prepared_turns(self, episode_setup, monkeypatch):
+        corpus, in_vocab, out_vocab, student = episode_setup
+        items = prepare_turns(corpus, in_vocab, out_vocab)
+        state = len(items[0].state)
+        teachers = {d: TeacherModel(self.CONFIG, len(in_vocab), len(out_vocab), state, d, seed=i)
+                    for i, d in enumerate(ensemble_domains(corpus.schemas))}
+        ensemble = TeacherEnsemble(teachers, teachers["general"])
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("generation rebuilt a model input")
+
+        speakers = (student, ensemble.universal, ensemble)
+        expected = [generate_responses(model, items, out_vocab, max_len=8) for model in speakers]
+        monkeypatch.setattr(Vocabulary, "encode", unreachable)
+        monkeypatch.setattr(models, "turn_state", unreachable)
+        for model, reference in zip(speakers, expected):
+            generated = generate_responses(model, items, out_vocab, max_len=8)
+            assert list(generated) == [(item.episode_id, item.turn_index) for item in items]
+            assert generated == reference
+
+    def test_student_on_some_turns_replies_as_on_the_whole_episode(self, episode_setup):
+        corpus, in_vocab, out_vocab, student = episode_setup
+        items = prepare_turns(corpus, in_vocab, out_vocab)
+        assert len(items) >= 4
+        whole = generate_responses(student, items, out_vocab, max_len=8)
+        for picked in ([1, 3], [3, 1], [2, 2]):
+            some = generate_responses(student, [items[i] for i in picked], out_vocab, max_len=8)
+            keys = [(items[i].episode_id, items[i].turn_index) for i in picked]
+            assert some == {key: whole[key] for key in keys}
 
     def test_reply_needs_an_utterance(self, student):
         dialogue = student.dialogue()

@@ -492,6 +492,25 @@ class TestStudentTraining:
         assert len(computed) == len(items)
         assert sorted(used[:len(items)]) == fresh and sorted(used[len(items):]) == fresh
 
+    @pytest.mark.parametrize("epochs", [1, 3])
+    def test_student_prepares_each_split_once(self, tiny_world, monkeypatch, epochs):
+        # The validation split is decoded after every epoch but prepared once.
+        train, _, in_vocab, out_vocab = tiny_world
+        ensemble = tiny_ensemble(train.schemas, len(in_vocab), len(out_vocab))
+        calls = []
+        prepare = training.prepare_turns
+
+        def counted(corpus, *args):
+            calls.append(len(corpus.episodes))
+            return prepare(corpus, *args)
+
+        monkeypatch.setattr(training, "prepare_turns", counted)
+        config = TrainingConfig(epochs=epochs, seed=0, model=TINY)
+        _, stats = train_student(train, ensemble, in_vocab, out_vocab, config)
+        train_part, val_part = split_train_val(train, config.val_fraction)
+        assert calls == [len(train_part.episodes), len(val_part.episodes)]
+        assert all(s.val_success is not None for s in stats)
+
 
 class TestHelpers:
     def test_split_train_val_partitions_episodes(self, tiny_world):
