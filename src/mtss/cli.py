@@ -492,7 +492,10 @@ def cmd_chat(args, stdin=None, stdout=None) -> int:
         print(text, file=stdout)
 
     say("type a message; /reset clears history, /quit exits")
-    dialogue = student.dialogue()
+    # One encoding memo for the whole process, kept across /reset, so a new
+    # session reuses the encodings of utterances that earlier ones met.
+    memo = student.encoding_memo()
+    dialogue = student.dialogue(memo)
     belief: dict = {}
     for line in stdin:
         line = line.strip()
@@ -501,7 +504,7 @@ def cmd_chat(args, stdin=None, stdout=None) -> int:
         if line == "/quit":
             break
         if line == "/reset":
-            dialogue = student.dialogue()
+            dialogue = student.dialogue(memo)
             belief = {}
             say("(history cleared)")
             continue

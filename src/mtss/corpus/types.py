@@ -22,9 +22,15 @@ class DomainSchema:
     def __post_init__(self):
         if not self.name:
             raise CorpusError("domain name must be non-empty")
+        if not isinstance(self.informable, dict):
+            raise CorpusError(f"{self.name}: informable must map each slot to a list of values")
         for slot, values in self.informable.items():
+            if not _string_list(values):
+                raise CorpusError(f"{self.name}.{slot}: value set must be a list of strings")
             if not values:
                 raise CorpusError(f"{self.name}.{slot}: empty value set")
+        if not _string_list(self.requestable):
+            raise CorpusError(f"{self.name}: requestable must be a list of strings")
         if len(set(self.requestable)) != len(self.requestable):
             raise CorpusError(f"{self.name}: duplicate requestable slots")
 
@@ -120,6 +126,10 @@ class Corpus:
 
 def _strings(doc) -> bool:
     return isinstance(doc, dict) and all(isinstance(v, str) for v in doc.values())
+
+
+def _string_list(values) -> bool:
+    return isinstance(values, list) and all(isinstance(v, str) for v in values)
 
 
 def query_db(database: Database, domain: str, constraints: dict[str, str]) -> list[EntityRecord]:

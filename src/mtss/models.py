@@ -8,9 +8,10 @@ LSTM hidden size so teacher and student actions are directly comparable.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -211,8 +212,10 @@ class TeacherModel(_SeqModel):
             },
         )
 
-    def action_vector(self, tape: Tape, utterance_vec: Tensor, state: np.ndarray) -> Tensor:
+    def action_vector(self, tape: Tape, utterance_vec: Tensor, state: np.ndarray | None) -> Tensor:
         """tanh(W [v_u; belief; pointer]); every component lands in (-1, 1)."""
+        if state is None:
+            raise ValueError("a teacher needs the turn's oracle state; prepare the turns with states")
         if state.shape != (self.state_size,):
             raise ShapeMismatchError("action_vector", state.shape, (self.state_size,))
         merged = tape.concat([utterance_vec, Tensor(state)])
@@ -275,6 +278,15 @@ class TeacherEnsemble:
                     raise ValueError(f"teacher {domain!r} parameter {name!r} shape mismatch")
 
 
+# A decoding pass of the perfbench workloads meets at most 176 distinct
+# utterances (its 793-turn evaluate split; a cycle of its chat scripts meets
+# 123), so such a pass evicts nothing. README gives the memory an entry holds.
+ENCODING_MEMO_SIZE = 512
+
+# Token-id tuple -> (per-token encoder outputs, final hidden state).
+EncodingMemo = Callable[[tuple[int, ...]], tuple[Tensor, Tensor]]
+
+
 class StudentModel(_SeqModel):
     """HRED: word-level encoder per utterance, context LSTM over utterance vectors."""
 
@@ -331,26 +343,39 @@ class StudentModel(_SeqModel):
         enc_outs, action = self.encode_history(tape, history)
         return self.decode_teacher_forced(tape, action, enc_outs, gold_ids), action
 
-    def dialogue(self) -> "Dialogue":
-        return Dialogue(self)
+    def encoding_memo(self) -> EncodingMemo:
+        """``encode_utterance`` of a token-id tuple, kept for the last
+        ``ENCODING_MEMO_SIZE`` distinct tuples. It holds results of the current
+        weights, so make one per decoding pass and drop it when they change."""
+        tape = Tape(record=False)
+        return functools.lru_cache(maxsize=ENCODING_MEMO_SIZE)(
+            lambda token_ids: self.encode_utterance(tape, token_ids))
+
+    def dialogue(self, memo: EncodingMemo) -> Dialogue:
+        """A new conversation; dialogues that share ``memo`` encode each
+        distinct utterance once between them."""
+        return Dialogue(self, memo)
 
 
 class Dialogue:
-    """Incremental student inference: each utterance is encoded once, when added.
-    Keeps its vector and the latest utterance's encoder outputs; every reply
-    reruns the context LSTM. It computes what ``encode_history`` computes:
-    bit for bit with one utterance, and to rounding (about 1e-15) with more,
-    where ``encode_history`` runs the utterances as one packed sequence.
+    """Incremental student inference: each utterance is encoded when added,
+    through ``memo``, so an utterance seen before in the pass is not encoded
+    again. Keeps its vector and the latest utterance's encoder outputs;
+    every reply reruns the context LSTM. It computes what ``encode_history``
+    computes: bit for bit with one utterance, and to rounding (about 1e-15)
+    with more, where ``encode_history`` runs the utterances as one packed
+    sequence.
     """
 
-    def __init__(self, model: StudentModel):
+    def __init__(self, model: StudentModel, memo: EncodingMemo):
         self.model = model
+        self.memo = memo
         self.tape = Tape(record=False)
         self.vectors: list[Tensor] = []
         self.latest_outputs: Tensor | None = None
 
     def add(self, token_ids: Sequence[int]) -> None:
-        self.latest_outputs, vector = self.model.encode_utterance(self.tape, token_ids)
+        self.latest_outputs, vector = self.memo(tuple(token_ids))
         self.vectors.append(vector)
 
     def truncate(self, size: int) -> None:
@@ -434,15 +459,18 @@ class PreparedTurn:
     user_ids: list[int]
     gold_ids: list[int]
     history_ids: list[list[int]]
-    state: np.ndarray
+    state: np.ndarray | None
 
 
-def prepare_turns(corpus: Corpus, in_vocab: Vocabulary, out_vocab: Vocabulary) -> list[PreparedTurn]:
+def prepare_turns(corpus: Corpus, in_vocab: Vocabulary, out_vocab: Vocabulary,
+                  states: bool = True) -> list[PreparedTurn]:
     """Every turn in corpus order, as the models read it. Each utterance of
     an episode is encoded once; turn t's history is the first 2t + 1 of them
     (all prior user and system utterances, then the current user utterance).
+    With ``states`` False no oracle state is built and every ``state`` is
+    None: only a student can read such turns, and a teacher raises.
     """
-    layout = BeliefLayout(corpus.schemas)
+    layout = BeliefLayout(corpus.schemas) if states else None
     prepared = []
     for episode in corpus.episodes:
         utterances = [in_vocab.encode(u) for turn in episode.turns for u in (turn.user, turn.system)]
@@ -451,7 +479,7 @@ def prepare_turns(corpus: Corpus, in_vocab: Vocabulary, out_vocab: Vocabulary) -
             prepared.append(PreparedTurn(
                 episode_id=episode.episode_id, turn_index=index, domain=turn.domain,
                 user_ids=history[-1], gold_ids=out_vocab.encode(turn.system), history_ids=history,
-                state=turn_state(turn, corpus.schemas, corpus.database, layout)))
+                state=turn_state(turn, corpus.schemas, corpus.database, layout) if states else None))
     return prepared
 
 
@@ -463,15 +491,16 @@ def generate_responses(model, items: Sequence[PreparedTurn], out_vocab: Vocabula
     answers each turn with the teacher of the turn's domain. Teachers read
     the user utterance and the oracle state. A student reads the raw
     history through one ``Dialogue``, kept while each turn extends the last
-    one's episode history and replaced otherwise, so turns in corpus order
-    encode each utterance once.
+    one's episode history and replaced otherwise. The call's dialogues share
+    one encoding memo, so each distinct utterance is encoded once.
     """
+    memo = model.encoding_memo() if isinstance(model, StudentModel) else None
     dialogue, episode_id = None, None
     generated: dict[tuple[str, int], list[str]] = {}
     for item in items:
         if isinstance(model, StudentModel):
             if item.episode_id != episode_id or len(dialogue.vectors) >= len(item.history_ids):
-                dialogue, episode_id = model.dialogue(), item.episode_id
+                dialogue, episode_id = model.dialogue(memo), item.episode_id
             for utterance in item.history_ids[len(dialogue.vectors):]:
                 dialogue.add(utterance)
             ids = dialogue.reply(max_len)

@@ -403,7 +403,7 @@ def train_student(
         raise ValueError("cannot train on an empty corpus")
     train_part, val_part = split_train_val(corpus, config.val_fraction)
     items = prepare_turns(train_part, in_vocab, out_vocab)
-    val_items = prepare_turns(val_part, in_vocab, out_vocab)
+    val_items = prepare_turns(val_part, in_vocab, out_vocab, states=False)
     student = StudentModel(
         config.model, len(in_vocab), len(out_vocab),
         seed=int(np.random.default_rng([config.seed, 10]).integers(2**31)),
@@ -452,6 +452,7 @@ def evaluate_model(
     max_len: int = 30,
 ):
     """Generate responses for every turn and score them; returns (report, generated)."""
-    generated = generate_responses(model, prepare_turns(corpus, in_vocab, out_vocab), out_vocab, max_len)
+    items = prepare_turns(corpus, in_vocab, out_vocab, states=not isinstance(model, StudentModel))
+    generated = generate_responses(model, items, out_vocab, max_len)
     return score_corpus(corpus, generated), generated
 

@@ -1,4 +1,5 @@
-"""Test helpers: gradient checks against central differences, parameter bytes."""
+"""Test helpers: gradient checks against central differences, parameter
+bytes, and memo-free student replies."""
 
 from __future__ import annotations
 
@@ -57,3 +58,12 @@ def grad_check_params(f: Callable[[Tape], Tensor], params: Sequence[Tensor], eps
 def param_bytes(model) -> bytes:
     """Every parameter of a model as raw bytes, in parameter order."""
     return b"".join(p.data.tobytes() for p in model.params.values())
+
+
+def memo_free_reply(student, history: Sequence[Sequence[int]], max_len: int) -> list[int]:
+    """The student's greedy reply to ``history`` as a ``Dialogue`` computes
+    it, with every utterance encoded afresh and no encoding memo."""
+    tape = Tape(record=False)
+    encoded = [student.encode_utterance(tape, utterance) for utterance in history]
+    action = student.action_vector(tape, tape.stack([vector for _, vector in encoded]))
+    return student.decode_greedy(tape, action, encoded[-1][0], max_len)

@@ -11,7 +11,8 @@ from pathlib import Path
 
 import pytest
 
-from mtss import cli
+from helpers import memo_free_reply
+from mtss import cli, models
 from mtss.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, build_parser, cmd_chat, main
 from mtss.corpus import Corpus, Delexicalizer, load_corpus, load_vocab
 from mtss.diffnum import Tape, load_checkpoint, save_checkpoint
@@ -418,8 +419,10 @@ def _train_teachers_with(config: dict, workspace, tmp_path) -> list[str]:
 HELLO_LOG = [{"text": "hello", "metadata": {}}, {"text": "hi there", "metadata": {}}]
 
 
-def _multiwoz_prepare(tmp, dump) -> list[str]:
-    _write(tmp / "base.json", MULTIWOZ_BASE)
+def _multiwoz_prepare(tmp, dump, restaurant=None) -> list[str]:
+    """``prepare --data`` of ``dump``; ``restaurant`` replaces the base's restaurant schema."""
+    schemas = {"restaurant": restaurant} if restaurant is not None else MULTIWOZ_BASE["schemas"]
+    _write(tmp / "base.json", {**MULTIWOZ_BASE, "schemas": schemas})
     return ["prepare", "--data", _write(tmp / "data.json", dump), "--schemas", str(tmp / "base.json"),
             "--database", str(tmp / "base.json"), "--out", str(tmp / "out")]
 
@@ -576,6 +579,15 @@ MALFORMED_INPUTS = [
     ("multiwoz-semi-is-a-list", EXIT_DATA, lambda ws, tmp: _multiwoz_prepare(
         tmp, {"d1.json": {"log": [{"text": "hello", "metadata": {}},
                                   {"text": "hi there", "metadata": {"restaurant": {"semi": ["area"]}}}]}})),
+    ("schema-value-is-a-number", EXIT_DATA, lambda ws, tmp: _multiwoz_prepare(
+        tmp, {"d1.json": {"log": HELLO_LOG}},
+        {"informable": {"area": ["north", 5]}, "requestable": ["phone"]})),
+    ("schema-value-set-is-a-string", EXIT_DATA, lambda ws, tmp: _multiwoz_prepare(
+        tmp, {"d1.json": {"log": HELLO_LOG}}, {"informable": {"area": "north"}, "requestable": ["phone"]})),
+    ("schema-requestable-is-a-string", EXIT_DATA, lambda ws, tmp: _multiwoz_prepare(
+        tmp, {"d1.json": {"log": HELLO_LOG}}, {"informable": {"area": ["north"]}, "requestable": "phone"})),
+    ("schema-requestable-has-a-number", EXIT_DATA, lambda ws, tmp: _multiwoz_prepare(
+        tmp, {"d1.json": {"log": HELLO_LOG}}, {"informable": {"area": ["north"]}, "requestable": [7]})),
 ]
 
 
@@ -585,6 +597,13 @@ def test_malformed_input_ends_in_one_line(workspace, tmp_path, capsys, expected,
     err = capsys.readouterr().err
     assert code == expected
     assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+
+
+def full_history_reply(student, history, max_len):
+    """The student's greedy reply from one ``encode_history`` of the whole history."""
+    tape = Tape(record=False)
+    enc_outs, action = student.encode_history(tape, history)
+    return student.decode_greedy(tape, action, enc_outs, max_len)
 
 
 class TestChat:
@@ -634,19 +653,21 @@ class TestChat:
         return path
 
     @staticmethod
-    def reference_replies(workspace, model, lines):
-        """Replies from re-encoding the whole history every turn."""
+    def reference_replies(workspace, model, lines, reply=full_history_reply):
+        """Replies from re-encoding the whole history every turn, by default
+        through ``encode_history``; "/reset" starts a new history."""
         student, in_vocab, out_vocab = load_model(model, "student")
         corpus = load_corpus(workspace / "data" / "corpus_train.json")
         delex = Delexicalizer(corpus.schemas, corpus.database)
         history, replies = [], []
         for line in lines:
+            if line == "/reset":
+                history = []
+                continue
             history.append(in_vocab.encode(delex.with_matches(line)[0]))
-            tape = Tape(record=False)
-            enc_outs, action = student.encode_history(tape, history)
-            reply = out_vocab.decode(student.decode_greedy(tape, action, enc_outs, 14))
-            replies.append(" ".join(reply) if reply else "...")
-            history.append(in_vocab.encode(reply))
+            tokens = out_vocab.decode(reply(student, history, 14))
+            replies.append(" ".join(tokens) if tokens else "...")
+            history.append(in_vocab.encode(tokens))
         return replies
 
     CONVERSATION = ["hello", "i am looking for a north restaurant", "what is the phone number",
@@ -664,6 +685,30 @@ class TestChat:
         _, fresh = self.run_chat(workspace, [line], model=history_student)
         assert self.replies(out)[1] != self.replies(fresh)[0]  # the history mattered before /reset
         assert self.replies(out)[3] == self.replies(fresh)[0]
+
+    @pytest.mark.parametrize("capacity", [None, 1], ids=["default-capacity", "capacity-1"])
+    def test_memo_replies_match_a_memo_free_replay(self, workspace, history_student, monkeypatch, capacity):
+        """The process's one encoding memo survives /reset and changes no reply."""
+        if capacity is not None:
+            monkeypatch.setattr(models, "ENCODING_MEMO_SIZE", capacity)
+        calls = []
+        encode = StudentModel.encode_utterance
+
+        def counting(self, tape, token_ids):
+            calls.append(tuple(token_ids))
+            return encode(self, tape, token_ids)
+
+        lines = (self.CONVERSATION + ["/reset"] + self.CONVERSATION[:2]
+                 + ["/reset", "thank you", "hello", "thank you"])
+        monkeypatch.setattr(StudentModel, "encode_utterance", counting)
+        _, out = self.run_chat(workspace, lines, model=history_student)
+        monkeypatch.undo()
+        expected = self.reference_replies(workspace, history_student, lines, memo_free_reply)
+        assert self.replies(out) == expected and len(set(expected)) > 1
+        if capacity is None:  # each distinct utterance once, across sessions
+            assert len(calls) == len(set(calls)) < 2 * len(expected)
+        else:
+            assert len(calls) == 2 * len(expected)
 
     def test_decode_failure_rolls_back_user_line(self, workspace, history_student, monkeypatch):
         decode = StudentModel.decode_greedy

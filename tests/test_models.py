@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from helpers import grad_check_params, param_bytes
-from mtss.corpus import Corpus, DomainSchema, Vocabulary, build_vocab
+from helpers import grad_check_params, memo_free_reply, param_bytes
+from mtss.corpus import Corpus, DomainSchema, Episode, Vocabulary, build_vocab
 from mtss.corpus.vocab import BOS_ID, EOS_ID, PAD_ID, RESERVED
 from mtss.diffnum import (
     Adam,
@@ -187,7 +187,7 @@ class TestIncrementalInference:
         pack several utterances into one sequence, which rounds differently."""
         corpus, in_vocab, _, student = episode_setup
         episode = corpus.episodes[0]
-        dialogue = student.dialogue()
+        dialogue = student.dialogue(student.encoding_memo())
         for index, turn in enumerate(episode.turns):
             dialogue.add(in_vocab.encode(turn.user))
             tape = Tape(record=False)
@@ -210,14 +210,19 @@ class TestIncrementalInference:
         encode = StudentModel.encode_utterance
 
         def counting(self, tape, token_ids):
-            calls.append(len(token_ids))
+            calls.append(tuple(token_ids))
             return encode(self, tape, token_ids)
 
-        items = prepare_turns(corpus, in_vocab, out_vocab)
+        # A second copy of the episode repeats every utterance in another dialogue.
+        again = Episode(episode.episode_id + "-again", episode.turns, episode.goal)
+        items = prepare_turns(Corpus(corpus.schemas, corpus.database, [episode, again]), in_vocab, out_vocab)
         monkeypatch.setattr(StudentModel, "encode_utterance", counting)
         generated = generate_responses(student, items, out_vocab, max_len=8)
         monkeypatch.undo()
-        assert len(calls) == 2 * turns - 1
+        # One encode per distinct utterance: 2t - 1 of them in a t-turn episode.
+        distinct = {tuple(utterance) for item in items for utterance in item.history_ids}
+        assert len(calls) == len(set(calls)) == len(distinct) == 2 * turns - 1
+        assert set(calls) == distinct
 
         replies = []
         for index in range(turns):
@@ -225,14 +230,81 @@ class TestIncrementalInference:
             tape = Tape(record=False)
             enc_outs, action = student.encode_history(tape, history)
             reference = student.decode_greedy(tape, action, enc_outs, 8)
-            dialogue = student.dialogue()
+            dialogue = student.dialogue(student.encoding_memo())
             for utterance in history:
                 dialogue.add(utterance)
             assert dialogue.reply(8) == reference
             expected = out_vocab.decode(reference)
             assert generated[(episode.episode_id, index)] == expected
+            assert generated[(again.episode_id, index)] == expected
             replies.append(tuple(expected))
         assert len(set(replies)) > 1  # replies really depend on the history
+
+    @pytest.fixture(scope="class")
+    def repeating_setup(self, episode_setup):
+        """Several episodes, and one whose third turn repeats its first."""
+        _, in_vocab, out_vocab, student = episode_setup
+        train, _ = gen_corpus(SynthConfig(seed=5, train_episodes=8, test_episodes=1,
+                                          entities_per_domain=3))
+        turns = train.episodes[0].turns
+        repeat = Episode("repeat", [turns[0], turns[1], turns[0]])
+        items = prepare_turns(Corpus(train.schemas, train.database, train.episodes[1:] + [repeat]),
+                              in_vocab, out_vocab)
+        return items, out_vocab, student
+
+    @pytest.mark.parametrize("capacity", [None, 1], ids=["default-capacity", "capacity-1"])
+    def test_memo_replies_match_a_memo_free_replay(self, repeating_setup, monkeypatch, capacity):
+        items, out_vocab, student = repeating_setup
+        if capacity is not None:
+            monkeypatch.setattr(models, "ENCODING_MEMO_SIZE", capacity)
+        calls = []
+        encode = StudentModel.encode_utterance
+
+        def counting(self, tape, token_ids):
+            calls.append(tuple(token_ids))
+            return encode(self, tape, token_ids)
+
+        monkeypatch.setattr(StudentModel, "encode_utterance", counting)
+        generated = generate_responses(student, items, out_vocab, max_len=8)
+        monkeypatch.undo()
+        expected = {(item.episode_id, item.turn_index):
+                    out_vocab.decode(memo_free_reply(student, item.history_ids, 8)) for item in items}
+        assert generated == expected
+        assert len(set(map(tuple, expected.values()))) > 1
+        repeat = [item.history_ids for item in items if item.episode_id == "repeat"][-1]
+        assert repeat[0] == repeat[-1]  # the episode repeats an utterance
+        distinct = {tuple(utterance) for item in items for utterance in item.history_ids}
+        if capacity is None:
+            assert len(calls) == len(set(calls)) and set(calls) == distinct
+        else:  # evictions: some utterance is encoded more than once
+            assert set(calls) == distinct and len(calls) > len(distinct)
+
+    def test_a_changed_model_replies_as_a_fresh_copy(self, episode_setup):
+        """No encoding outlives the weights: after an in-place change, the
+        next call replies as a new model holding the changed weights does."""
+        corpus, in_vocab, out_vocab, _ = episode_setup
+        items = prepare_turns(corpus, in_vocab, out_vocab)
+        student = StudentModel(self.CONFIG, len(in_vocab), len(out_vocab), seed=4)
+        before = generate_responses(student, items, out_vocab, max_len=8)
+        student.params["enc_w"].data *= -1.0
+        after = generate_responses(student, items, out_vocab, max_len=8)
+        fresh = StudentModel(self.CONFIG, len(in_vocab), len(out_vocab), seed=0)
+        fresh.load_arrays({name: p.data for name, p in student.params.items()})
+        assert after == generate_responses(fresh, items, out_vocab, max_len=8)
+        assert after != before
+
+    def test_turns_without_states_serve_the_student_only(self, episode_setup):
+        corpus, in_vocab, out_vocab, student = episode_setup
+        items = prepare_turns(corpus, in_vocab, out_vocab)
+        stateless = prepare_turns(corpus, in_vocab, out_vocab, states=False)
+        assert all(item.state is None for item in stateless)
+        assert generate_responses(student, stateless, out_vocab, max_len=8) == \
+            generate_responses(student, items, out_vocab, max_len=8)
+        teacher = TeacherModel(self.CONFIG, len(in_vocab), len(out_vocab), len(items[0].state), seed=1)
+        with pytest.raises(ValueError, match="oracle state"):
+            generate_responses(teacher, stateless, out_vocab, max_len=8)
+        with pytest.raises(ValueError, match="oracle state"):
+            teacher.respond_forced(Tape(), stateless[0].user_ids, None, stateless[0].gold_ids)
 
     def test_generation_reads_only_the_prepared_turns(self, episode_setup, monkeypatch):
         corpus, in_vocab, out_vocab, student = episode_setup
@@ -265,7 +337,7 @@ class TestIncrementalInference:
             assert some == {key: whole[key] for key in keys}
 
     def test_reply_needs_an_utterance(self, student):
-        dialogue = student.dialogue()
+        dialogue = student.dialogue(student.encoding_memo())
         with pytest.raises(ValueError):
             dialogue.reply()
         dialogue.add(ids(4))

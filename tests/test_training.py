@@ -500,15 +500,16 @@ class TestStudentTraining:
         calls = []
         prepare = training.prepare_turns
 
-        def counted(corpus, *args):
-            calls.append(len(corpus.episodes))
-            return prepare(corpus, *args)
+        def counted(corpus, *args, **kwargs):
+            calls.append((len(corpus.episodes), kwargs.get("states", True)))
+            return prepare(corpus, *args, **kwargs)
 
         monkeypatch.setattr(training, "prepare_turns", counted)
         config = TrainingConfig(epochs=epochs, seed=0, model=TINY)
         _, stats = train_student(train, ensemble, in_vocab, out_vocab, config)
         train_part, val_part = split_train_val(train, config.val_fraction)
-        assert calls == [len(train_part.episodes), len(val_part.episodes)]
+        # Only the student reads the validation split, so it has no oracle states.
+        assert calls == [(len(train_part.episodes), True), (len(val_part.episodes), False)]
         assert all(s.val_success is not None for s in stats)
 
 
