@@ -178,7 +178,7 @@ def cmd_prepare(args) -> int:
         db_doc = load_corpus(database_path) if schema_path != database_path else base
         test_ids: set[str] = set()
         if args.test_list:
-            test_ids = set(Path(args.test_list).read_text().split())
+            test_ids = set(Path(args.test_list).read_text(encoding="utf-8").split())
             inputs.append(Path(args.test_list))
         train, test, report = read_multiwoz(data_path, base.schemas, db_doc.database, test_ids)
         synth_doc, seed = None, None
@@ -391,7 +391,7 @@ def cmd_evaluate(args) -> int:
         config_doc = {"model": str(args.model), "split": args.split}
     outputs = _report_outputs(report, out_dir, generated)
     if out_dir:
-        write_manifest(out_dir, "evaluate", config_doc, 0,
+        write_manifest(out_dir, "evaluate", config_doc, None,
                        inputs + [data_dir / f"corpus_{args.split}.json"], outputs, started)
     return EXIT_OK
 
@@ -495,7 +495,7 @@ def cmd_chat(args, stdin=None, stdout=None) -> int:
     # One encoding memo for the whole process, kept across /reset, so a new
     # session reuses the encodings of utterances that earlier ones met.
     memo = student.encoding_memo()
-    dialogue = student.dialogue(memo)
+    history: list = []  # the session's utterance encodings, oldest first
     belief: dict = {}
     for line in stdin:
         line = line.strip()
@@ -504,8 +504,7 @@ def cmd_chat(args, stdin=None, stdout=None) -> int:
         if line == "/quit":
             break
         if line == "/reset":
-            dialogue = student.dialogue(memo)
-            belief = {}
+            history, belief = [], {}
             say("(history cleared)")
             continue
         if delex is not None:
@@ -516,14 +515,14 @@ def cmd_chat(args, stdin=None, stdout=None) -> int:
                     belief.setdefault(domain, {})[slot] = value
         else:
             tokens = line.lower().split()
-        size = len(dialogue.vectors)
+        size = len(history)
         try:
-            dialogue.add(in_vocab.encode(tokens))
-            reply = out_vocab.decode(dialogue.reply(max_len))
-            dialogue.add(in_vocab.encode(reply))
+            history.append(memo(tuple(in_vocab.encode(tokens))))
+            reply = out_vocab.decode(student.reply(history, max_len))
+            history.append(memo(tuple(in_vocab.encode(reply))))
         except Exception:  # decode failure: apologize, keep history intact
             say("sorry , i could not produce a response .")
-            dialogue.truncate(size)
+            del history[size:]
             continue
         if args.lexicalize:
             reply = lexicalize(reply, corpus, belief)
@@ -610,7 +609,7 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (CorpusError, CheckpointError, FileNotFoundError, json.JSONDecodeError) as exc:
+    except (CorpusError, CheckpointError, OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except (TrainingDivergenceError, DivergenceError) as exc:

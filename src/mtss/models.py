@@ -280,7 +280,10 @@ class TeacherEnsemble:
 
 # A decoding pass of the perfbench workloads meets at most 176 distinct
 # utterances (its 793-turn evaluate split; a cycle of its chat scripts meets
-# 123), so such a pass evicts nothing. README gives the memory an entry holds.
+# 123), so such a pass evicts nothing. `generate_responses` looks up a turn's
+# whole history on each reply, so a history longer than the cap would miss on
+# every lookup; the longest perfbench test episode has 6 turns, which is 11
+# utterances. README gives the memory an entry holds.
 ENCODING_MEMO_SIZE = 512
 
 # Token-id tuple -> (per-token encoder outputs, final hidden state).
@@ -351,45 +354,18 @@ class StudentModel(_SeqModel):
         return functools.lru_cache(maxsize=ENCODING_MEMO_SIZE)(
             lambda token_ids: self.encode_utterance(tape, token_ids))
 
-    def dialogue(self, memo: EncodingMemo) -> Dialogue:
-        """A new conversation; dialogues that share ``memo`` encode each
-        distinct utterance once between them."""
-        return Dialogue(self, memo)
-
-
-class Dialogue:
-    """Incremental student inference: each utterance is encoded when added,
-    through ``memo``, so an utterance seen before in the pass is not encoded
-    again. Keeps its vector and the latest utterance's encoder outputs;
-    every reply reruns the context LSTM. It computes what ``encode_history``
-    computes: bit for bit with one utterance, and to rounding (about 1e-15)
-    with more, where ``encode_history`` runs the utterances as one packed
-    sequence.
-    """
-
-    def __init__(self, model: StudentModel, memo: EncodingMemo):
-        self.model = model
-        self.memo = memo
-        self.tape = Tape(record=False)
-        self.vectors: list[Tensor] = []
-        self.latest_outputs: Tensor | None = None
-
-    def add(self, token_ids: Sequence[int]) -> None:
-        self.latest_outputs, vector = self.memo(tuple(token_ids))
-        self.vectors.append(vector)
-
-    def truncate(self, size: int) -> None:
-        """Forget utterances past the first ``size``; the next reply needs an add."""
-        if size < len(self.vectors):
-            del self.vectors[size:]
-            self.latest_outputs = None
-
-    def reply(self, max_len: int = 30) -> list[int]:
-        """Greedy response attending over the latest utterance."""
-        if self.latest_outputs is None:
-            raise ValueError("add an utterance before asking for a reply")
-        action = self.model.action_vector(self.tape, self.tape.stack(self.vectors))
-        return self.model.decode_greedy(self.tape, action, self.latest_outputs, max_len)
+    def reply(self, encoded: Sequence[tuple[Tensor, Tensor]], max_len: int = 30) -> list[int]:
+        """Greedy response to a history given as its utterances'
+        ``encode_utterance`` results, oldest first: the context LSTM runs over
+        their final states and the decoder attends over the last one's outputs.
+        This is ``encode_history`` bit for bit on one utterance, and to
+        rounding (about 1e-15) on more, which it packs into one sequence.
+        """
+        if not encoded:
+            raise ValueError("history must contain at least the current user utterance")
+        tape = Tape(record=False)
+        action = self.action_vector(tape, tape.stack([vector for _, vector in encoded]))
+        return self.decode_greedy(tape, action, encoded[-1][0], max_len)
 
 
 def load_model(path: str | Path, kind: str | None = None,
@@ -489,21 +465,15 @@ def generate_responses(model, items: Sequence[PreparedTurn], out_vocab: Vocabula
 
     ``model`` is a student, a teacher, or a ``TeacherEnsemble``, which
     answers each turn with the teacher of the turn's domain. Teachers read
-    the user utterance and the oracle state. A student reads the raw
-    history through one ``Dialogue``, kept while each turn extends the last
-    one's episode history and replaced otherwise. The call's dialogues share
-    one encoding memo, so each distinct utterance is encoded once.
+    the user utterance and the oracle state. A student replies to the
+    encodings of the turn's history, looked up in one encoding memo for the
+    call, so each distinct utterance is encoded once.
     """
     memo = model.encoding_memo() if isinstance(model, StudentModel) else None
-    dialogue, episode_id = None, None
     generated: dict[tuple[str, int], list[str]] = {}
     for item in items:
         if isinstance(model, StudentModel):
-            if item.episode_id != episode_id or len(dialogue.vectors) >= len(item.history_ids):
-                dialogue, episode_id = model.dialogue(memo), item.episode_id
-            for utterance in item.history_ids[len(dialogue.vectors):]:
-                dialogue.add(utterance)
-            ids = dialogue.reply(max_len)
+            ids = model.reply([memo(tuple(utterance)) for utterance in item.history_ids], max_len)
         else:
             teacher = model.teachers[item.domain] if isinstance(model, TeacherEnsemble) else model
             ids = teacher.generate(item.user_ids, item.state, max_len)

@@ -402,14 +402,15 @@ def train_student(
     if not corpus.episodes:
         raise ValueError("cannot train on an empty corpus")
     train_part, val_part = split_train_val(corpus, config.val_fraction)
-    items = prepare_turns(train_part, in_vocab, out_vocab)
+    # Only a teacher reads oracle states, and no teacher runs at (0, 0).
+    needs_teacher = config.alpha1 > 0 or config.alpha2 > 0
+    items = prepare_turns(train_part, in_vocab, out_vocab, states=needs_teacher)
     val_items = prepare_turns(val_part, in_vocab, out_vocab, states=False)
     student = StudentModel(
         config.model, len(in_vocab), len(out_vocab),
         seed=int(np.random.default_rng([config.seed, 10]).integers(2**31)),
     )
     rng = np.random.default_rng([config.seed, 11])
-    needs_teacher = config.alpha1 > 0 or config.alpha2 > 0
     # Teacher targets are computed once per turn and kept for every epoch;
     # recomputing them made train_student ~4% slower (ROADMAP item 3).
     teacher_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}

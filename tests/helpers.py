@@ -61,8 +61,8 @@ def param_bytes(model) -> bytes:
 
 
 def memo_free_reply(student, history: Sequence[Sequence[int]], max_len: int) -> list[int]:
-    """The student's greedy reply to ``history`` as a ``Dialogue`` computes
-    it, with every utterance encoded afresh and no encoding memo."""
+    """The student's greedy reply to ``history`` as ``StudentModel.reply``
+    computes it, with every utterance encoded afresh and no encoding memo."""
     tape = Tape(record=False)
     encoded = [student.encode_utterance(tape, utterance) for utterance in history]
     action = student.action_vector(tape, tape.stack([vector for _, vector in encoded]))

@@ -29,6 +29,7 @@ TINY_TRAIN = {
     "max_decode_len": 14,
 }
 
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 SYNTH = {"seed": 7, "train_episodes": 14, "test_episodes": 5, "entities_per_domain": 4}
 
 # Schemas and database of a one-domain MultiWOZ-style corpus.
@@ -271,6 +272,8 @@ class TestEvaluate:
         assert report["success"] <= report["inform"] + 1e-12
         assert "restaurant" in report["per_domain"]
         assert (out / "generated.jsonl").exists()
+        # Nothing is seeded: greedy decoding of a fixed checkpoint.
+        assert json.loads((out / "evaluate-manifest.json").read_text())["seed"] is None
 
     def test_generations_file_round_trip(self, workspace, tmp_path):
         # Scoring the gold responses through the line-delimited input gives
@@ -360,8 +363,14 @@ def test_malformed_checkpoint_is_data_error(workspace, tmp_path, capsys, command
 
 
 def _write(path, doc) -> str:
-    path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+    if isinstance(doc, bytes):
+        path.write_bytes(doc)
+    else:
+        path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
     return str(path)
+
+
+NOT_UTF8 = b'{"\xff\xfe": 1}\n'
 
 
 def _data_without_vocab_role(workspace, tmp_path) -> str:
@@ -588,6 +597,16 @@ MALFORMED_INPUTS = [
         tmp, {"d1.json": {"log": HELLO_LOG}}, {"informable": {"area": ["north"]}, "requestable": "phone"})),
     ("schema-requestable-has-a-number", EXIT_DATA, lambda ws, tmp: _multiwoz_prepare(
         tmp, {"d1.json": {"log": HELLO_LOG}}, {"informable": {"area": ["north"]}, "requestable": [7]})),
+    ("generations-not-utf8", EXIT_DATA, lambda ws, tmp: [
+        "evaluate", "--data", str(ws / "data"), "--generations", _write(tmp / "gen.jsonl", NOT_UTF8)]),
+    ("multiwoz-data-not-utf8", EXIT_DATA, lambda ws, tmp: _multiwoz_prepare(tmp, NOT_UTF8)),
+    ("test-list-not-utf8", EXIT_DATA, lambda ws, tmp: _multiwoz_prepare(tmp, {"d1.json": {"log": HELLO_LOG}})
+        + ["--test-list", _write(tmp / "test_ids.txt", NOT_UTF8)]),
+    ("evaluate-model-is-a-directory", EXIT_DATA, lambda ws, tmp: [
+        "evaluate", "--model", str(tmp), "--data", str(ws / "data")]),
+    ("chat-model-is-a-directory", EXIT_DATA, lambda ws, tmp: ["chat", "--model", str(tmp)]),
+    ("test-list-is-a-directory", EXIT_DATA, lambda ws, tmp: _multiwoz_prepare(tmp, {"d1.json": {"log": HELLO_LOG}})
+        + ["--test-list", str(tmp)]),
 ]
 
 
@@ -711,6 +730,10 @@ class TestChat:
             assert len(calls) == 2 * len(expected)
 
     def test_decode_failure_rolls_back_user_line(self, workspace, history_student, monkeypatch):
+        # The benchmark counts a failed chat turn by matching its copy of the apology.
+        monkeypatch.syspath_prepend(str(PERFBENCH))
+        from workloads import SORRY
+
         decode = StudentModel.decode_greedy
         calls = []
 
@@ -727,7 +750,7 @@ class TestChat:
         code, out = self.run_chat(workspace, lines, model=history_student)
         assert code == EXIT_OK
         replies = self.replies(out)
-        assert replies[1] == "sorry , i could not produce a response ."
+        assert replies[1] == SORRY
         assert [replies[0], replies[2]] == expected
 
     def test_lexicalize_fills_placeholders(self, workspace):

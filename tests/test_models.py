@@ -167,8 +167,8 @@ class TestStudentAction:
 
 
 class TestIncrementalInference:
-    """The per-dialogue state must compute exactly what re-encoding the whole
-    history computes, while encoding each utterance only once."""
+    """A reply to memoised utterance encodings must compute what re-encoding
+    the whole history computes, while encoding each utterance only once."""
 
     # A larger init scale than TINY so greedy replies depend on the history.
     CONFIG = ModelConfig(embed_size=8, hidden_size=12, init_scale=0.5)
@@ -187,19 +187,20 @@ class TestIncrementalInference:
         pack several utterances into one sequence, which rounds differently."""
         corpus, in_vocab, _, student = episode_setup
         episode = corpus.episodes[0]
-        dialogue = student.dialogue(student.encoding_memo())
+        memo = student.encoding_memo()
+        encoded = []
         for index, turn in enumerate(episode.turns):
-            dialogue.add(in_vocab.encode(turn.user))
+            encoded.append(memo(tuple(in_vocab.encode(turn.user))))
             tape = Tape(record=False)
             enc_outs, action = student.encode_history(tape, full_history(episode, index, in_vocab))
-            state = (dialogue.latest_outputs.data,
-                     student.action_vector(tape, tape.stack(dialogue.vectors)).data)
+            state = (encoded[-1][0].data,
+                     student.action_vector(tape, tape.stack([vector for _, vector in encoded])).data)
             for got, expected in zip(state, (enc_outs.data, action.data)):
                 if index == 0:
                     assert np.array_equal(got, expected)
                 else:
                     assert np.allclose(got, expected, rtol=1e-12, atol=0.0)
-            dialogue.add(in_vocab.encode(turn.system))
+            encoded.append(memo(tuple(in_vocab.encode(turn.system))))
 
     def test_generate_responses_matches_reference(self, episode_setup, monkeypatch):
         corpus, in_vocab, out_vocab, student = episode_setup
@@ -230,10 +231,7 @@ class TestIncrementalInference:
             tape = Tape(record=False)
             enc_outs, action = student.encode_history(tape, history)
             reference = student.decode_greedy(tape, action, enc_outs, 8)
-            dialogue = student.dialogue(student.encoding_memo())
-            for utterance in history:
-                dialogue.add(utterance)
-            assert dialogue.reply(8) == reference
+            assert student.reply([student.encode_utterance(tape, u) for u in history], 8) == reference
             expected = out_vocab.decode(reference)
             assert generated[(episode.episode_id, index)] == expected
             assert generated[(again.episode_id, index)] == expected
@@ -337,15 +335,8 @@ class TestIncrementalInference:
             assert some == {key: whole[key] for key in keys}
 
     def test_reply_needs_an_utterance(self, student):
-        dialogue = student.dialogue(student.encoding_memo())
-        with pytest.raises(ValueError):
-            dialogue.reply()
-        dialogue.add(ids(4))
-        dialogue.add(ids(5))
-        dialogue.truncate(1)
-        assert len(dialogue.vectors) == 1
-        with pytest.raises(ValueError):
-            dialogue.reply()
+        with pytest.raises(ValueError, match="at least the current user utterance"):
+            student.reply([])
 
 
 class TestDecoder:

@@ -20,7 +20,7 @@ from mtss.corpus.types import (
 from mtss.diffnum import Tape, Tensor
 from mtss.models import ModelConfig, StudentModel, TeacherEnsemble, TeacherModel, ensemble_domains
 from mtss.synthcorpus import SynthConfig, gen_corpus
-from mtss import training
+from mtss import models, training
 from mtss.training import (
     TrainingConfig,
     combined_loss,
@@ -455,6 +455,30 @@ class TestStudentTraining:
         assert param_bytes(student_a) == param_bytes(student_b)
         assert stats[0].kd_text == 0.0 and stats[0].kd_policy == 0.0
         assert stats[0].total == stats[0].nll
+
+    def test_zero_weights_build_no_oracle_state(self, tiny_world, tmp_path, monkeypatch):
+        # The baseline reads no state, so it trains without building one and
+        # saves what a run on turns prepared with states saves.
+        train, _, in_vocab, out_vocab = tiny_world
+        config = TrainingConfig(epochs=1, alpha1=0.0, alpha2=0.0, seed=5, model=TINY)
+        ensemble = tiny_ensemble(train.schemas, len(in_vocab), len(out_vocab))
+        prepare = training.prepare_turns
+
+        def train_and_save(name):
+            student, _ = train_student(train, ensemble, in_vocab, out_vocab, config)
+            student.save(tmp_path / name, train.schemas, in_vocab, out_vocab, config.to_dict())
+            return (tmp_path / name).read_bytes()
+
+        monkeypatch.setattr(training, "prepare_turns",
+                            lambda corpus, *args, **kwargs: prepare(corpus, *args, **{**kwargs, "states": True}))
+        with_states = train_and_save("with_states.ckpt")
+        monkeypatch.undo()
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("the baseline built an oracle state")
+
+        monkeypatch.setattr(models, "turn_state", unreachable)
+        assert train_and_save("stateless.ckpt") == with_states
 
     def test_determinism_across_identical_runs(self, tiny_world):
         train, _, in_vocab, out_vocab = tiny_world
