@@ -28,6 +28,7 @@ from mtss.corpus import (
     load_corpus,
     load_vocab,
     query_db,
+    read_input,
     read_multiwoz,
     save_corpus,
     save_vocab,
@@ -75,7 +76,7 @@ def write_manifest(out_dir: Path, command: str, config: dict, seed: int | None,
         "command": command,
         "config": config,
         "seed": seed,
-        "inputs": {str(p): _sha256(p) for p in inputs if p.exists()},
+        "inputs": {str(p): _sha256(p) for p in inputs},
         "outputs": [str(p) for p in outputs],
         "wall_time_seconds": time.monotonic() - started,
     }
@@ -84,24 +85,32 @@ def write_manifest(out_dir: Path, command: str, config: dict, seed: int | None,
     return path
 
 
-def _read_config_file(path: str, what: str) -> dict:
-    """The JSON object in a config file; a missing file, malformed JSON or
-    any other JSON value is a usage error.
+def _read_config_file(path: str, what: str, check) -> dict:
+    """The JSON object in a config file, which ``check`` accepts on its own;
+    any failure to read, parse or check the file is a usage error naming it.
     """
-    config_path = Path(path)
+    def parse(text: str) -> dict:
+        doc = json.loads(text)
+        if not isinstance(doc, dict):
+            raise ValueError("not a JSON object")
+        check(doc)
+        return doc
+
     try:
-        doc = json.loads(config_path.read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise UsageError(f"cannot read {what} file {config_path}: {exc.strerror}") from None
-    except ValueError as exc:
-        raise UsageError(f"{config_path}: malformed JSON ({exc})") from None
-    if not isinstance(doc, dict):
-        raise UsageError(f"{config_path}: {what} must be a JSON object")
-    return doc
+        return read_input(path, parse)
+    except CorpusError as exc:
+        raise UsageError(f"{what} file {exc}") from None
+
+
+def _check_synth(doc: dict) -> SynthConfig:
+    synth = SynthConfig(**doc)
+    synth.validate()
+    return synth
 
 
 def _load_training_config(args) -> TrainingConfig:
-    doc = _read_config_file(args.config, "training config") if getattr(args, "config", None) else {}
+    doc = (_read_config_file(args.config, "training config", TrainingConfig.from_dict)
+           if getattr(args, "config", None) else {})
     for key in ("alpha1", "alpha2", "seed", "epochs", "lr", "grad_clip"):
         value = getattr(args, key, None)
         if value is not None:
@@ -113,15 +122,13 @@ def _load_training_config(args) -> TrainingConfig:
 
 
 def _load_synth_config(args) -> SynthConfig:
-    doc = _read_config_file(args.synth_config, "synth config") if args.synth_config else {}
+    doc = _read_config_file(args.synth_config, "synth config", _check_synth) if args.synth_config else {}
     if args.seed is not None:
         doc["seed"] = args.seed
     try:
-        synth = SynthConfig(**doc)
-        synth.validate()
+        return _check_synth(doc)
     except (TypeError, ValueError) as exc:
         raise UsageError(f"bad synth config: {exc}") from None
-    return synth
 
 
 def _max_len(args) -> int:
@@ -131,19 +138,13 @@ def _max_len(args) -> int:
 
 
 def _load_split(data_dir: Path, split: str) -> Corpus:
-    path = data_dir / f"corpus_{split}.json"
-    if not path.exists():
-        raise CorpusError(f"prepared data file missing: {path}")
-    return load_corpus(path)
+    return load_corpus(data_dir / f"corpus_{split}.json")
 
 
 def _load_prepared(data_dir: Path) -> tuple[Corpus, Vocabulary, Vocabulary]:
     """The training split and both vocabularies of a prepared directory."""
-    vocab_paths = (data_dir / "vocab_in.json", data_dir / "vocab_out.json")
-    for path in vocab_paths:
-        if not path.exists():
-            raise CorpusError(f"prepared data file missing: {path}")
-    return _load_split(data_dir, "train"), *map(load_vocab, vocab_paths)
+    return (_load_split(data_dir, "train"), load_vocab(data_dir / "vocab_in.json"),
+            load_vocab(data_dir / "vocab_out.json"))
 
 
 # -- prepare -----------------------------------------------------------------------
@@ -170,15 +171,12 @@ def cmd_prepare(args) -> int:
             raise UsageError("--data needs --schemas and --database corpus-format files")
         data_path, schema_path = Path(args.data), Path(args.schemas)
         database_path = Path(args.database)
-        for path in (data_path, schema_path, database_path):
-            if not path.exists():
-                raise CorpusError(f"input file not found: {path}")
         inputs += [data_path, schema_path, database_path]
         base = load_corpus(schema_path)
         db_doc = load_corpus(database_path) if schema_path != database_path else base
         test_ids: set[str] = set()
         if args.test_list:
-            test_ids = set(Path(args.test_list).read_text(encoding="utf-8").split())
+            test_ids = read_input(args.test_list, lambda text: set(text.split()))
             inputs.append(Path(args.test_list))
         train, test, report = read_multiwoz(data_path, base.schemas, db_doc.database, test_ids)
         synth_doc, seed = None, None
@@ -285,10 +283,7 @@ def load_ensemble(teacher_dir: Path, schemas: dict, in_vocab: Vocabulary,
             raise CheckpointError(f"{path}: teacher was trained on other vocabularies than the data's")
         return teacher
 
-    universal_path = teacher_dir / "universal.ckpt"
-    if not universal_path.exists():
-        raise CorpusError(f"missing universal teacher checkpoint: {universal_path}")
-    universal = load(universal_path)
+    universal = load(teacher_dir / "universal.ckpt")
     teachers = {}
     for path in sorted(teacher_dir.glob("teacher_*.ckpt")):
         teacher = load(path)
@@ -359,7 +354,7 @@ def _report_outputs(report: MetricReport, out_dir: Path | None, generated):
 def _load_generations(path: Path) -> dict[tuple[str, int], list[str]]:
     """One JSON object per line with "episode", "turn" and "response"."""
     generated = {}
-    for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+    for number, line in enumerate(read_input(path, str.splitlines), 1):
         if not line.strip():
             continue
         try:
@@ -609,7 +604,7 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (CorpusError, CheckpointError, OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (CorpusError, CheckpointError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except (TrainingDivergenceError, DivergenceError) as exc:

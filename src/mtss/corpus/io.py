@@ -6,6 +6,7 @@ import hashlib
 import json
 import logging
 from pathlib import Path
+from typing import Callable, TypeVar
 
 from mtss.corpus.delex import Delexicalizer
 from mtss.corpus.types import (
@@ -22,6 +23,24 @@ from mtss.corpus.types import (
 from mtss.corpus.vocab import Vocabulary
 
 log = logging.getLogger(__name__)
+
+T = TypeVar("T")
+
+
+def read_input(path: str | Path, parse: Callable[[str], T]) -> T:
+    """``parse`` of the UTF-8 text of the file at ``path``.
+
+    Every failure to read, decode, parse or check that file, ``CorpusError``
+    included, is raised as one ``CorpusError`` that names the path once.
+    """
+    try:
+        return parse(Path(path).read_text(encoding="utf-8"))
+    except OSError as exc:
+        raise CorpusError(f"{path}: {exc.strerror or exc}") from exc
+    except ValueError as exc:  # UTF-8, JSON, CorpusError and other value checks
+        raise CorpusError(f"{path}: {exc}") from exc
+    except (LookupError, TypeError, AttributeError) as exc:
+        raise CorpusError(f"{path}: malformed ({exc!r})") from exc
 
 
 def _corpus_to_dict(corpus: Corpus) -> dict:
@@ -97,11 +116,7 @@ def save_corpus(corpus: Corpus, path: str | Path) -> None:
 
 
 def load_corpus(path: str | Path) -> Corpus:
-    try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-        return _corpus_from_dict(doc)
-    except (KeyError, TypeError, AttributeError, json.JSONDecodeError) as exc:
-        raise CorpusError(f"{path}: malformed corpus file ({exc})") from exc
+    return read_input(path, lambda text: _corpus_from_dict(json.loads(text)))
 
 
 def save_vocab(vocab: Vocabulary, path: str | Path) -> None:
@@ -111,11 +126,7 @@ def save_vocab(vocab: Vocabulary, path: str | Path) -> None:
 
 
 def load_vocab(path: str | Path) -> Vocabulary:
-    try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-        return Vocabulary(doc["role"], doc["tokens"])
-    except (KeyError, TypeError, AttributeError, json.JSONDecodeError) as exc:
-        raise CorpusError(f"{path}: malformed vocabulary file ({exc!r})") from exc
+    return read_input(path, lambda text: Vocabulary(**json.loads(text)))
 
 
 def schema_hash(schemas: dict[str, DomainSchema]) -> str:
@@ -214,11 +225,15 @@ def read_multiwoz(
     Belief values missing from the schema are dropped and counted in the
     returned report.
     """
-    raw = json.loads(Path(data_path).read_text(encoding="utf-8"))
-    if not isinstance(raw, dict):
-        raise CorpusError(f"{data_path}: expected an object keyed by dialogue id")
-    delex = Delexicalizer(schemas, database)
     test_ids = test_ids or set()
+    return read_input(data_path, lambda text: _from_multiwoz(json.loads(text), schemas, database, test_ids))
+
+
+def _from_multiwoz(raw, schemas: dict[str, DomainSchema], database: Database,
+                   test_ids: set[str]) -> tuple[Corpus, Corpus, dict]:
+    if not isinstance(raw, dict):
+        raise CorpusError("expected an object keyed by dialogue id")
+    delex = Delexicalizer(schemas, database)
     dropped: list = []
     train_eps, test_eps = [], []
 

@@ -59,7 +59,8 @@ def build_vocab(
 ) -> Vocabulary:
     """Input vocabularies keep tokens with frequency >= min_freq over all
     utterances; output vocabularies keep the max_size most frequent response
-    tokens, ties broken lexicographically.
+    tokens, ties broken lexicographically. Reserved token strings in the text
+    are never kept as ordinary tokens: they already hold their fixed ids.
     """
     if role not in ("input", "output"):
         raise ValueError(f"role must be 'input' or 'output', got {role!r}")
@@ -71,6 +72,8 @@ def build_vocab(
             counts.update(turn.system)
     if not counts:
         raise CorpusError("cannot build a vocabulary from an empty corpus")
+    for token in RESERVED:
+        del counts[token]
 
     if role == "input":
         kept = sorted(

@@ -7,7 +7,7 @@ from mtss.diffnum.tape import (
     TapeError,
     attend,
 )
-from mtss.diffnum.optim import Adam, AdamState, DivergenceError, adam_step
+from mtss.diffnum.optim import Adam, DivergenceError
 from mtss.diffnum.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 
 __all__ = [
@@ -17,9 +17,7 @@ __all__ = [
     "TapeError",
     "attend",
     "Adam",
-    "AdamState",
     "DivergenceError",
-    "adam_step",
     "CheckpointError",
     "save_checkpoint",
     "load_checkpoint",

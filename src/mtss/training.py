@@ -412,7 +412,8 @@ def train_student(
     )
     rng = np.random.default_rng([config.seed, 11])
     # Teacher targets are computed once per turn and kept for every epoch;
-    # recomputing them made train_student ~4% slower (ROADMAP item 3).
+    # recomputing them made train_student 4.4% slower (CHANGES.md, "Losses on
+    # log-probabilities"). ROADMAP item 10 revisits the cache for memory.
     teacher_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
     def losses(tape: Tape, index: int, item: PreparedTurn):

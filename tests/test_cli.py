@@ -373,12 +373,25 @@ def _write(path, doc) -> str:
 NOT_UTF8 = b'{"\xff\xfe": 1}\n'
 
 
-def _data_without_vocab_role(workspace, tmp_path) -> str:
+def _at(name):
+    """Path builder of the file ``name`` under a test's scratch directory."""
+    return lambda ws, tmp: tmp / name
+
+
+def _data_with(workspace, tmp_path, name, doc) -> str:
+    """A copy of the workspace data whose file ``name`` holds ``doc``, or is
+    gone when ``doc`` is None."""
     data = tmp_path / "data"
     shutil.copytree(workspace / "data", data)
-    vocab = json.loads((data / "vocab_in.json").read_text())
-    _write(data / "vocab_in.json", {"tokens": vocab["tokens"]})
+    if doc is None:
+        (data / name).unlink()
+    else:
+        _write(data / name, doc)
     return str(data)
+
+
+def _input_tokens(workspace) -> list[str]:
+    return json.loads((workspace / "data" / "vocab_in.json").read_text())["tokens"]
 
 
 def _teachers_with_student(workspace, tmp_path) -> str:
@@ -445,12 +458,9 @@ def _checkpoint_of_unknown_kind(workspace, tmp_path) -> str:
 def _data_edited(workspace, tmp_path, split, edit) -> str:
     """A copy of the workspace data whose corpus_<split>.json went through
     ``edit``, a function that changes the parsed JSON document in place."""
-    data = tmp_path / "data"
-    shutil.copytree(workspace / "data", data)
-    doc = json.loads((data / f"corpus_{split}.json").read_text())
+    doc = json.loads((workspace / "data" / f"corpus_{split}.json").read_text())
     edit(doc)
-    _write(data / f"corpus_{split}.json", doc)
-    return str(data)
+    return _data_with(workspace, tmp_path, f"corpus_{split}.json", doc)
 
 
 def _train_teachers_on_edited(workspace, tmp_path, edit) -> list[str]:
@@ -468,9 +478,9 @@ def _evaluate_gold_on_edited(workspace, tmp_path, edit) -> list[str]:
             "--generations", _write(tmp_path / "gold.jsonl", gold)]
 
 
-def _set_first_belief(value):
+def _set_first_turn(key, value):
     def edit(doc):
-        doc["episodes"][0]["turns"][0]["belief"] = value
+        doc["episodes"][0]["turns"][0][key] = value
     return edit
 
 
@@ -485,137 +495,195 @@ def _set_record_values(doc):
         records[0]["values"] = []
 
 
-# (id, argv builder, expected exit code): each input is malformed in one way.
+# (id, expected exit code, argv builder, path builder): each input is malformed
+# in one way. The path builder gives the file (or directory) the fault lies in,
+# which the error line must name; None where the fault is in a flag.
 MALFORMED_INPUTS = [
     ("config-unknown-key", EXIT_USAGE, lambda ws, tmp: [
         "train-teachers", "--data", str(ws / "data"), "--out", str(tmp / "out"),
-        "--config", _write(tmp / "train.json", {"bogus": 1})]),
+        "--config", _write(tmp / "train.json", {"bogus": 1})], _at("train.json")),
     ("config-data-key", EXIT_USAGE, lambda ws, tmp: [
         "train-teachers", "--data", str(ws / "data"), "--out", str(tmp / "out"),
-        "--config", _write(tmp / "train.json", {**TINY_TRAIN, "data": str(ws / "data")})]),
+        "--config", _write(tmp / "train.json", {**TINY_TRAIN, "data": str(ws / "data")})], _at("train.json")),
     ("negative-epochs", EXIT_USAGE, lambda ws, tmp: [
-        "train-teachers", "--data", str(ws / "data"), "--out", str(tmp / "out"), "--epochs", "-1"]),
+        "train-teachers", "--data", str(ws / "data"), "--out", str(tmp / "out"), "--epochs", "-1"], None),
     ("config-missing", EXIT_USAGE, lambda ws, tmp: [
         "train-teachers", "--data", str(ws / "data"), "--out", str(tmp / "out"),
-        "--config", str(tmp / "missing.json")]),
+        "--config", str(tmp / "missing.json")], _at("missing.json")),
     ("config-malformed-json", EXIT_USAGE, lambda ws, tmp: [
         "train-teachers", "--data", str(ws / "data"), "--out", str(tmp / "out"),
-        "--config", _write(tmp / "train.json", "{bad")]),
+        "--config", _write(tmp / "train.json", "{bad")], _at("train.json")),
     ("config-not-an-object", EXIT_USAGE, lambda ws, tmp: [
         "train-teachers", "--data", str(ws / "data"), "--out", str(tmp / "out"),
-        "--config", _write(tmp / "train.json", [1])]),
+        "--config", _write(tmp / "train.json", [1])], _at("train.json")),
     ("negative-hidden-size", EXIT_USAGE, lambda ws, tmp: [
         "train-teachers", "--data", str(ws / "data"), "--out", str(tmp / "out"),
-        "--config", _write(tmp / "train.json", {"model": {"hidden_size": -1}})]),
+        "--config", _write(tmp / "train.json", {"model": {"hidden_size": -1}})], _at("train.json")),
     ("fractional-hidden-size", EXIT_USAGE, lambda ws, tmp: [
         "train-teachers", "--data", str(ws / "data"), "--out", str(tmp / "out"),
-        "--config", _write(tmp / "train.json", {"model": {"hidden_size": 1.5}})]),
+        "--config", _write(tmp / "train.json", {"model": {"hidden_size": 1.5}})], _at("train.json")),
     ("zero-embed-size", EXIT_USAGE, lambda ws, tmp: [
         "train-student", "--data", str(ws / "data"), "--teachers", str(ws / "teachers"),
-        "--out", str(tmp / "out"), "--config", _write(tmp / "train.json", {"model": {"embed_size": 0}})]),
+        "--out", str(tmp / "out"), "--config", _write(tmp / "train.json", {"model": {"embed_size": 0}})],
+        _at("train.json")),
     ("fractional-epochs", EXIT_USAGE, lambda ws, tmp: [
         "train-teachers", "--data", str(ws / "data"), "--out", str(tmp / "out"),
-        "--config", _write(tmp / "train.json", {"teacher_epochs": 1.5})]),
+        "--config", _write(tmp / "train.json", {"teacher_epochs": 1.5})], _at("train.json")),
     ("zero-max-decode-len", EXIT_USAGE, lambda ws, tmp: [
         "train-teachers", "--data", str(ws / "data"), "--out", str(tmp / "out"),
-        "--config", _write(tmp / "train.json", {"max_decode_len": 0})]),
+        "--config", _write(tmp / "train.json", {"max_decode_len": 0})], _at("train.json")),
     ("synth-config-missing", EXIT_USAGE, lambda ws, tmp: [
-        "prepare", "--out", str(tmp / "out"), "--synth-config", str(tmp / "missing.json")]),
+        "prepare", "--out", str(tmp / "out"), "--synth-config", str(tmp / "missing.json")],
+        _at("missing.json")),
     ("synth-config-malformed-json", EXIT_USAGE, lambda ws, tmp: [
-        "prepare", "--out", str(tmp / "out"), "--synth-config", _write(tmp / "synth.json", "{bad")]),
+        "prepare", "--out", str(tmp / "out"), "--synth-config", _write(tmp / "synth.json", "{bad")],
+        _at("synth.json")),
     ("synth-unknown-key", EXIT_USAGE, lambda ws, tmp: [
-        "prepare", "--out", str(tmp / "out"), "--synth-config", _write(tmp / "synth.json", {"bogus": 1})]),
+        "prepare", "--out", str(tmp / "out"), "--synth-config", _write(tmp / "synth.json", {"bogus": 1})],
+        _at("synth.json")),
     ("generations-no-response", EXIT_DATA, lambda ws, tmp: [
         "evaluate", "--data", str(ws / "data"),
-        "--generations", _write(tmp / "gen.jsonl", '{"episode": "test-0000", "turn": 0}\n')]),
+        "--generations", _write(tmp / "gen.jsonl", '{"episode": "test-0000", "turn": 0}\n')],
+        _at("gen.jsonl")),
     ("vocab-no-role", EXIT_DATA, lambda ws, tmp: [
-        "train-teachers", "--data", _data_without_vocab_role(ws, tmp), "--out", str(tmp / "out")]),
+        "train-teachers", "--out", str(tmp / "out"),
+        "--data", _data_with(ws, tmp, "vocab_in.json", {"tokens": _input_tokens(ws)})],
+        _at("data/vocab_in.json")),
     ("evaluate-zero-max-len", EXIT_USAGE, lambda ws, tmp: [
         "evaluate", "--model", str(ws / "student" / "student.ckpt"), "--data", str(ws / "data"),
-        "--max-len", "0"]),
+        "--max-len", "0"], None),
     ("chat-zero-max-len", EXIT_USAGE, lambda ws, tmp: [
-        "chat", "--model", str(ws / "student" / "student.ckpt"), "--max-len", "0"]),
+        "chat", "--model", str(ws / "student" / "student.ckpt"), "--max-len", "0"], None),
     ("chat-teacher-checkpoint", EXIT_DATA, lambda ws, tmp: [
-        "chat", "--model", str(ws / "teachers" / "universal.ckpt")]),
+        "chat", "--model", str(ws / "teachers" / "universal.ckpt")],
+        lambda ws, tmp: ws / "teachers" / "universal.ckpt"),
     ("student-among-teachers", EXIT_DATA, lambda ws, tmp: [
         "train-student", "--data", str(ws / "data"), "--teachers", _teachers_with_student(ws, tmp),
-        "--out", str(tmp / "out")]),
+        "--out", str(tmp / "out")], _at("teachers/teacher_extra.ckpt")),
     ("teacher-of-another-size", EXIT_DATA, lambda ws, tmp: [
         "train-student", "--data", str(ws / "data"), "--teachers", _teachers_with_other_size(ws, tmp),
-        "--out", str(tmp / "out")]),
+        "--out", str(tmp / "out")], _at("teachers")),
     ("teachers-without-general", EXIT_DATA, lambda ws, tmp: _train_student_with(
-        _teachers_edited(ws, tmp, drop=["general"]), ws, tmp)),
+        _teachers_edited(ws, tmp, drop=["general"]), ws, tmp), _at("teachers")),
     ("teachers-without-hotel", EXIT_DATA, lambda ws, tmp: _train_student_with(
-        _teachers_edited(ws, tmp, drop=["hotel"]), ws, tmp)),
+        _teachers_edited(ws, tmp, drop=["hotel"]), ws, tmp), _at("teachers")),
     ("teachers-with-two-for-hotel", EXIT_DATA, lambda ws, tmp: _train_student_with(
-        _teachers_edited(ws, tmp, duplicate=["hotel"]), ws, tmp)),
+        _teachers_edited(ws, tmp, duplicate=["hotel"]), ws, tmp), _at("teachers/teacher_hotel_again.ckpt")),
     ("init-scale-not-a-number", EXIT_USAGE, lambda ws, tmp: _train_teachers_with(
-        {"model": {**TINY_TRAIN["model"], "init_scale": "big"}}, ws, tmp)),
-    ("model-not-an-object", EXIT_USAGE, lambda ws, tmp: _train_teachers_with({"model": []}, ws, tmp)),
-    ("grad-clip-not-a-number", EXIT_USAGE, lambda ws, tmp: _train_teachers_with({"grad_clip": "x"}, ws, tmp)),
-    ("negative-seed", EXIT_USAGE, lambda ws, tmp: _train_teachers_with({"seed": -1}, ws, tmp)),
-    ("fractional-seed", EXIT_USAGE, lambda ws, tmp: _train_teachers_with({"seed": 1.5}, ws, tmp)),
-    ("select-best-not-a-bool", EXIT_USAGE, lambda ws, tmp: _train_teachers_with({"select_best": "no"}, ws, tmp)),
+        {"model": {**TINY_TRAIN["model"], "init_scale": "big"}}, ws, tmp), _at("train.json")),
+    ("model-not-an-object", EXIT_USAGE, lambda ws, tmp: _train_teachers_with({"model": []}, ws, tmp),
+        _at("train.json")),
+    ("grad-clip-not-a-number", EXIT_USAGE, lambda ws, tmp: _train_teachers_with({"grad_clip": "x"}, ws, tmp),
+        _at("train.json")),
+    ("negative-seed", EXIT_USAGE, lambda ws, tmp: _train_teachers_with({"seed": -1}, ws, tmp),
+        _at("train.json")),
+    ("fractional-seed", EXIT_USAGE, lambda ws, tmp: _train_teachers_with({"seed": 1.5}, ws, tmp),
+        _at("train.json")),
+    ("select-best-not-a-bool", EXIT_USAGE, lambda ws, tmp: _train_teachers_with({"select_best": "no"}, ws, tmp),
+        _at("train.json")),
     ("negative-seed-flag", EXIT_USAGE, lambda ws, tmp: [
         "train-teachers", "--data", str(ws / "data"), "--out", str(tmp / "out"),
-        "--config", str(ws / "train.json"), "--seed", "-3"]),
-    ("prepare-negative-seed", EXIT_USAGE, lambda ws, tmp: ["prepare", "--out", str(tmp / "out"), "--seed", "-1"]),
+        "--config", str(ws / "train.json"), "--seed", "-3"], None),
+    ("prepare-negative-seed", EXIT_USAGE, lambda ws, tmp: ["prepare", "--out", str(tmp / "out"), "--seed", "-1"],
+        None),
     ("synth-fractional-domains", EXIT_USAGE, lambda ws, tmp: [
-        "prepare", "--out", str(tmp / "out"), "--synth-config", _write(tmp / "synth.json", {"domains": 2.5})]),
+        "prepare", "--out", str(tmp / "out"), "--synth-config", _write(tmp / "synth.json", {"domains": 2.5})],
+        _at("synth.json")),
     ("unknown-model-kind", EXIT_DATA, lambda ws, tmp: [
-        "evaluate", "--model", _checkpoint_of_unknown_kind(ws, tmp), "--data", str(ws / "data")]),
-    ("multiwoz-dialogue-is-a-list", EXIT_DATA, lambda ws, tmp: _multiwoz_prepare(tmp, {"d1.json": []})),
+        "evaluate", "--model", _checkpoint_of_unknown_kind(ws, tmp), "--data", str(ws / "data")],
+        _at("bogus.ckpt")),
+    ("multiwoz-dialogue-is-a-list", EXIT_DATA, lambda ws, tmp: _multiwoz_prepare(tmp, {"d1.json": []}),
+        _at("data.json")),
     ("multiwoz-log-entry-is-a-string", EXIT_DATA, lambda ws, tmp: _multiwoz_prepare(
-        tmp, {"d1.json": {"log": ["hello", "hi there"]}})),
+        tmp, {"d1.json": {"log": ["hello", "hi there"]}}), _at("data.json")),
     ("multiwoz-metadata-is-a-string", EXIT_DATA, lambda ws, tmp: _multiwoz_prepare(
         tmp, {"d1.json": {"log": [{"text": "hello", "metadata": {}},
-                                  {"text": "hi there", "metadata": "restaurant"}]}})),
+                                  {"text": "hi there", "metadata": "restaurant"}]}}), _at("data.json")),
     ("multiwoz-text-is-a-number", EXIT_DATA, lambda ws, tmp: _multiwoz_prepare(
-        tmp, {"d1.json": {"log": [{"text": 5, "metadata": {}}, {"text": "hi there", "metadata": {}}]}})),
+        tmp, {"d1.json": {"log": [{"text": 5, "metadata": {}}, {"text": "hi there", "metadata": {}}]}}),
+        _at("data.json")),
     ("multiwoz-goal-info-is-a-string", EXIT_DATA, lambda ws, tmp: _multiwoz_prepare(
-        tmp, {"d1.json": {"goal": {"restaurant": {"info": "north", "reqt": ["phone"]}}, "log": HELLO_LOG}})),
+        tmp, {"d1.json": {"goal": {"restaurant": {"info": "north", "reqt": ["phone"]}}, "log": HELLO_LOG}}),
+        _at("data.json")),
     ("multiwoz-goal-reqt-is-a-string", EXIT_DATA, lambda ws, tmp: _multiwoz_prepare(
         tmp, {"d1.json": {"goal": {"restaurant": {"info": {"area": "north"}, "reqt": "phone"}},
-                          "log": HELLO_LOG}})),
+                          "log": HELLO_LOG}}), _at("data.json")),
     ("belief-value-not-in-schema", EXIT_DATA, lambda ws, tmp: _train_teachers_on_edited(
-        ws, tmp, _set_first_belief({"attraction": {"area": "mars"}}))),
+        ws, tmp, _set_first_turn("belief", {"attraction": {"area": "mars"}})), _at("data/corpus_train.json")),
     ("belief-domain-not-in-schema", EXIT_DATA, lambda ws, tmp: _train_teachers_on_edited(
-        ws, tmp, _set_first_belief({"cinema": {"area": "north"}}))),
-    ("belief-is-a-list", EXIT_DATA, lambda ws, tmp: _train_teachers_on_edited(ws, tmp, _set_first_belief([]))),
+        ws, tmp, _set_first_turn("belief", {"cinema": {"area": "north"}})), _at("data/corpus_train.json")),
+    ("belief-is-a-list", EXIT_DATA, lambda ws, tmp: _train_teachers_on_edited(
+        ws, tmp, _set_first_turn("belief", [])), _at("data/corpus_train.json")),
     ("goal-constraints-is-a-list", EXIT_DATA, lambda ws, tmp: _evaluate_gold_on_edited(
-        ws, tmp, _set_goal_constraints)),
-    ("record-values-is-a-list", EXIT_DATA, lambda ws, tmp: _evaluate_gold_on_edited(ws, tmp, _set_record_values)),
+        ws, tmp, _set_goal_constraints), _at("data/corpus_test.json")),
+    ("record-values-is-a-list", EXIT_DATA, lambda ws, tmp: _evaluate_gold_on_edited(ws, tmp, _set_record_values),
+        _at("data/corpus_test.json")),
     ("multiwoz-semi-is-a-list", EXIT_DATA, lambda ws, tmp: _multiwoz_prepare(
         tmp, {"d1.json": {"log": [{"text": "hello", "metadata": {}},
-                                  {"text": "hi there", "metadata": {"restaurant": {"semi": ["area"]}}}]}})),
+                                  {"text": "hi there", "metadata": {"restaurant": {"semi": ["area"]}}}]}}),
+        _at("data.json")),
     ("schema-value-is-a-number", EXIT_DATA, lambda ws, tmp: _multiwoz_prepare(
         tmp, {"d1.json": {"log": HELLO_LOG}},
-        {"informable": {"area": ["north", 5]}, "requestable": ["phone"]})),
+        {"informable": {"area": ["north", 5]}, "requestable": ["phone"]}), _at("base.json")),
     ("schema-value-set-is-a-string", EXIT_DATA, lambda ws, tmp: _multiwoz_prepare(
-        tmp, {"d1.json": {"log": HELLO_LOG}}, {"informable": {"area": "north"}, "requestable": ["phone"]})),
+        tmp, {"d1.json": {"log": HELLO_LOG}}, {"informable": {"area": "north"}, "requestable": ["phone"]}),
+        _at("base.json")),
     ("schema-requestable-is-a-string", EXIT_DATA, lambda ws, tmp: _multiwoz_prepare(
-        tmp, {"d1.json": {"log": HELLO_LOG}}, {"informable": {"area": ["north"]}, "requestable": "phone"})),
+        tmp, {"d1.json": {"log": HELLO_LOG}}, {"informable": {"area": ["north"]}, "requestable": "phone"}),
+        _at("base.json")),
     ("schema-requestable-has-a-number", EXIT_DATA, lambda ws, tmp: _multiwoz_prepare(
-        tmp, {"d1.json": {"log": HELLO_LOG}}, {"informable": {"area": ["north"]}, "requestable": [7]})),
+        tmp, {"d1.json": {"log": HELLO_LOG}}, {"informable": {"area": ["north"]}, "requestable": [7]}),
+        _at("base.json")),
     ("generations-not-utf8", EXIT_DATA, lambda ws, tmp: [
-        "evaluate", "--data", str(ws / "data"), "--generations", _write(tmp / "gen.jsonl", NOT_UTF8)]),
-    ("multiwoz-data-not-utf8", EXIT_DATA, lambda ws, tmp: _multiwoz_prepare(tmp, NOT_UTF8)),
+        "evaluate", "--data", str(ws / "data"), "--generations", _write(tmp / "gen.jsonl", NOT_UTF8)],
+        _at("gen.jsonl")),
+    ("multiwoz-data-not-utf8", EXIT_DATA, lambda ws, tmp: _multiwoz_prepare(tmp, NOT_UTF8), _at("data.json")),
     ("test-list-not-utf8", EXIT_DATA, lambda ws, tmp: _multiwoz_prepare(tmp, {"d1.json": {"log": HELLO_LOG}})
-        + ["--test-list", _write(tmp / "test_ids.txt", NOT_UTF8)]),
+        + ["--test-list", _write(tmp / "test_ids.txt", NOT_UTF8)], _at("test_ids.txt")),
     ("evaluate-model-is-a-directory", EXIT_DATA, lambda ws, tmp: [
-        "evaluate", "--model", str(tmp), "--data", str(ws / "data")]),
-    ("chat-model-is-a-directory", EXIT_DATA, lambda ws, tmp: ["chat", "--model", str(tmp)]),
+        "evaluate", "--model", str(tmp), "--data", str(ws / "data")], lambda ws, tmp: tmp),
+    ("chat-model-is-a-directory", EXIT_DATA, lambda ws, tmp: ["chat", "--model", str(tmp)],
+        lambda ws, tmp: tmp),
     ("test-list-is-a-directory", EXIT_DATA, lambda ws, tmp: _multiwoz_prepare(tmp, {"d1.json": {"log": HELLO_LOG}})
-        + ["--test-list", str(tmp)]),
+        + ["--test-list", str(tmp)], lambda ws, tmp: tmp),
+    ("multiwoz-data-malformed-json", EXIT_DATA, lambda ws, tmp: _multiwoz_prepare(tmp, "{bad"), _at("data.json")),
+    ("schemas-not-utf8", EXIT_DATA, lambda ws, tmp: _multiwoz_prepare(tmp, {"d1.json": {"log": HELLO_LOG}})
+        + ["--schemas", _write(tmp / "schemas.json", NOT_UTF8)], _at("schemas.json")),
+    ("schemas-informable-is-a-list", EXIT_DATA, lambda ws, tmp: _multiwoz_prepare(
+        tmp, {"d1.json": {"log": HELLO_LOG}}) + ["--schemas", _write(tmp / "schemas.json", {
+            "schemas": {"restaurant": {"informable": ["area"], "requestable": ["phone"]}}})], _at("schemas.json")),
+    ("database-not-utf8", EXIT_DATA, lambda ws, tmp: _multiwoz_prepare(tmp, {"d1.json": {"log": HELLO_LOG}})
+        + ["--database", _write(tmp / "database.json", NOT_UTF8)], _at("database.json")),
+    ("vocab-not-utf8", EXIT_DATA, lambda ws, tmp: [
+        "train-teachers", "--data", _data_with(ws, tmp, "vocab_in.json", NOT_UTF8), "--out", str(tmp / "out")],
+        _at("data/vocab_in.json")),
+    ("vocab-without-reserved-tokens", EXIT_DATA, lambda ws, tmp: [
+        "train-teachers", "--out", str(tmp / "out"),
+        "--data", _data_with(ws, tmp, "vocab_in.json", {"role": "input", "tokens": _input_tokens(ws)[4:]})],
+        _at("data/vocab_in.json")),
+    ("chat-data-not-utf8", EXIT_DATA, lambda ws, tmp: [
+        "chat", "--model", str(ws / "student" / "student.ckpt"), "--data", _write(tmp / "corpus.json", NOT_UTF8)],
+        _at("corpus.json")),
+    ("domain-tag-not-in-schema", EXIT_DATA, lambda ws, tmp: _train_teachers_on_edited(
+        ws, tmp, _set_first_turn("domain", "weather")), _at("data/corpus_train.json")),
+    ("corpus-test-missing", EXIT_DATA, lambda ws, tmp: [
+        "evaluate", "--model", str(ws / "student" / "student.ckpt"),
+        "--data", _data_with(ws, tmp, "corpus_test.json", None)], _at("data/corpus_test.json")),
+    ("config-not-utf8", EXIT_USAGE, lambda ws, tmp: [
+        "train-teachers", "--data", str(ws / "data"), "--out", str(tmp / "out"),
+        "--config", _write(tmp / "train.json", NOT_UTF8)], _at("train.json")),
 ]
 
 
-@pytest.mark.parametrize("expected,argv", [c[1:] for c in MALFORMED_INPUTS], ids=[c[0] for c in MALFORMED_INPUTS])
-def test_malformed_input_ends_in_one_line(workspace, tmp_path, capsys, expected, argv):
+@pytest.mark.parametrize("expected,argv,blame", [c[1:] for c in MALFORMED_INPUTS],
+                         ids=[c[0] for c in MALFORMED_INPUTS])
+def test_malformed_input_ends_in_one_line(workspace, tmp_path, capsys, expected, argv, blame):
     code = main(argv(workspace, tmp_path))
     err = capsys.readouterr().err
     assert code == expected
     assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+    if blame is not None:
+        assert str(blame(workspace, tmp_path)) in err
 
 
 def full_history_reply(student, history, max_len):

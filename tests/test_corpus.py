@@ -308,6 +308,13 @@ class TestVocabulary:
         vocab = build_vocab(self.make_corpus(["hi"], schemas, database), "input")
         assert vocab.tokens[:4] == RESERVED
 
+    @pytest.mark.parametrize("role", ["input", "output"])
+    def test_reserved_strings_in_text_are_not_kept_twice(self, schemas, database, role):
+        corpus = self.make_corpus(["<unk> <eos> hello <pad> <bos>"] * 5, schemas, database)
+        vocab = build_vocab(corpus, role)
+        assert vocab.tokens == RESERVED + ["hello"]
+        assert vocab.encode(["<unk>", "hello"])[1:3] == [UNK_ID, len(RESERVED)]
+
     def test_empty_corpus_errors(self, schemas, database):
         with pytest.raises(CorpusError):
             build_vocab(Corpus(schemas, database, []), "input")
