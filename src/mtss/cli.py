@@ -1,8 +1,9 @@
 """Operator entry point: prepare data, train teachers and students, evaluate,
 sweep distillation weights, and chat with a trained student.
 
-Exit codes: 0 success, 1 usage error, 2 data error, 3 training divergence.
-Every artifact-producing command writes a run manifest next to its outputs.
+Exit codes: 0 success, 1 usage error, 2 data error, 3 training divergence,
+130 interrupted (Ctrl-C). Every artifact-producing command writes a run
+manifest next to its outputs.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ from mtss.training import (
     train_teacher_ensemble,
 )
 
-EXIT_OK, EXIT_USAGE, EXIT_DATA, EXIT_DIVERGED = 0, 1, 2, 3
+EXIT_OK, EXIT_USAGE, EXIT_DATA, EXIT_DIVERGED, EXIT_INTERRUPTED = 0, 1, 2, 3, 130
 
 # Table layout of the nine distillation-weight cells swept by `mtss sweep`.
 SWEEP_GRID = [
@@ -289,6 +290,10 @@ def load_ensemble(teacher_dir: Path, schemas: dict, in_vocab: Vocabulary,
         teacher = load(path)
         if teacher.domain in teachers:
             raise CheckpointError(f"{path}: a second teacher for domain {teacher.domain!r}")
+        try:
+            teacher.check_shaped_like(universal)
+        except ValueError as exc:
+            raise CheckpointError(f"{path}: {exc}") from None
         teachers[teacher.domain] = teacher
     ensemble = TeacherEnsemble(teachers, universal)
     try:
@@ -488,9 +493,10 @@ def cmd_chat(args, stdin=None, stdout=None) -> int:
 
     say("type a message; /reset clears history, /quit exits")
     # One encoding memo for the whole process, kept across /reset, so a new
-    # session reuses the encodings of utterances that earlier ones met.
+    # session reuses the encodings of utterances that earlier ones met, and
+    # each reply steps the context LSTM over the two utterances since the last.
     memo = student.encoding_memo()
-    history: list = []  # the session's utterance encodings, oldest first
+    history: list = []  # the session's utterances as token-id tuples, oldest first
     belief: dict = {}
     for line in stdin:
         line = line.strip()
@@ -512,9 +518,9 @@ def cmd_chat(args, stdin=None, stdout=None) -> int:
             tokens = line.lower().split()
         size = len(history)
         try:
-            history.append(memo(tuple(in_vocab.encode(tokens))))
-            reply = out_vocab.decode(student.reply(history, max_len))
-            history.append(memo(tuple(in_vocab.encode(reply))))
+            history.append(tuple(in_vocab.encode(tokens)))
+            reply = out_vocab.decode(student.reply(memo(history), max_len))
+            history.append(tuple(in_vocab.encode(reply)))
         except Exception:  # decode failure: apologize, keep history intact
             say("sorry , i could not produce a response .")
             del history[size:]
@@ -610,6 +616,9 @@ def main(argv: list[str] | None = None) -> int:
     except (TrainingDivergenceError, DivergenceError) as exc:
         print(f"training diverged: {exc}", file=sys.stderr)
         return EXIT_DIVERGED
+    except KeyboardInterrupt:
+        print("interrupted", file=sys.stderr)
+        return EXIT_INTERRUPTED
 
 
 if __name__ == "__main__":

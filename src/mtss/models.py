@@ -8,10 +8,10 @@ LSTM hidden size so teacher and student actions are directly comparable.
 
 from __future__ import annotations
 
-import functools
+from collections import OrderedDict
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -246,6 +246,15 @@ class TeacherModel(_SeqModel):
     def _extra_save_meta(self) -> dict:
         return {"state_size": self.state_size, "domain": self.domain}
 
+    def check_shaped_like(self, universal: "TeacherModel") -> None:
+        """Raises ``ValueError`` naming the first parameter whose shape
+        differs from the universal teacher's."""
+        for name, p in self.params.items():
+            expected = universal.params[name].data.shape
+            if p.data.shape != expected:
+                raise ValueError(f"teacher {self.domain!r} parameter {name!r} has shape {p.data.shape}, "
+                                 f"the universal teacher's {expected}")
+
 
 def ensemble_domains(schemas: dict[str, DomainSchema]) -> list[str]:
     """The domains of a teacher ensemble, in training order: every schema
@@ -268,26 +277,73 @@ class TeacherEnsemble:
         for domain in domains:
             if domain not in self.teachers:
                 raise ValueError(f"no teacher for domain {domain!r}")
-        shapes = {name: p.data.shape for name, p in self.universal.params.items()}
         for domain, teacher in self.teachers.items():
             if domain not in domains:
                 raise ValueError(f"teacher for domain {domain!r}, which is not in the schemas "
                                  f"or {GENERAL_DOMAIN!r}")
-            for name, p in teacher.params.items():
-                if p.data.shape != shapes[name]:
-                    raise ValueError(f"teacher {domain!r} parameter {name!r} shape mismatch")
+            teacher.check_shaped_like(self.universal)
 
 
 # A decoding pass of the perfbench workloads meets at most 176 distinct
 # utterances (its 793-turn evaluate split; a cycle of its chat scripts meets
-# 123), so such a pass evicts nothing. `generate_responses` looks up a turn's
-# whole history on each reply, so a history longer than the cap would miss on
-# every lookup; the longest perfbench test episode has 6 turns, which is 11
-# utterances. README gives the memory an entry holds.
+# 123), so its utterance map evicts nothing. Its context map may evict the
+# histories of finished episodes and sessions: a reply reads only the entry of
+# the previous turn's history, which its own history extends. README gives
+# the memory an entry holds.
 ENCODING_MEMO_SIZE = 512
 
-# Token-id tuple -> (per-token encoder outputs, final hidden state).
-EncodingMemo = Callable[[tuple[int, ...]], tuple[Tensor, Tensor]]
+
+def _remember(cache: OrderedDict, key, value):
+    """Put ``value`` at ``key`` as the most recently used entry of an LRU map
+    of ``ENCODING_MEMO_SIZE`` entries; returns ``value``."""
+    cache[key] = value
+    cache.move_to_end(key)
+    if len(cache) > ENCODING_MEMO_SIZE:
+        cache.popitem(last=False)
+    return value
+
+
+class EncodingMemo:
+    """A student's encodings for one decoding pass, in two least-recently-used
+    maps of ``ENCODING_MEMO_SIZE`` entries: an utterance's token ids ->
+    ``encode_utterance`` result, and a history prefix -> the context LSTM's
+    (h, c) after its last utterance. It holds results of the current weights,
+    so make one per decoding pass and drop it when they change.
+    """
+
+    def __init__(self, student: "StudentModel"):
+        self.student = student
+        self.tape = Tape(record=False)
+        self.utterances: OrderedDict[tuple[int, ...], tuple[Tensor, Tensor]] = OrderedDict()
+        self.contexts: OrderedDict[tuple[tuple[int, ...], ...], tuple[Tensor, Tensor]] = OrderedDict()
+
+    def _encode(self, token_ids: tuple[int, ...]) -> tuple[Tensor, Tensor]:
+        """``encode_utterance`` of ``token_ids``, from the map when it holds them."""
+        found = self.utterances.get(token_ids)
+        if found is None:
+            found = self.student.encode_utterance(self.tape, token_ids)
+        return _remember(self.utterances, token_ids, found)
+
+    def __call__(self, history: Sequence[Sequence[int]]) -> tuple[Tensor, Tensor]:
+        """(the last utterance's encoder outputs, the context LSTM's h after
+        the whole history). The context LSTM starts from the longest cached
+        prefix of ``history``, or from zeros, and steps one utterance at a
+        time, each step a one-row ``lstm_sequence`` as ``action_vector`` runs
+        on a one-utterance history.
+        """
+        key = tuple(map(tuple, history))
+        if not key:
+            raise ValueError("history must contain at least the current user utterance")
+        start = len(key)
+        while start and key[:start] not in self.contexts:
+            start -= 1
+        p, tape, hidden = self.student.params, self.tape, self.student.config.hidden_size
+        h, c = self.contexts[key[:start]] if start else (_zeros(hidden), _zeros(hidden))
+        for utterance in key[start:]:
+            _, final = self._encode(utterance)
+            _, h, c = tape.lstm_sequence(tape.stack([final]), h, c, p["ctx_w"], p["ctx_b"])
+        _remember(self.contexts, key, (h, c))
+        return self._encode(key[-1])[0], h
 
 
 class StudentModel(_SeqModel):
@@ -347,25 +403,19 @@ class StudentModel(_SeqModel):
         return self.decode_teacher_forced(tape, action, enc_outs, gold_ids), action
 
     def encoding_memo(self) -> EncodingMemo:
-        """``encode_utterance`` of a token-id tuple, kept for the last
-        ``ENCODING_MEMO_SIZE`` distinct tuples. It holds results of the current
-        weights, so make one per decoding pass and drop it when they change."""
-        tape = Tape(record=False)
-        return functools.lru_cache(maxsize=ENCODING_MEMO_SIZE)(
-            lambda token_ids: self.encode_utterance(tape, token_ids))
+        """A new, empty memo of this student's encodings for one decoding pass."""
+        return EncodingMemo(self)
 
-    def reply(self, encoded: Sequence[tuple[Tensor, Tensor]], max_len: int = 30) -> list[int]:
-        """Greedy response to a history given as its utterances'
-        ``encode_utterance`` results, oldest first: the context LSTM runs over
-        their final states and the decoder attends over the last one's outputs.
-        This is ``encode_history`` bit for bit on one utterance, and to
-        rounding (about 1e-15) on more, which it packs into one sequence.
+    def reply(self, context: tuple[Tensor, Tensor], max_len: int = 30) -> list[int]:
+        """Greedy response to a history given as ``EncodingMemo`` looks it
+        up: the last utterance's encoder outputs, which the decoder attends
+        over, and the context LSTM's h after the whole history, the action.
+        That h is ``encode_history``'s bit for bit on one utterance, and within
+        about 1e-12 relative on more, whose inputs ``encode_history``
+        projects in one product.
         """
-        if not encoded:
-            raise ValueError("history must contain at least the current user utterance")
-        tape = Tape(record=False)
-        action = self.action_vector(tape, tape.stack([vector for _, vector in encoded]))
-        return self.decode_greedy(tape, action, encoded[-1][0], max_len)
+        enc_outs, action = context
+        return self.decode_greedy(Tape(record=False), action, enc_outs, max_len)
 
 
 def load_model(path: str | Path, kind: str | None = None,
@@ -465,15 +515,16 @@ def generate_responses(model, items: Sequence[PreparedTurn], out_vocab: Vocabula
 
     ``model`` is a student, a teacher, or a ``TeacherEnsemble``, which
     answers each turn with the teacher of the turn's domain. Teachers read
-    the user utterance and the oracle state. A student replies to the
-    encodings of the turn's history, looked up in one encoding memo for the
-    call, so each distinct utterance is encoded once.
+    the user utterance and the oracle state. A student replies to the turn's
+    history as one encoding memo for the call looks it up, so each distinct
+    utterance is encoded once, and the context LSTM steps only over the
+    utterances past the longest earlier history that this one begins with.
     """
     memo = model.encoding_memo() if isinstance(model, StudentModel) else None
     generated: dict[tuple[str, int], list[str]] = {}
     for item in items:
         if isinstance(model, StudentModel):
-            ids = model.reply([memo(tuple(utterance)) for utterance in item.history_ids], max_len)
+            ids = model.reply(memo(item.history_ids), max_len)
         else:
             teacher = model.teachers[item.domain] if isinstance(model, TeacherEnsemble) else model
             ids = teacher.generate(item.user_ids, item.state, max_len)

@@ -1,13 +1,15 @@
 """Test helpers: gradient checks against central differences, parameter
-bytes, and memo-free student replies."""
+bytes, memo-free student contexts and replies, and probes of the memo."""
 
 from __future__ import annotations
 
+import weakref
 from typing import Callable, Sequence
 
 import numpy as np
 
 from mtss.diffnum import Tape, TapeError, Tensor
+from mtss.models import StudentModel
 
 
 def grad_check(f: Callable[[Tape, Tensor], Tensor], point: Tensor, eps: float = 1e-5) -> float:
@@ -60,10 +62,49 @@ def param_bytes(model) -> bytes:
     return b"".join(p.data.tobytes() for p in model.params.values())
 
 
-def memo_free_reply(student, history: Sequence[Sequence[int]], max_len: int) -> list[int]:
-    """The student's greedy reply to ``history`` as ``StudentModel.reply``
-    computes it, with every utterance encoded afresh and no encoding memo."""
+def memo_free_context(student, history: Sequence[Sequence[int]]) -> tuple[Tensor, Tensor, Tensor]:
+    """(the last utterance's encoder outputs, the context LSTM's h and c after
+    the whole history), from scratch: every utterance encoded afresh, then the
+    context LSTM stepped one utterance at a time from zeros."""
     tape = Tape(record=False)
-    encoded = [student.encode_utterance(tape, utterance) for utterance in history]
-    action = student.action_vector(tape, tape.stack([vector for _, vector in encoded]))
-    return student.decode_greedy(tape, action, encoded[-1][0], max_len)
+    h = c = Tensor(np.zeros(student.config.hidden_size))
+    for utterance in history:
+        outs, final = student.encode_utterance(tape, utterance)
+        _, h, c = tape.lstm_sequence(tape.stack([final]), h, c, student.params["ctx_w"], student.params["ctx_b"])
+    return outs, h, c
+
+
+def memo_free_reply(student, history: Sequence[Sequence[int]], max_len: int) -> list[int]:
+    """The student's greedy reply to ``history`` from ``memo_free_context``,
+    without an encoding memo."""
+    outs, h, _ = memo_free_context(student, history)
+    return student.decode_greedy(Tape(record=False), h, outs, max_len)
+
+
+def count_rows(monkeypatch, weight_shape: tuple[int, ...]) -> list[int]:
+    """From now on, the rows of each ``Tape.lstm_sequence`` call whose weight
+    has ``weight_shape``, one entry per call."""
+    rows: list[int] = []
+    sequence = Tape.lstm_sequence
+
+    def counting(tape, xs, h0, c0, w, b, lengths=None):
+        if w.data.shape == weight_shape:
+            rows.append(xs.data.shape[0])
+        return sequence(tape, xs, h0, c0, w, b, lengths)
+
+    monkeypatch.setattr(Tape, "lstm_sequence", counting)
+    return rows
+
+
+def track_memos(monkeypatch) -> list[weakref.ref]:
+    """From now on, a weak reference to each memo ``StudentModel.encoding_memo`` makes."""
+    memos: list[weakref.ref] = []
+    make = StudentModel.encoding_memo
+
+    def tracked(self):
+        memo = make(self)
+        memos.append(weakref.ref(memo))
+        return memo
+
+    monkeypatch.setattr(StudentModel, "encoding_memo", tracked)
+    return memos

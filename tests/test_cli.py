@@ -1,5 +1,6 @@
 """Command line: full tiny pipeline, manifests, exit codes, chat REPL."""
 
+import gc
 import io
 import json
 import os
@@ -11,9 +12,9 @@ from pathlib import Path
 
 import pytest
 
-from helpers import memo_free_reply
+from helpers import count_rows, memo_free_reply, track_memos
 from mtss import cli, models
-from mtss.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, build_parser, cmd_chat, main
+from mtss.cli import EXIT_DATA, EXIT_INTERRUPTED, EXIT_OK, EXIT_USAGE, build_parser, cmd_chat, main
 from mtss.corpus import Corpus, Delexicalizer, load_corpus, load_vocab
 from mtss.diffnum import Tape, load_checkpoint, save_checkpoint
 from mtss.models import ModelConfig, StudentModel, TeacherModel, load_model
@@ -562,7 +563,7 @@ MALFORMED_INPUTS = [
         "--out", str(tmp / "out")], _at("teachers/teacher_extra.ckpt")),
     ("teacher-of-another-size", EXIT_DATA, lambda ws, tmp: [
         "train-student", "--data", str(ws / "data"), "--teachers", _teachers_with_other_size(ws, tmp),
-        "--out", str(tmp / "out")], _at("teachers")),
+        "--out", str(tmp / "out")], _at("teachers/teacher_hotel.ckpt")),
     ("teachers-without-general", EXIT_DATA, lambda ws, tmp: _train_student_with(
         _teachers_edited(ws, tmp, drop=["general"]), ws, tmp), _at("teachers")),
     ("teachers-without-hotel", EXIT_DATA, lambda ws, tmp: _train_student_with(
@@ -794,8 +795,33 @@ class TestChat:
         assert self.replies(out) == expected and len(set(expected)) > 1
         if capacity is None:  # each distinct utterance once, across sessions
             assert len(calls) == len(set(calls)) < 2 * len(expected)
-        else:
-            assert len(calls) == 2 * len(expected)
+        else:  # each utterance once per session, but for the last reply of
+            # each of the three sessions, which no lookup reads
+            assert len(calls) == 2 * len(expected) - 3
+
+    def test_a_long_session_steps_the_context_once_per_utterance(self, workspace, history_student,
+                                                               monkeypatch):
+        """Forty lines in one session: each reply runs one context row for
+        the previous reply and one for its line, not one per history utterance."""
+        params = load_model(history_student, "student")[0].params
+        assert params["ctx_w"].data.shape != params["enc_w"].data.shape
+        lines = self.CONVERSATION * 8
+        rows = count_rows(monkeypatch, params["ctx_w"].data.shape)
+        _, out = self.run_chat(workspace, lines, model=history_student)
+        monkeypatch.undo()
+        assert rows == [1] * (2 * len(lines) - 1)
+        assert self.replies(out) == self.reference_replies(workspace, history_student, lines, memo_free_reply)
+
+    def test_the_memo_dies_with_the_chat(self, workspace, history_student, monkeypatch):
+        """No reference cycle keeps the chat's memo alive once ``cmd_chat``
+        returns, even with the cycle collector off."""
+        memos = track_memos(monkeypatch)
+        gc.disable()
+        try:
+            self.run_chat(workspace, self.CONVERSATION + ["/reset", "hello"], model=history_student)
+            assert len(memos) == 1 and memos[0]() is None
+        finally:
+            gc.enable()
 
     def test_decode_failure_rolls_back_user_line(self, workspace, history_student, monkeypatch):
         # The benchmark counts a failed chat turn by matching its copy of the apology.
@@ -834,6 +860,17 @@ class TestUsage:
 
     def test_help_exits_zero(self):
         assert main(["--help"]) == EXIT_OK
+
+    @pytest.mark.parametrize("command", ["chat", "train_student"])
+    def test_ctrl_c_ends_in_one_line(self, monkeypatch, capsys, command):
+        def interrupted(args, *rest):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli, f"cmd_{command}", interrupted)
+        argv = {"chat": ["chat", "--model", "student.ckpt"],
+                "train_student": ["train-student", "--data", "d", "--teachers", "t", "--out", "o"]}
+        assert main(argv[command]) == EXIT_INTERRUPTED == 130
+        assert capsys.readouterr().err == "interrupted\n"
 
     def test_synth_flag_is_gone(self, tmp_path):
         assert main(["prepare", "--synth", "--out", str(tmp_path / "out")]) == EXIT_USAGE

@@ -1,9 +1,13 @@
 """Model architectures: shapes, determinism, masking, gradients, persistence."""
 
+import gc
+import sys
+
 import numpy as np
 import pytest
 
-from helpers import grad_check_params, memo_free_reply, param_bytes
+from helpers import (count_rows, grad_check_params, memo_free_context, memo_free_reply, param_bytes,
+                     track_memos)
 from mtss.corpus import Corpus, DomainSchema, Episode, Vocabulary, build_vocab
 from mtss.corpus.vocab import BOS_ID, EOS_ID, PAD_ID, RESERVED
 from mtss.diffnum import (
@@ -183,24 +187,49 @@ class TestIncrementalInference:
         return Corpus(train.schemas, train.database, [episode]), in_vocab, out_vocab, student
 
     def test_state_matches_encode_history_bitwise(self, episode_setup):
-        """Bit for bit on the first turn, a one-utterance history; later turns
-        pack several utterances into one sequence, which rounds differently."""
+        """Each turn's outputs and context h and c equal the from-scratch
+        reference bit for bit, though each turn steps on from the previous
+        turn's cached state. They equal ``encode_history``'s bit for bit on
+        the first turn, a one-utterance history; later turns differ in
+        rounding, as ``encode_history`` projects every utterance's input in
+        one product."""
         corpus, in_vocab, _, student = episode_setup
         episode = corpus.episodes[0]
         memo = student.encoding_memo()
-        encoded = []
-        for index, turn in enumerate(episode.turns):
-            encoded.append(memo(tuple(in_vocab.encode(turn.user))))
+        for index in range(len(episode.turns)):
+            history = full_history(episode, index, in_vocab)
+            enc_outs, h = memo(history)
+            c = memo.contexts[tuple(map(tuple, history))][1]
+            for got, expected in zip((enc_outs, h, c), memo_free_context(student, history)):
+                assert np.array_equal(got.data, expected.data)
             tape = Tape(record=False)
-            enc_outs, action = student.encode_history(tape, full_history(episode, index, in_vocab))
-            state = (encoded[-1][0].data,
-                     student.action_vector(tape, tape.stack([vector for _, vector in encoded])).data)
-            for got, expected in zip(state, (enc_outs.data, action.data)):
+            for got, expected in zip((enc_outs, h), student.encode_history(tape, history)):
                 if index == 0:
-                    assert np.array_equal(got, expected)
+                    assert np.array_equal(got.data, expected.data)
                 else:
-                    assert np.allclose(got, expected, rtol=1e-12, atol=0.0)
-            encoded.append(memo(tuple(in_vocab.encode(turn.system))))
+                    assert np.allclose(got.data, expected.data, rtol=1e-12, atol=0.0)
+
+    def test_context_steps_once_per_new_utterance(self, episode_setup, monkeypatch):
+        """A turn's history extends the previous turn's by a system and a
+        user utterance, so the context LSTM runs one row for each of them."""
+        corpus, in_vocab, out_vocab, student = episode_setup
+        items = prepare_turns(corpus, in_vocab, out_vocab)
+        assert student.params["ctx_w"].data.shape != student.params["enc_w"].data.shape
+        rows = count_rows(monkeypatch, student.params["ctx_w"].data.shape)
+        generate_responses(student, items, out_vocab, max_len=8)
+        assert rows == [1] * len(items[-1].history_ids)
+
+    def test_a_cold_long_history_steps_without_recursion(self, episode_setup):
+        """2,000 utterances, past Python's default recursion limit of 1,000."""
+        corpus, in_vocab, _, student = episode_setup
+        episode = corpus.episodes[0]
+        utterances = full_history(episode, len(episode.turns) - 1, in_vocab)
+        history = [utterances[i % len(utterances)] for i in range(2000)]
+        assert len(history) == 2000 > sys.getrecursionlimit()
+        enc_outs, h = student.encoding_memo()(history)
+        reference_outs, reference_h, _ = memo_free_context(student, history)
+        assert np.array_equal(enc_outs.data, reference_outs.data)
+        assert np.array_equal(h.data, reference_h.data)
 
     def test_generate_responses_matches_reference(self, episode_setup, monkeypatch):
         corpus, in_vocab, out_vocab, student = episode_setup
@@ -231,7 +260,7 @@ class TestIncrementalInference:
             tape = Tape(record=False)
             enc_outs, action = student.encode_history(tape, history)
             reference = student.decode_greedy(tape, action, enc_outs, 8)
-            assert student.reply([student.encode_utterance(tape, u) for u in history], 8) == reference
+            assert memo_free_reply(student, history, 8) == reference
             expected = out_vocab.decode(reference)
             assert generated[(episode.episode_id, index)] == expected
             assert generated[(again.episode_id, index)] == expected
@@ -336,7 +365,20 @@ class TestIncrementalInference:
 
     def test_reply_needs_an_utterance(self, student):
         with pytest.raises(ValueError, match="at least the current user utterance"):
-            student.reply([])
+            student.reply(student.encoding_memo()([]))
+
+    def test_a_memo_dies_with_its_pass(self, episode_setup, monkeypatch):
+        """No reference cycle keeps a pass's memo alive once the pass returns,
+        even with the cycle collector off."""
+        corpus, in_vocab, out_vocab, student = episode_setup
+        items = prepare_turns(corpus, in_vocab, out_vocab)
+        memos = track_memos(monkeypatch)
+        gc.disable()
+        try:
+            generate_responses(student, items, out_vocab, max_len=8)
+            assert len(memos) == 1 and memos[0]() is None
+        finally:
+            gc.enable()
 
 
 class TestDecoder:
