@@ -6,6 +6,8 @@ from mtss.diffnum.tape import (
     ShapeMismatchError,
     TapeError,
     attend,
+    lstm_cell,
+    lstm_row_step,
 )
 from mtss.diffnum.optim import Adam, DivergenceError
 from mtss.diffnum.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
@@ -16,6 +18,8 @@ __all__ = [
     "ShapeMismatchError",
     "TapeError",
     "attend",
+    "lstm_cell",
+    "lstm_row_step",
     "Adam",
     "DivergenceError",
     "CheckpointError",

@@ -88,6 +88,17 @@ def _cell(z: Array, c_prev: Array, gates: Array) -> tuple[Array, Array, Array]:
     return go * tc, c, tc
 
 
+def lstm_cell(x: Array, h: Array, c: Array, w: Array, b: Array) -> tuple[Array, Array, Array, Array, Array]:
+    """One LSTM cell update on vectors through the one product ``w @ [x; h]``,
+    as ``Tape.lstm_step`` records it and greedy decoding runs it: (h, c, [x; h],
+    activated gates, tanh(c)); the last three are what the backward reads.
+    """
+    xh = np.concatenate([x, h])
+    gates = np.empty(b.shape[0])
+    h_new, c_new, tc = _cell(w @ xh + b, c, gates)
+    return h_new, c_new, xh, gates, tc
+
+
 def _cell_grad(dh, dc, c_prev: Array, gates: Array, tc: Array, dz: Array) -> Array:
     """Backward of ``_cell``: writes d(loss)/dz into ``dz``, returns d(loss)/d(c_prev)."""
     gi, gf, gc, go = _gate_blocks(gates)
@@ -193,6 +204,18 @@ class _Recurrence:
             dh = self.wh.T @ dz_all[r] if k == 1 else dz_all[r] @ self.wh
         dw = dz_all.T @ self.xh
         return dz_all @ self.wx, dh.reshape(final_dh.shape), dc.reshape(final_dc.shape), dw, dz_all.sum(axis=0)
+
+
+def lstm_row_step(x: Array, h: Array, c: Array, w: Array, b: Array) -> tuple[Array, Array]:
+    """The final (h, c) of ``lstm_sequence`` over the one input row ``x`` from
+    (h, c), on vectors and bit for bit: the input projection as a one-row
+    ``x @ wx.T + b`` product, then the cell on it plus ``wh @ h``, as
+    ``_Recurrence`` steps one sequence.
+    """
+    d = x.shape[0]
+    pre = x[None] @ w[:, :d].T + b
+    h, c, _ = _cell(pre[0] + w[:, d:] @ h, c, pre[0])
+    return h, c
 
 
 def attend(h: Array, enc: Array, att_w: Array) -> tuple[Array, Array, Array]:
@@ -411,9 +434,7 @@ class Tape:
         ):
             raise ShapeMismatchError("lstm_step", x.shape, h.shape, c.shape, w.shape, b.shape)
 
-        xh = np.concatenate([x.data, h.data])
-        gates = np.empty(4 * hidden)
-        h_new, c_new, tc = _cell(w.data @ xh + b.data, c.data, gates)
+        h_new, c_new, xh, gates, tc = lstm_cell(x.data, h.data, c.data, w.data, b.data)
         h_out = self._out(h_new, (x, h, c, w, b))
         c_out = self._out(c_new, (x, h, c, w, b))
         c_prev, wd = c.data, w.data

@@ -26,29 +26,30 @@ GeneratedMap = Mapping[tuple[str, int], Tokens]
 
 
 def _ngram_counts(tokens: Tokens, n: int) -> Counter:
-    return Counter(tuple(tokens[i:i + n]) for i in range(len(tokens) - n + 1))
+    return Counter(zip(*(tokens[i:] for i in range(n))))
 
 
-def bleu4(candidates: Sequence[Tokens], references: Sequence[Tokens]) -> float:
-    """Corpus-level BLEU-4 in [0, 100]: modified n-gram precisions for n=1..4,
-    geometric mean, brevity penalty, no smoothing, case-insensitive.
-    """
-    if not candidates or len(candidates) != len(references):
+def _bleu_counts(cand: Tokens, ref: Tokens) -> tuple[int, ...]:
+    """One pair's BLEU-4 statistics, case-insensitive: the clipped n-gram
+    matches for n=1..4, the candidate's n-gram totals for n=1..4, then the
+    candidate and reference lengths. A corpus sums them pair by pair."""
+    cand = [t.lower() for t in cand]
+    ref = [t.lower() for t in ref]
+    matched, total = [], []
+    for n in range(1, 5):
+        counts = _ngram_counts(cand, n)
+        ref_counts = _ngram_counts(ref, n)
+        total.append(sum(counts.values()))
+        matched.append(sum(min(c, ref_counts[g]) for g, c in counts.items()))
+    return (*matched, *total, len(cand), len(ref))
+
+
+def _corpus_bleu(pair_counts: Sequence[tuple[int, ...]]) -> float:
+    """Corpus-level BLEU-4 from the ``_bleu_counts`` of each pair."""
+    if not pair_counts:
         raise ValueError("need equally many candidates and references, at least one pair")
-    matched = [0] * 4
-    total = [0] * 4
-    cand_len = 0
-    ref_len = 0
-    for cand, ref in zip(candidates, references):
-        cand = [t.lower() for t in cand]
-        ref = [t.lower() for t in ref]
-        cand_len += len(cand)
-        ref_len += len(ref)
-        for n in range(1, 5):
-            counts = _ngram_counts(cand, n)
-            ref_counts = _ngram_counts(ref, n)
-            total[n - 1] += sum(counts.values())
-            matched[n - 1] += sum(min(c, ref_counts[g]) for g, c in counts.items())
+    sums = [sum(column) for column in zip(*pair_counts)]
+    matched, total, cand_len, ref_len = sums[:4], sums[4:8], sums[8], sums[9]
     if cand_len == 0:
         return 0.0
     log_precision = 0.0
@@ -58,6 +59,15 @@ def bleu4(candidates: Sequence[Tokens], references: Sequence[Tokens]) -> float:
         log_precision += 0.25 * math.log(matched[n] / total[n])
     brevity = 1.0 if cand_len > ref_len else math.exp(1.0 - ref_len / cand_len)
     return 100.0 * brevity * math.exp(log_precision)
+
+
+def bleu4(candidates: Sequence[Tokens], references: Sequence[Tokens]) -> float:
+    """Corpus-level BLEU-4 in [0, 100]: modified n-gram precisions for n=1..4,
+    geometric mean, brevity penalty, no smoothing, case-insensitive.
+    """
+    if len(candidates) != len(references):
+        raise ValueError("need equally many candidates and references, at least one pair")
+    return _corpus_bleu([_bleu_counts(cand, ref) for cand, ref in zip(candidates, references)])
 
 
 # -- entity recall ----------------------------------------------------------------
@@ -164,17 +174,24 @@ def score_corpus(corpus: Corpus, generated: GeneratedMap) -> MetricReport:
     """Full report over generated responses keyed by (episode id, turn index).
 
     An episode informs (succeeds) iff every one of its goal domains does;
-    the per-domain rows are in sorted domain order.
+    the per-domain rows are in sorted domain order. Each turn's BLEU
+    statistics are counted once and summed into the overall and its
+    domain's score.
     """
     all_pairs = []
+    all_counts = []
     by_domain_pairs: dict[str, list] = {}
+    by_domain_counts: dict[str, list] = {}
     domain_outcomes: dict[str, list[tuple[bool, bool]]] = {}
     informed = succeeded = 0
     for episode in corpus.episodes:
         for index, turn in enumerate(episode.turns):
             pair = (generated.get((episode.episode_id, index), []), turn.system)
+            counts = _bleu_counts(*pair)
             all_pairs.append(pair)
+            all_counts.append(counts)
             by_domain_pairs.setdefault(turn.domain, []).append(pair)
+            by_domain_counts.setdefault(turn.domain, []).append(counts)
         outcome = _episode_outcome(episode, corpus, generated)
         for domain, result in outcome.items():
             domain_outcomes.setdefault(domain, []).append(result)
@@ -183,7 +200,7 @@ def score_corpus(corpus: Corpus, generated: GeneratedMap) -> MetricReport:
             succeeded += all(ok for _, ok in outcome.values())
 
     report = MetricReport(
-        bleu4=bleu4([g for g, _ in all_pairs], [r for _, r in all_pairs]),
+        bleu4=_corpus_bleu(all_counts),
         inform=informed / len(corpus.episodes),
         success=succeeded / len(corpus.episodes),
         entity_recall=mean_entity_recall(all_pairs),
@@ -192,7 +209,7 @@ def score_corpus(corpus: Corpus, generated: GeneratedMap) -> MetricReport:
         pairs = by_domain_pairs.get(domain, [])
         outcomes = domain_outcomes.get(domain, [])
         report.per_domain[domain] = DomainMetrics(
-            bleu4=bleu4([g for g, _ in pairs], [r for _, r in pairs]) if pairs else 0.0,
+            bleu4=_corpus_bleu(by_domain_counts[domain]) if pairs else 0.0,
             entity_recall=mean_entity_recall(pairs),
             inform=sum(i for i, _ in outcomes) / len(outcomes) if outcomes else None,
             success=sum(s for _, s in outcomes) / len(outcomes) if outcomes else None,

@@ -25,6 +25,8 @@ from mtss.diffnum import (
     Tensor,
     attend,
     load_checkpoint,
+    lstm_cell,
+    lstm_row_step,
     save_checkpoint,
 )
 
@@ -126,22 +128,27 @@ class _SeqModel:
         )
         return tape.log_softmax(logits)
 
-    def decode_greedy(self, tape: Tape, action: Tensor, enc_outs: Tensor, max_len: int) -> list[int]:
-        """Greedy argmax decoding from BOS, stopping at EOS or max_len tokens.
+    def decode_greedy(self, action: np.ndarray, enc_outs: np.ndarray, max_len: int) -> list[int]:
+        """Greedy argmax decoding from BOS, stopping at EOS or max_len tokens,
+        from the (H,) action and over the (P, H) encoder outputs.
 
-        Each step is one step of the teacher-forced decoder: the LSTM cell on
-        the previous token's embedding, then ``attend``, then the projection.
+        Each step is one step of the teacher-forced decoder, on arrays: the
+        LSTM cell on the previous token's embedding (``lstm_cell``, the
+        forward of ``Tape.lstm_step``), then ``attend``, then the projection.
         """
         if max_len < 1:
             raise ValueError("max_len must be at least 1")
-        p = self.params
-        h, c = action, _zeros(self.config.hidden_size)
+        hidden = self.config.hidden_size
+        if action.shape != (hidden,) or enc_outs.ndim != 2 or enc_outs.shape[1] != hidden or not len(enc_outs):
+            raise ShapeMismatchError("decode_greedy", action.shape, enc_outs.shape)
+        embed, w, b, att_w, out_w, out_b = (
+            self.params[name].data for name in ("embed_out", "dec_w", "dec_b", "att_w", "out_w", "out_b"))
+        h, c = action, np.zeros(hidden)
         token = BOS_ID
         out: list[int] = []
         for _ in range(max_len):
-            h, c = tape.lstm_step(Tensor(p["embed_out"].data[token]), h, c, p["dec_w"], p["dec_b"])
-            _, _, merged = attend(h.data, enc_outs.data, p["att_w"].data)
-            token = int(np.argmax(p["out_w"].data @ merged + p["out_b"].data))
+            h, c, _, _, _ = lstm_cell(embed[token], h, c, w, b)
+            token = int((out_w @ attend(h, enc_outs, att_w)[2] + out_b).argmax())
             if token == EOS_ID:
                 break
             out.append(token)
@@ -233,7 +240,7 @@ class TeacherModel(_SeqModel):
         tape = Tape(record=False)
         enc_outs, v_u = self.encode_utterance(tape, user_ids)
         action = self.action_vector(tape, v_u, state)
-        return self.decode_greedy(tape, action, enc_outs, max_len)
+        return self.decode_greedy(action.data, enc_outs.data, max_len)
 
     def clone(self, domain: str | None = None) -> "TeacherModel":
         copy = TeacherModel(
@@ -304,32 +311,34 @@ def _remember(cache: OrderedDict, key, value):
 
 
 class EncodingMemo:
-    """A student's encodings for one decoding pass, in two least-recently-used
-    maps of ``ENCODING_MEMO_SIZE`` entries: an utterance's token ids ->
-    ``encode_utterance`` result, and a history prefix -> the context LSTM's
-    (h, c) after its last utterance. It holds results of the current weights,
-    so make one per decoding pass and drop it when they change.
+    """A student's encodings for one decoding pass, as arrays, in two
+    least-recently-used maps of ``ENCODING_MEMO_SIZE`` entries: an
+    utterance's token ids -> its ``encode_utterance`` (outputs, final state),
+    and a history prefix -> the context LSTM's (h, c) after its last
+    utterance. It holds results of the current weights, so make one per
+    decoding pass and drop it when they change.
     """
 
     def __init__(self, student: "StudentModel"):
         self.student = student
         self.tape = Tape(record=False)
-        self.utterances: OrderedDict[tuple[int, ...], tuple[Tensor, Tensor]] = OrderedDict()
-        self.contexts: OrderedDict[tuple[tuple[int, ...], ...], tuple[Tensor, Tensor]] = OrderedDict()
+        self.utterances: OrderedDict[tuple[int, ...], tuple[np.ndarray, np.ndarray]] = OrderedDict()
+        self.contexts: OrderedDict[tuple[tuple[int, ...], ...], tuple[np.ndarray, np.ndarray]] = OrderedDict()
 
-    def _encode(self, token_ids: tuple[int, ...]) -> tuple[Tensor, Tensor]:
+    def _encode(self, token_ids: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
         """``encode_utterance`` of ``token_ids``, from the map when it holds them."""
         found = self.utterances.get(token_ids)
         if found is None:
-            found = self.student.encode_utterance(self.tape, token_ids)
+            outs, final = self.student.encode_utterance(self.tape, token_ids)
+            found = outs.data, final.data
         return _remember(self.utterances, token_ids, found)
 
-    def __call__(self, history: Sequence[Sequence[int]]) -> tuple[Tensor, Tensor]:
+    def __call__(self, history: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndarray]:
         """(the last utterance's encoder outputs, the context LSTM's h after
         the whole history). The context LSTM starts from the longest cached
         prefix of ``history``, or from zeros, and steps one utterance at a
-        time, each step a one-row ``lstm_sequence`` as ``action_vector`` runs
-        on a one-utterance history.
+        time with ``lstm_row_step``: bit for bit the one-row ``lstm_sequence``
+        that ``action_vector`` runs on a one-utterance history.
         """
         key = tuple(map(tuple, history))
         if not key:
@@ -337,11 +346,10 @@ class EncodingMemo:
         start = len(key)
         while start and key[:start] not in self.contexts:
             start -= 1
-        p, tape, hidden = self.student.params, self.tape, self.student.config.hidden_size
-        h, c = self.contexts[key[:start]] if start else (_zeros(hidden), _zeros(hidden))
+        p, hidden = self.student.params, self.student.config.hidden_size
+        h, c = self.contexts[key[:start]] if start else (np.zeros(hidden), np.zeros(hidden))
         for utterance in key[start:]:
-            _, final = self._encode(utterance)
-            _, h, c = tape.lstm_sequence(tape.stack([final]), h, c, p["ctx_w"], p["ctx_b"])
+            h, c = lstm_row_step(self._encode(utterance)[1], h, c, p["ctx_w"].data, p["ctx_b"].data)
         _remember(self.contexts, key, (h, c))
         return self._encode(key[-1])[0], h
 
@@ -406,7 +414,7 @@ class StudentModel(_SeqModel):
         """A new, empty memo of this student's encodings for one decoding pass."""
         return EncodingMemo(self)
 
-    def reply(self, context: tuple[Tensor, Tensor], max_len: int = 30) -> list[int]:
+    def reply(self, context: tuple[np.ndarray, np.ndarray], max_len: int = 30) -> list[int]:
         """Greedy response to a history given as ``EncodingMemo`` looks it
         up: the last utterance's encoder outputs, which the decoder attends
         over, and the context LSTM's h after the whole history, the action.
@@ -415,7 +423,7 @@ class StudentModel(_SeqModel):
         projects in one product.
         """
         enc_outs, action = context
-        return self.decode_greedy(Tape(record=False), action, enc_outs, max_len)
+        return self.decode_greedy(action, enc_outs, max_len)
 
 
 def load_model(path: str | Path, kind: str | None = None,
@@ -482,24 +490,25 @@ class PreparedTurn:
     episode_id: str
     turn_index: int
     domain: str
-    user_ids: list[int]
+    user_ids: tuple[int, ...]
     gold_ids: list[int]
-    history_ids: list[list[int]]
+    history_ids: list[tuple[int, ...]]
     state: np.ndarray | None
 
 
 def prepare_turns(corpus: Corpus, in_vocab: Vocabulary, out_vocab: Vocabulary,
                   states: bool = True) -> list[PreparedTurn]:
     """Every turn in corpus order, as the models read it. Each utterance of
-    an episode is encoded once; turn t's history is the first 2t + 1 of them
-    (all prior user and system utterances, then the current user utterance).
+    an episode is encoded once, as a tuple of ids; turn t's history is the
+    first 2t + 1 of them (all prior user and system utterances, then the
+    current user utterance), so the turns of an episode share each tuple.
     With ``states`` False no oracle state is built and every ``state`` is
     None: only a student can read such turns, and a teacher raises.
     """
     layout = BeliefLayout(corpus.schemas) if states else None
     prepared = []
     for episode in corpus.episodes:
-        utterances = [in_vocab.encode(u) for turn in episode.turns for u in (turn.user, turn.system)]
+        utterances = [tuple(in_vocab.encode(u)) for turn in episode.turns for u in (turn.user, turn.system)]
         for index, turn in enumerate(episode.turns):
             history = utterances[:2 * index + 1]
             prepared.append(PreparedTurn(

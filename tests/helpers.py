@@ -1,5 +1,6 @@
 """Test helpers: gradient checks against central differences, parameter
-bytes, memo-free student contexts and replies, and probes of the memo."""
+bytes, a tape-based greedy decoder, memo-free student contexts and replies,
+and probes of the memo."""
 
 from __future__ import annotations
 
@@ -8,7 +9,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from mtss.diffnum import Tape, TapeError, Tensor
+from mtss import models
+from mtss.corpus.vocab import BOS_ID, EOS_ID
+from mtss.diffnum import Tape, TapeError, Tensor, attend
 from mtss.models import StudentModel
 
 
@@ -62,6 +65,23 @@ def param_bytes(model) -> bytes:
     return b"".join(p.data.tobytes() for p in model.params.values())
 
 
+def tape_greedy(model, action: np.ndarray, enc_outs: np.ndarray, max_len: int) -> list[int]:
+    """Greedy decoding from BOS with one ``Tape.lstm_step`` record per token,
+    then ``attend`` and the projection: the reference ``decode_greedy`` must
+    equal token for token."""
+    p, tape = model.params, Tape(record=False)
+    h, c = Tensor(action), Tensor(np.zeros(model.config.hidden_size))
+    token, out = BOS_ID, []
+    for _ in range(max_len):
+        h, c = tape.lstm_step(Tensor(p["embed_out"].data[token]), h, c, p["dec_w"], p["dec_b"])
+        _, _, merged = attend(h.data, enc_outs, p["att_w"].data)
+        token = int(np.argmax(p["out_w"].data @ merged + p["out_b"].data))
+        if token == EOS_ID:
+            break
+        out.append(token)
+    return out
+
+
 def memo_free_context(student, history: Sequence[Sequence[int]]) -> tuple[Tensor, Tensor, Tensor]:
     """(the last utterance's encoder outputs, the context LSTM's h and c after
     the whole history), from scratch: every utterance encoded afresh, then the
@@ -75,25 +95,24 @@ def memo_free_context(student, history: Sequence[Sequence[int]]) -> tuple[Tensor
 
 
 def memo_free_reply(student, history: Sequence[Sequence[int]], max_len: int) -> list[int]:
-    """The student's greedy reply to ``history`` from ``memo_free_context``,
-    without an encoding memo."""
+    """The student's greedy reply to ``history`` from ``memo_free_context``
+    and ``tape_greedy``, without an encoding memo."""
     outs, h, _ = memo_free_context(student, history)
-    return student.decode_greedy(Tape(record=False), h, outs, max_len)
+    return tape_greedy(student, h.data, outs.data, max_len)
 
 
-def count_rows(monkeypatch, weight_shape: tuple[int, ...]) -> list[int]:
-    """From now on, the rows of each ``Tape.lstm_sequence`` call whose weight
-    has ``weight_shape``, one entry per call."""
-    rows: list[int] = []
-    sequence = Tape.lstm_sequence
+def count_context_steps(monkeypatch) -> list[tuple[int, ...]]:
+    """From now on, the input shape of each context step the encoding memo
+    runs (``lstm_row_step``), one entry per step."""
+    steps: list[tuple[int, ...]] = []
+    step = models.lstm_row_step
 
-    def counting(tape, xs, h0, c0, w, b, lengths=None):
-        if w.data.shape == weight_shape:
-            rows.append(xs.data.shape[0])
-        return sequence(tape, xs, h0, c0, w, b, lengths)
+    def counting(x, h, c, w, b):
+        steps.append(x.shape)
+        return step(x, h, c, w, b)
 
-    monkeypatch.setattr(Tape, "lstm_sequence", counting)
-    return rows
+    monkeypatch.setattr(models, "lstm_row_step", counting)
+    return steps
 
 
 def track_memos(monkeypatch) -> list[weakref.ref]:

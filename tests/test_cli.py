@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from helpers import count_rows, memo_free_reply, track_memos
+from helpers import count_context_steps, memo_free_reply, tape_greedy, track_memos
 from mtss import cli, models
 from mtss.cli import EXIT_DATA, EXIT_INTERRUPTED, EXIT_OK, EXIT_USAGE, build_parser, cmd_chat, main
 from mtss.corpus import Corpus, Delexicalizer, load_corpus, load_vocab
@@ -689,9 +689,8 @@ def test_malformed_input_ends_in_one_line(workspace, tmp_path, capsys, expected,
 
 def full_history_reply(student, history, max_len):
     """The student's greedy reply from one ``encode_history`` of the whole history."""
-    tape = Tape(record=False)
-    enc_outs, action = student.encode_history(tape, history)
-    return student.decode_greedy(tape, action, enc_outs, max_len)
+    enc_outs, action = student.encode_history(Tape(record=False), history)
+    return tape_greedy(student, action.data, enc_outs.data, max_len)
 
 
 class TestChat:
@@ -803,13 +802,12 @@ class TestChat:
                                                                monkeypatch):
         """Forty lines in one session: each reply runs one context row for
         the previous reply and one for its line, not one per history utterance."""
-        params = load_model(history_student, "student")[0].params
-        assert params["ctx_w"].data.shape != params["enc_w"].data.shape
+        hidden = load_model(history_student, "student")[0].config.hidden_size
         lines = self.CONVERSATION * 8
-        rows = count_rows(monkeypatch, params["ctx_w"].data.shape)
+        steps = count_context_steps(monkeypatch)
         _, out = self.run_chat(workspace, lines, model=history_student)
         monkeypatch.undo()
-        assert rows == [1] * (2 * len(lines) - 1)
+        assert steps == [(hidden,)] * (2 * len(lines) - 1)
         assert self.replies(out) == self.reference_replies(workspace, history_student, lines, memo_free_reply)
 
     def test_the_memo_dies_with_the_chat(self, workspace, history_student, monkeypatch):

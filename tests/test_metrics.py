@@ -251,6 +251,31 @@ class TestScoreCorpus:
         report = score_corpus(corpus, generated)
         assert report.success <= report.inform
 
+    def test_report_bleu_is_bleu4_of_its_pairs(self):
+        """Each turn's n-grams are counted once for the overall and the
+        per-domain scores, which stay exactly ``bleu4`` over the same pairs."""
+        from mtss.synthcorpus import SynthConfig, gen_corpus
+
+        corpus, _ = gen_corpus(SynthConfig(seed=4, train_episodes=12, test_episodes=1))
+        rng = np.random.default_rng(2)
+        generated = {}
+        for episode in corpus.episodes:
+            for index, turn in enumerate(episode.turns):
+                tokens = list(turn.system)
+                tokens[rng.integers(len(tokens))] = "x"
+                generated[(episode.episode_id, index)] = tokens[:rng.integers(1, len(tokens) + 2)]
+        report = score_corpus(corpus, generated)
+        pairs = {}
+        for episode in corpus.episodes:
+            for index, turn in enumerate(episode.turns):
+                pairs.setdefault(turn.domain, []).append((generated[(episode.episode_id, index)], turn.system))
+        everything = [pair for domain in pairs for pair in pairs[domain]]
+        assert len(pairs) > 1 and 0.0 < report.bleu4 < 100.0
+        assert report.bleu4 == bleu4(*zip(*everything))
+        assert report.bleu4 == pytest.approx(brute_force_bleu(*zip(*everything)), rel=1e-12)
+        for domain, domain_pairs in pairs.items():
+            assert report.per_domain[domain].bleu4 == bleu4(*zip(*domain_pairs))
+
     def test_report_serializes_and_formats(self):
         corpus = fixture_corpus()
         report = score_corpus(corpus, generated_like_gold(corpus))

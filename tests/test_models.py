@@ -6,8 +6,8 @@ import sys
 import numpy as np
 import pytest
 
-from helpers import (count_rows, grad_check_params, memo_free_context, memo_free_reply, param_bytes,
-                     track_memos)
+from helpers import (count_context_steps, grad_check_params, memo_free_context, memo_free_reply, param_bytes,
+                     tape_greedy, track_memos)
 from mtss.corpus import Corpus, DomainSchema, Episode, Vocabulary, build_vocab
 from mtss.corpus.vocab import BOS_ID, EOS_ID, PAD_ID, RESERVED
 from mtss.diffnum import (
@@ -201,23 +201,22 @@ class TestIncrementalInference:
             enc_outs, h = memo(history)
             c = memo.contexts[tuple(map(tuple, history))][1]
             for got, expected in zip((enc_outs, h, c), memo_free_context(student, history)):
-                assert np.array_equal(got.data, expected.data)
+                assert np.array_equal(got, expected.data)
             tape = Tape(record=False)
             for got, expected in zip((enc_outs, h), student.encode_history(tape, history)):
                 if index == 0:
-                    assert np.array_equal(got.data, expected.data)
+                    assert np.array_equal(got, expected.data)
                 else:
-                    assert np.allclose(got.data, expected.data, rtol=1e-12, atol=0.0)
+                    assert np.allclose(got, expected.data, rtol=1e-12, atol=0.0)
 
     def test_context_steps_once_per_new_utterance(self, episode_setup, monkeypatch):
         """A turn's history extends the previous turn's by a system and a
         user utterance, so the context LSTM runs one row for each of them."""
         corpus, in_vocab, out_vocab, student = episode_setup
         items = prepare_turns(corpus, in_vocab, out_vocab)
-        assert student.params["ctx_w"].data.shape != student.params["enc_w"].data.shape
-        rows = count_rows(monkeypatch, student.params["ctx_w"].data.shape)
+        steps = count_context_steps(monkeypatch)
         generate_responses(student, items, out_vocab, max_len=8)
-        assert rows == [1] * len(items[-1].history_ids)
+        assert steps == [(self.CONFIG.hidden_size,)] * len(items[-1].history_ids)
 
     def test_a_cold_long_history_steps_without_recursion(self, episode_setup):
         """2,000 utterances, past Python's default recursion limit of 1,000."""
@@ -228,8 +227,8 @@ class TestIncrementalInference:
         assert len(history) == 2000 > sys.getrecursionlimit()
         enc_outs, h = student.encoding_memo()(history)
         reference_outs, reference_h, _ = memo_free_context(student, history)
-        assert np.array_equal(enc_outs.data, reference_outs.data)
-        assert np.array_equal(h.data, reference_h.data)
+        assert np.array_equal(enc_outs, reference_outs.data)
+        assert np.array_equal(h, reference_h.data)
 
     def test_generate_responses_matches_reference(self, episode_setup, monkeypatch):
         corpus, in_vocab, out_vocab, student = episode_setup
@@ -259,7 +258,7 @@ class TestIncrementalInference:
             history = full_history(episode, index, in_vocab)
             tape = Tape(record=False)
             enc_outs, action = student.encode_history(tape, history)
-            reference = student.decode_greedy(tape, action, enc_outs, 8)
+            reference = tape_greedy(student, action.data, enc_outs.data, 8)
             assert memo_free_reply(student, history, 8) == reference
             expected = out_vocab.decode(reference)
             assert generated[(episode.episode_id, index)] == expected
@@ -380,6 +379,22 @@ class TestIncrementalInference:
         finally:
             gc.enable()
 
+    def test_a_warm_reply_runs_off_the_tape(self, episode_setup, monkeypatch):
+        """Once the memo holds a history, a reply to it records nothing and
+        runs no tape op: no decoder step, no context step, no stack."""
+        corpus, in_vocab, _, student = episode_setup
+        episode = corpus.episodes[0]
+        history = full_history(episode, len(episode.turns) - 1, in_vocab)
+        memo = student.encoding_memo()
+        expected = student.reply(memo(history), 8)
+
+        def off_the_tape(*args, **kwargs):
+            raise AssertionError("a warm reply ran a tape op")
+
+        for name in ("lstm_step", "lstm_sequence", "stack"):
+            monkeypatch.setattr(Tape, name, off_the_tape)
+        assert student.reply(memo(history), 8) == expected
+
 
 class TestDecoder:
     def test_distribution_per_gold_position(self, teacher):
@@ -420,12 +435,24 @@ class TestDecoder:
             inputs = [(teacher, enc_outs, teacher.action_vector(tape, v_u, state)),
                       (student, *student.encode_history(tape, [ids(4), ids(5, 6), ids(7, 9)]))]
             for model, enc_outs, action in inputs:
-                tokens = model.decode_greedy(tape, action, enc_outs, max_len)
+                tokens = model.decode_greedy(action.data, enc_outs.data, max_len)
                 expected = [*tokens, EOS_ID] if len(tokens) < max_len else tokens
                 ended[model.kind] += len(tokens) < max_len
                 log_probs = model.decode_teacher_forced(tape, action, enc_outs, [BOS_ID, *expected[:-1], EOS_ID])
                 assert list(np.argmax(log_probs.data, axis=1)) == expected
         assert min(ended.values()) >= 2
+
+    def test_misshaped_inputs_are_rejected(self, teacher, student):
+        tape = Tape(record=False)
+        enc_outs, v_u = teacher.encode_utterance(tape, ids(4, 5))
+        action = teacher.action_vector(tape, v_u, np.zeros(STATE)).data
+        hidden = TINY.hidden_size
+        for model in (teacher, student):
+            for bad_action, bad_outs in [(action[:-1], enc_outs.data), (action[None], enc_outs.data),
+                                         (action, enc_outs.data[:, :-1]), (action, enc_outs.data[0]),
+                                         (action, np.zeros((0, hidden)))]:
+                with pytest.raises(ShapeMismatchError, match="decode_greedy"):
+                    model.decode_greedy(bad_action, bad_outs, 8)
 
     def test_generate_respects_max_len(self, teacher):
         out = teacher.generate(ids(4), np.zeros(STATE), max_len=1)
@@ -435,6 +462,49 @@ class TestDecoder:
         a = teacher.generate(ids(4, 7), np.zeros(STATE), max_len=8)
         b = teacher.generate(ids(4, 7), np.zeros(STATE), max_len=8)
         assert a == b
+
+
+class TestGreedyReference:
+    """Every way a model answers decodes what one ``Tape.lstm_step`` record
+    per token decodes (``tape_greedy``), token for token."""
+
+    # A wide init, so replies differ in length and content from turn to turn.
+    CONFIG = ModelConfig(embed_size=8, hidden_size=16, init_scale=1.0)
+
+    @pytest.fixture(scope="class")
+    def world(self):
+        train, _ = gen_corpus(SynthConfig(seed=9, train_episodes=5, test_episodes=1,
+                                          entities_per_domain=3))
+        in_vocab, out_vocab = build_vocab(train, "input"), build_vocab(train, "output")
+        items = prepare_turns(train, in_vocab, out_vocab)
+        student = StudentModel(self.CONFIG, len(in_vocab), len(out_vocab), seed=3)
+        teachers = {d: TeacherModel(self.CONFIG, len(in_vocab), len(out_vocab), len(items[0].state), d,
+                                    seed=10 + i)
+                    for i, d in enumerate(ensemble_domains(train.schemas))}
+        return items, out_vocab, student, TeacherEnsemble(teachers, teachers["general"])
+
+    @staticmethod
+    def teacher_reference(teacher, item, max_len):
+        tape = Tape(record=False)
+        enc_outs, v_u = teacher.encode_utterance(tape, item.user_ids)
+        return tape_greedy(teacher, teacher.action_vector(tape, v_u, item.state).data, enc_outs.data, max_len)
+
+    @pytest.mark.parametrize("max_len", [1, 8, 30])
+    def test_every_turn_decodes_as_the_tape_reference(self, world, max_len):
+        items, out_vocab, student, ensemble = world
+        memo = student.encoding_memo()
+        student_replies = [memo_free_reply(student, item.history_ids, max_len) for item in items]
+        teacher_replies = [self.teacher_reference(ensemble.teachers[item.domain], item, max_len)
+                           for item in items]
+        assert [student.reply(memo(item.history_ids), max_len) for item in items] == student_replies
+        assert [ensemble.teachers[item.domain].generate(item.user_ids, item.state, max_len)
+                for item in items] == teacher_replies
+        for model, replies in ((student, student_replies), (ensemble, teacher_replies)):
+            expected = {(item.episode_id, item.turn_index): out_vocab.decode(reply)
+                        for item, reply in zip(items, replies)}
+            assert generate_responses(model, items, out_vocab, max_len) == expected
+        lengths = {len(reply) for reply in student_replies + teacher_replies}
+        assert max(lengths) == max_len and (max_len == 1 or len(lengths) > 1)
 
 
 class TestOverfitOnePair:
