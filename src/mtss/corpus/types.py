@@ -91,8 +91,12 @@ class Corpus:
     episodes: list[Episode]
 
     def validate(self) -> None:
-        """Raise ``CorpusError`` at the first unknown domain tag, belief entry that is
-        no informable value of its schema, or goal or record field of the wrong type."""
+        """Raise ``CorpusError`` at the first schema domain without slots,
+        unknown domain tag, belief entry that is no informable value of its
+        schema, or goal or record field of the wrong type."""
+        for domain, schema in self.schemas.items():
+            if not (schema.informable or schema.requestable):
+                raise CorpusError(f"schema {domain!r} has no informable or requestable slots")
         for domain, records in self.database.records.items():
             for record in records:
                 if not _strings(record.values):

@@ -6,7 +6,6 @@ from mtss.diffnum.tape import (
     ShapeMismatchError,
     TapeError,
     attend,
-    lstm_cell,
     lstm_row_step,
 )
 from mtss.diffnum.optim import Adam, DivergenceError
@@ -18,7 +17,6 @@ __all__ = [
     "ShapeMismatchError",
     "TapeError",
     "attend",
-    "lstm_cell",
     "lstm_row_step",
     "Adam",
     "DivergenceError",

@@ -88,17 +88,6 @@ def _cell(z: Array, c_prev: Array, gates: Array) -> tuple[Array, Array, Array]:
     return go * tc, c, tc
 
 
-def lstm_cell(x: Array, h: Array, c: Array, w: Array, b: Array) -> tuple[Array, Array, Array, Array, Array]:
-    """One LSTM cell update on vectors through the one product ``w @ [x; h]``,
-    as ``Tape.lstm_step`` records it and greedy decoding runs it: (h, c, [x; h],
-    activated gates, tanh(c)); the last three are what the backward reads.
-    """
-    xh = np.concatenate([x, h])
-    gates = np.empty(b.shape[0])
-    h_new, c_new, tc = _cell(w @ xh + b, c, gates)
-    return h_new, c_new, xh, gates, tc
-
-
 def _cell_grad(dh, dc, c_prev: Array, gates: Array, tc: Array, dz: Array) -> Array:
     """Backward of ``_cell``: writes d(loss)/dz into ``dz``, returns d(loss)/d(c_prev)."""
     gi, gf, gc, go = _gate_blocks(gates)
@@ -222,10 +211,18 @@ def attend(h: Array, enc: Array, att_w: Array) -> tuple[Array, Array, Array]:
     """Dot-product attention of ``h`` over the rows of ``enc``, then the tanh
     merge of [h; context] through ``att_w``: (weights, [h; context], merged).
 
-    ``h`` is one hidden state, or a (T, H) matrix of them attended row by row.
+    ``h`` is one hidden state, or a (T, H) matrix of them attended row by row
+    over the (P, H) ``enc``. With a (B, P, H) ``enc``, ``h`` is (B, H) and
+    row b attends over ``enc[b]``, through stacked one-row products: one row
+    runs the products of a (P, H) ``enc`` and is bit for bit its result.
     """
-    weights = _softmax(h @ enc.T)
-    cat = np.concatenate([h, weights @ enc], axis=-1)
+    if enc.ndim == 3:
+        weights = _softmax((h[:, None] @ enc.transpose(0, 2, 1))[:, 0])
+        context = (weights[:, None] @ enc)[:, 0]
+    else:
+        weights = _softmax(h @ enc.T)
+        context = weights @ enc
+    cat = np.concatenate([h, context], axis=-1)
     return weights, cat, np.tanh(cat @ att_w.T)
 
 
@@ -434,7 +431,9 @@ class Tape:
         ):
             raise ShapeMismatchError("lstm_step", x.shape, h.shape, c.shape, w.shape, b.shape)
 
-        h_new, c_new, xh, gates, tc = lstm_cell(x.data, h.data, c.data, w.data, b.data)
+        xh = np.concatenate([x.data, h.data])
+        gates = np.empty(4 * hidden)
+        h_new, c_new, tc = _cell(w.data @ xh + b.data, c.data, gates)
         h_out = self._out(h_new, (x, h, c, w, b))
         c_out = self._out(c_new, (x, h, c, w, b))
         c_prev, wd = c.data, w.data

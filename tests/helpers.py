@@ -1,6 +1,6 @@
 """Test helpers: gradient checks against central differences, parameter
 bytes, a tape-based greedy decoder, memo-free student contexts and replies,
-and probes of the memo."""
+and probes of the memo and the decoder."""
 
 from __future__ import annotations
 
@@ -113,6 +113,19 @@ def count_context_steps(monkeypatch) -> list[tuple[int, ...]]:
 
     monkeypatch.setattr(models, "lstm_row_step", counting)
     return steps
+
+
+def count_decoded_rows(monkeypatch) -> list[int]:
+    """From now on, the rows of each ``decode_greedy`` call, one entry per call."""
+    rows: list[int] = []
+    decode = models._SeqModel.decode_greedy
+
+    def counting(self, actions, enc_outs, max_len):
+        rows.append(len(actions))
+        return decode(self, actions, enc_outs, max_len)
+
+    monkeypatch.setattr(models._SeqModel, "decode_greedy", counting)
+    return rows
 
 
 def track_memos(monkeypatch) -> list[weakref.ref]:

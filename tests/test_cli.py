@@ -8,6 +8,7 @@ import shlex
 import shutil
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -181,15 +182,19 @@ class TestTrainTeachers:
         train, in_vocab, out_vocab = cli._load_prepared(data)
         test = load_corpus(data / "corpus_test.json")
         ensemble = cli.load_ensemble(workspace / "teachers", train.schemas, in_vocab, out_vocab)
-        calls, generate = [], TeacherModel.generate
+        decoded, decode = [], TeacherModel.decode_greedy
 
-        def counted_generate(self, *args):
-            calls.append(self.domain)
-            return generate(self, *args)
+        def counted_decode(self, actions, *args):
+            decoded.extend([self] * len(actions))
+            return decode(self, actions, *args)
 
-        monkeypatch.setattr(TeacherModel, "generate", counted_generate)
+        monkeypatch.setattr(TeacherModel, "decode_greedy", counted_decode)
         rows = cli._teacher_report(ensemble, test, in_vocab, out_vocab, max_len)
-        assert len(calls) == 2 * sum(len(e.turns) for e in test.episodes)
+        # One decoded row per test turn in each column: the universal
+        # teacher's, then the turn's own teacher's.
+        turns = [t for e in test.episodes for t in e.turns]
+        assert Counter(map(id, decoded)) == Counter(
+            [id(ensemble.universal)] * len(turns) + [id(ensemble.teachers[t.domain]) for t in turns])
         assert rows == json.loads((workspace / "teachers" / "teacher_report.json").read_text())
         # Reference: each teacher decodes the episodes that carry its domain.
         for domain, teacher in ensemble.teachers.items():
@@ -632,6 +637,8 @@ MALFORMED_INPUTS = [
     ("schema-requestable-is-a-string", EXIT_DATA, lambda ws, tmp: _multiwoz_prepare(
         tmp, {"d1.json": {"log": HELLO_LOG}}, {"informable": {"area": ["north"]}, "requestable": "phone"}),
         _at("base.json")),
+    ("schema-without-slots", EXIT_DATA, lambda ws, tmp: _multiwoz_prepare(
+        tmp, {"d1.json": {"log": HELLO_LOG}}, {"informable": {}, "requestable": []}), _at("base.json")),
     ("schema-requestable-has-a-number", EXIT_DATA, lambda ws, tmp: _multiwoz_prepare(
         tmp, {"d1.json": {"log": HELLO_LOG}}, {"informable": {"area": ["north"]}, "requestable": [7]}),
         _at("base.json")),

@@ -6,8 +6,8 @@ import sys
 import numpy as np
 import pytest
 
-from helpers import (count_context_steps, grad_check_params, memo_free_context, memo_free_reply, param_bytes,
-                     tape_greedy, track_memos)
+from helpers import (count_context_steps, count_decoded_rows, grad_check_params, memo_free_context, memo_free_reply,
+                     param_bytes, tape_greedy, track_memos)
 from mtss.corpus import Corpus, DomainSchema, Episode, Vocabulary, build_vocab
 from mtss.corpus.vocab import BOS_ID, EOS_ID, PAD_ID, RESERVED
 from mtss.diffnum import (
@@ -22,6 +22,7 @@ from mtss.diffnum import (
 from mtss import models
 from mtss.models import (
     ModelConfig,
+    PreparedTurn,
     StudentModel,
     TeacherEnsemble,
     TeacherModel,
@@ -59,6 +60,13 @@ def student():
 
 def ids(*tokens):
     return [BOS_ID, *tokens, EOS_ID]
+
+
+def hotel_turns(*utterances, state=None):
+    """Prepared turns of the hotel domain, one per user utterance, all in the
+    oracle state ``state`` (zeros by default)."""
+    state = np.zeros(STATE) if state is None else state
+    return [PreparedTurn("hotel", i, "hotel", tuple(u), ids(), [tuple(u)], state) for i, u in enumerate(utterances)]
 
 
 def rand_state(rng):
@@ -435,7 +443,7 @@ class TestDecoder:
             inputs = [(teacher, enc_outs, teacher.action_vector(tape, v_u, state)),
                       (student, *student.encode_history(tape, [ids(4), ids(5, 6), ids(7, 9)]))]
             for model, enc_outs, action in inputs:
-                tokens = model.decode_greedy(action.data, enc_outs.data, max_len)
+                [tokens] = model.decode_greedy(action.data[None], enc_outs.data[None], max_len)
                 expected = [*tokens, EOS_ID] if len(tokens) < max_len else tokens
                 ended[model.kind] += len(tokens) < max_len
                 log_probs = model.decode_teacher_forced(tape, action, enc_outs, [BOS_ID, *expected[:-1], EOS_ID])
@@ -446,22 +454,50 @@ class TestDecoder:
         tape = Tape(record=False)
         enc_outs, v_u = teacher.encode_utterance(tape, ids(4, 5))
         action = teacher.action_vector(tape, v_u, np.zeros(STATE)).data
+        actions, outs = action[None], enc_outs.data[None]
         hidden = TINY.hidden_size
         for model in (teacher, student):
-            for bad_action, bad_outs in [(action[:-1], enc_outs.data), (action[None], enc_outs.data),
-                                         (action, enc_outs.data[:, :-1]), (action, enc_outs.data[0]),
-                                         (action, np.zeros((0, hidden)))]:
+            assert len(model.decode_greedy(actions, outs, 8)) == 1
+            for bad_actions, bad_outs in [
+                (action, outs),                                   # no batch axis on the actions
+                (actions, enc_outs.data),                         # nor on the encoder outputs
+                (actions[:, :-1], outs),                          # H of the actions
+                (actions, outs[:, :, :-1]),                       # H of the encoder outputs
+                (np.vstack([action, action]), outs),              # B
+                (actions, np.vstack([outs, outs])),               # B
+                (actions, np.zeros((1, 0, hidden))),              # P = 0
+                (actions, outs[..., None]),                       # a fourth axis
+            ]:
                 with pytest.raises(ShapeMismatchError, match="decode_greedy"):
-                    model.decode_greedy(bad_action, bad_outs, 8)
+                    model.decode_greedy(bad_actions, bad_outs, 8)
 
     def test_generate_respects_max_len(self, teacher):
-        out = teacher.generate(ids(4), np.zeros(STATE), max_len=1)
-        assert len(out) <= 1
+        out = generate_responses(teacher, hotel_turns(ids(4), ids(5, 6), ids(7)), OUT_VOCAB, max_len=1)
+        assert len(out) == 3 and all(len(reply) <= 1 for reply in out.values())
 
     def test_generate_deterministic(self, teacher):
-        a = teacher.generate(ids(4, 7), np.zeros(STATE), max_len=8)
-        b = teacher.generate(ids(4, 7), np.zeros(STATE), max_len=8)
+        turns = hotel_turns(ids(4, 7), ids(5, 6), ids(8, 9))
+        a = generate_responses(teacher, turns, OUT_VOCAB, max_len=8)
+        b = generate_responses(teacher, turns, OUT_VOCAB, max_len=8)
         assert a == b
+
+    def test_weights_updated_in_place_are_seen(self):
+        """An update that writes into the parameter arrays, as Adam's does,
+        reaches the next decode: it decodes what a fresh model holding the
+        updated weights decodes, one row or several."""
+        config = ModelConfig(embed_size=8, hidden_size=16, init_scale=1.0)
+        model = StudentModel(config, V_IN, V_OUT, seed=5)
+        rng = np.random.default_rng(6)
+        actions, enc_outs = rng.uniform(-1, 1, (6, 16)), rng.normal(size=(6, 4, 16))
+        before = model.decode_greedy(actions, enc_outs, 12)
+        assert model.decode_greedy(actions[:1], enc_outs[:1], 12) == before[:1]
+        for p in model.parameter_list():
+            p.data -= 0.5 * rng.normal(size=p.data.shape)
+        fresh = StudentModel(config, V_IN, V_OUT, seed=0)
+        fresh.load_arrays({name: p.data for name, p in model.params.items()})
+        after = model.decode_greedy(actions, enc_outs, 12)
+        assert after == fresh.decode_greedy(actions, enc_outs, 12) != before
+        assert model.decode_greedy(actions[:1], enc_outs[:1], 12) == after[:1]
 
 
 class TestGreedyReference:
@@ -484,27 +520,48 @@ class TestGreedyReference:
         return items, out_vocab, student, TeacherEnsemble(teachers, teachers["general"])
 
     @staticmethod
-    def teacher_reference(teacher, item, max_len):
+    def teacher_reference(teacher, item, max_len, one_row=False):
+        """``tape_greedy``'s reply of the turn's teacher, or with ``one_row``
+        the reply of ``decode_greedy`` given the turn as its only row."""
         tape = Tape(record=False)
         enc_outs, v_u = teacher.encode_utterance(tape, item.user_ids)
-        return tape_greedy(teacher, teacher.action_vector(tape, v_u, item.state).data, enc_outs.data, max_len)
+        action = teacher.action_vector(tape, v_u, item.state).data
+        if one_row:
+            return teacher.decode_greedy(action[None], enc_outs.data[None], max_len)[0]
+        return tape_greedy(teacher, action, enc_outs.data, max_len)
 
     @pytest.mark.parametrize("max_len", [1, 8, 30])
-    def test_every_turn_decodes_as_the_tape_reference(self, world, max_len):
+    def test_every_turn_decodes_as_the_tape_reference(self, world, max_len, monkeypatch):
+        """One row at a time, and grouped by ``generate_responses``, every
+        turn decodes what ``tape_greedy`` decodes, token for token."""
         items, out_vocab, student, ensemble = world
         memo = student.encoding_memo()
         student_replies = [memo_free_reply(student, item.history_ids, max_len) for item in items]
         teacher_replies = [self.teacher_reference(ensemble.teachers[item.domain], item, max_len)
                            for item in items]
         assert [student.reply(memo(item.history_ids), max_len) for item in items] == student_replies
-        assert [ensemble.teachers[item.domain].generate(item.user_ids, item.state, max_len)
+        assert [self.teacher_reference(ensemble.teachers[item.domain], item, max_len, one_row=True)
                 for item in items] == teacher_replies
+        rows = count_decoded_rows(monkeypatch)
         for model, replies in ((student, student_replies), (ensemble, teacher_replies)):
             expected = {(item.episode_id, item.turn_index): out_vocab.decode(reply)
                         for item, reply in zip(items, replies)}
+            rows.clear()
             assert generate_responses(model, items, out_vocab, max_len) == expected
+            assert sum(rows) == len(items) and min(rows) == 1 and max(rows) > 1
+        assert len({len(item.user_ids) for item in items}) >= 3
         lengths = {len(reply) for reply in student_replies + teacher_replies}
         assert max(lengths) == max_len and (max_len == 1 or len(lengths) > 1)
+
+    def test_short_runs_decode_as_one_run(self, world, monkeypatch):
+        """Runs of DECODE_ROWS turns bound the rows of a decode call and
+        change no reply."""
+        items, out_vocab, student, ensemble = world
+        whole = [generate_responses(model, items, out_vocab, 8) for model in (student, ensemble)]
+        rows = count_decoded_rows(monkeypatch)
+        monkeypatch.setattr(models, "DECODE_ROWS", 3)
+        assert [generate_responses(model, items, out_vocab, 8) for model in (student, ensemble)] == whole
+        assert sum(rows) == 2 * len(items) and 1 < max(rows) <= 3
 
 
 class TestOverfitOnePair:
@@ -523,7 +580,9 @@ class TestOverfitOnePair:
         tape = Tape(record=False)
         log_probs, _ = teacher.respond_forced(tape, user, state, gold)
         assert list(np.argmax(log_probs.data, axis=1)) == gold[1:]
-        assert teacher.generate(user, state, max_len=10) == [6, 7, 8]
+        [turn] = hotel_turns(user, state=state)
+        expected = {("hotel", 0): OUT_VOCAB.decode([6, 7, 8])}
+        assert generate_responses(teacher, [turn], OUT_VOCAB, max_len=10) == expected
 
 
 class TestFullModelGradients:
@@ -556,7 +615,8 @@ class TestPersistence:
     def test_save_load_forward_bit_identical(self, teacher, tmp_path):
         path = tmp_path / "teacher.ckpt"
         state = np.zeros(STATE)
-        before = teacher.generate(ids(4, 5), state, max_len=6)
+        turns = hotel_turns(ids(4, 5), ids(6), ids(7, 8, 9), state=state)
+        before = generate_responses(teacher, turns, OUT_VOCAB, max_len=6)
         tape = Tape(record=False)
         log_probs, _ = teacher.respond_forced(tape, ids(4, 5), state, ids(6, 7))
         before_log_probs = log_probs.data.copy()
@@ -569,7 +629,7 @@ class TestPersistence:
         tape = Tape(record=False)
         log_probs, _ = loaded.respond_forced(tape, ids(4, 5), state, ids(6, 7))
         assert np.array_equal(log_probs.data, before_log_probs)
-        assert loaded.generate(ids(4, 5), state, max_len=6) == before
+        assert generate_responses(loaded, turns, OUT_VOCAB, max_len=6) == before
 
     def test_kind_mismatch_rejected(self, teacher, student, tmp_path):
         teacher.save(tmp_path / "t.ckpt", SCHEMAS, IN_VOCAB, OUT_VOCAB, {})
