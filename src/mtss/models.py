@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import asdict, dataclass
+from itertools import accumulate
 from pathlib import Path
 from typing import Sequence
 
@@ -81,22 +82,54 @@ class _SeqModel:
 
     # -- word-level utterance encoder ------------------------------------------
 
+    def encode_utterances(self, tape: Tape, utterances: Sequence[Sequence[int]],
+                          vector: bool = False) -> tuple[Tensor, Tensor, list[list[int]]]:
+        """Encode the utterances in one packed ``lstm_sequence``, each read up
+        to and including its first EOS.
+
+        Returns (the hidden state after each read token, utterance after
+        utterance; the final hidden state of each utterance, one row per
+        utterance, or with ``vector`` a vector for the one utterance; each
+        utterance's rows of the first, one per token, where positions past
+        EOS repeat its state).
+        """
+        hidden = self.config.hidden_size
+        reads = [_read_length(ids) for ids in utterances]
+        emb = tape.take_rows(self.params["embed_in"], [t for ids, n in zip(utterances, reads) for t in ids[:n]])
+        zeros = _zeros(hidden) if vector else _zeros(len(utterances), hidden)
+        outs, finals, _ = tape.lstm_sequence(emb, zeros, zeros, self.params["enc_w"], self.params["enc_b"], reads)
+        starts = accumulate(reads, initial=0)
+        return outs, finals, [_output_rows(s, n, len(ids)) for s, n, ids in zip(starts, reads, utterances)]
+
+    def encode_off_tape(self, utterances: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndarray, list[list[int]]]:
+        """``encode_utterances`` of the utterances as arrays, in as few packed
+        calls as hold at most ``ENCODER_ROWS`` token ids each: the calls'
+        outputs one after another, their final states, and each utterance's
+        rows of the outputs.
+        """
+        tape, outs, finals, rows = Tape(record=False), [], [], []
+        start = offset = 0
+        while start < len(utterances):
+            end, size = start + 1, len(utterances[start])
+            while end < len(utterances) and size + len(utterances[end]) <= ENCODER_ROWS:
+                end, size = end + 1, size + len(utterances[end])
+            part, part_finals, part_rows = self.encode_utterances(tape, utterances[start:end])
+            outs.append(part.data)
+            finals.append(part_finals.data)
+            rows += [[offset + r for r in each] for each in part_rows]
+            start, offset = end, offset + len(part.data)
+        return np.concatenate(outs), np.concatenate(finals), rows
+
     def encode_utterance(self, tape: Tape, token_ids: Sequence[int]) -> tuple[Tensor, Tensor]:
-        """Per-token encoder outputs and the final hidden state.
+        """Per-token encoder outputs and the final hidden state: the
+        one-utterance case of ``encode_utterances``.
 
         One output per input position; the recurrence stops at the first EOS
         and later positions repeat its state, so padding beyond EOS cannot
         change the final hidden vector.
         """
-        hidden = self.config.hidden_size
-        read = _read_length(token_ids)
-        emb = tape.take_rows(self.params["embed_in"], token_ids[:read])
-        outs, h_last, _ = tape.lstm_sequence(
-            emb, _zeros(hidden), _zeros(hidden), self.params["enc_w"], self.params["enc_b"]
-        )
-        if read < len(token_ids):
-            outs = tape.take_rows(outs, _output_rows(0, read, len(token_ids)))
-        return outs, h_last
+        outs, final, (rows,) = self.encode_utterances(tape, [token_ids], vector=True)
+        return (outs if len(rows) == len(outs.data) else tape.take_rows(outs, rows)), final
 
     # -- attention decoder ------------------------------------------------------
 
@@ -256,6 +289,19 @@ class TeacherModel(_SeqModel):
         action = self.action_vector(tape, v_u, state)
         return self.decode_teacher_forced(tape, action, enc_outs, gold_ids), action
 
+    def encode_turns(self, turns: Sequence["PreparedTurn"]) -> tuple[np.ndarray, list[list[int]], np.ndarray]:
+        """Encodings of the turns for greedy decoding, off the tape: (encoder
+        outputs; each turn's rows of them, its user utterance's; the (B, H)
+        actions). ``encode_off_tape`` encodes the turns' distinct user
+        utterances packed; each turn's action is ``action_vector`` of its own.
+        """
+        tape, index = Tape(record=False), {}
+        slots = [index.setdefault(turn.user_ids, len(index)) for turn in turns]
+        outs, finals, rows = self.encode_off_tape(list(index))
+        actions = [self.action_vector(tape, Tensor(finals[u]), turn.state).data
+                   for u, turn in zip(slots, turns)]
+        return outs, [rows[u] for u in slots], np.stack(actions)
+
     def clone(self, domain: str | None = None) -> "TeacherModel":
         copy = TeacherModel(
             self.config, self.in_vocab_size, self.out_vocab_size, self.state_size,
@@ -311,18 +357,38 @@ class TeacherEnsemble:
 # reference student on a 2,600-turn synthetic split of ten encoder lengths
 # (one core), decoding took 194, 174, 128 and 134 µs a turn in runs of 256,
 # 512, 1,024 and 2,048 turns, 128 in one run, and 630 one turn at a time:
-# the gain is flat once groups reach about 100 rows. perfbench's 790-turn
-# evaluate split is one run. A run's encoder outputs take at most
-# DECODE_ROWS x P x H floats: 17 MB at 14 positions and hidden size 150.
+# the gain is flat once groups reach about 100 rows. perfbench's 793-turn
+# evaluate split (seed 11) is one run: a pass over it peaked 25.9 MB above
+# its start under tracemalloc and took 150 ms on one core, against 21.6 MB
+# and 183 ms in runs of 512 turns and 19.6 MB and 220 ms in runs of 256.
+# Most of the peak is the packed encoders' buffers (below), so it shrinks
+# more slowly than the runs; a pass that looked each turn up in an encoding
+# memo peaked at 9.6 MB.
 DECODE_ROWS = 1024
 
-# A decoding pass of the perfbench workloads meets at most 176 distinct
-# utterances (its 793-turn evaluate split; a cycle of its chat scripts meets
-# 123), so its utterance map evicts nothing. Its context map may evict the
-# histories of finished episodes and sessions: a reply reads only the entry of
-# the previous turn's history, which its own history extends. README gives
-# the memory an entry holds.
+# ``encode_off_tape`` packs at most ENCODER_ROWS token ids into one
+# word-encoder call; a longer utterance gets a call of its own. Until it
+# returns, a call holds about 12 kB a token id at hidden size 150: the
+# per-step buffers that ``lstm_sequence`` keeps for a backward pass.
+# perfbench's evaluate split has 1,761 ids in its distinct utterances, so
+# one call. A run of 1,024 turns whose utterances are all distinct, as
+# MultiWOZ's nearly are (synthetic 7-turn episodes of 11 to 18 ids), peaked
+# at 342 MB in one call and 72 MB in calls of 2,048 ids, against 32 MB
+# looked up in an encoding memo.
+ENCODER_ROWS = 2048
+
+# ``mtss chat`` keeps one memo for the process. A cycle of perfbench's chat
+# scripts meets 123 distinct utterances, so its utterance map evicts nothing.
+# Its context map may evict the histories of finished sessions: a reply reads
+# only the entry of the previous reply's history, which its own history
+# extends. README gives the memory an entry holds.
 ENCODING_MEMO_SIZE = 512
+
+# A chat reply's history extends the previous lookup's by two utterances (the
+# reply and the next user line), so a lookup probes only this many of its
+# history's longest prefixes, each hashed whole, before it steps from zeros.
+# Stepping from any cached prefix, or from zeros, gives the same bits.
+CONTEXT_PROBES = 3
 
 
 def _remember(cache: OrderedDict, key, value):
@@ -336,12 +402,12 @@ def _remember(cache: OrderedDict, key, value):
 
 
 class EncodingMemo:
-    """A student's encodings for one decoding pass, as arrays, in two
-    least-recently-used maps of ``ENCODING_MEMO_SIZE`` entries: an
-    utterance's token ids -> its ``encode_utterance`` (outputs, final state),
-    and a history prefix -> the context LSTM's (h, c) after its last
-    utterance. It holds results of the current weights, so make one per
-    decoding pass and drop it when they change.
+    """A student's encodings for ``mtss chat``, which answers one reply at a
+    time, as arrays, in two least-recently-used maps of
+    ``ENCODING_MEMO_SIZE`` entries: an utterance's token ids -> its
+    ``encode_utterance`` (outputs, final state), and a history prefix -> the
+    context LSTM's (h, c) after its last utterance. It holds results of the
+    current weights, so drop it when they change.
     """
 
     def __init__(self, student: "StudentModel"):
@@ -361,16 +427,16 @@ class EncodingMemo:
     def __call__(self, history: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndarray]:
         """(the last utterance's encoder outputs, the context LSTM's h after
         the whole history). The context LSTM starts from the longest cached
-        prefix of ``history``, or from zeros, and steps one utterance at a
-        time with ``lstm_row_step``: bit for bit the one-row ``lstm_sequence``
-        that ``action_vector`` runs on a one-utterance history.
+        prefix of ``history`` among its ``CONTEXT_PROBES`` longest, or from
+        zeros, and steps one utterance at a time with ``lstm_row_step``: bit
+        for bit the one-row ``lstm_sequence`` that ``action_vector`` runs on
+        a one-utterance history.
         """
         key = tuple(map(tuple, history))
         if not key:
             raise ValueError("history must contain at least the current user utterance")
-        start = len(key)
-        while start and key[:start] not in self.contexts:
-            start -= 1
+        start = next((n for n in range(len(key), max(0, len(key) - CONTEXT_PROBES), -1)
+                      if key[:n] in self.contexts), 0)
         p, hidden = self.student.params, self.student.config.hidden_size
         h, c = self.contexts[key[:start]] if start else (np.zeros(hidden), np.zeros(hidden))
         for utterance in key[start:]:
@@ -415,18 +481,13 @@ class StudentModel(_SeqModel):
     def encode_history(self, tape: Tape, history: Sequence[Sequence[int]]) -> tuple[Tensor, Tensor]:
         """Encode every history utterance; returns (current-utterance outputs, action).
 
-        One packed ``lstm_sequence`` encodes all the utterances, each read as
-        ``encode_utterance`` reads it; the context LSTM then runs over their
-        final states.
+        One packed ``encode_utterances`` call encodes all the utterances; the
+        context LSTM then runs over their final states.
         """
         if not history:
             raise ValueError("history must contain at least the current user utterance")
-        reads = [_read_length(ids) for ids in history]
-        emb = tape.take_rows(self.params["embed_in"], [t for ids, n in zip(history, reads) for t in ids[:n]])
-        zeros = _zeros(len(history), self.config.hidden_size)
-        outs, finals, _ = tape.lstm_sequence(emb, zeros, zeros, self.params["enc_w"], self.params["enc_b"], reads)
-        current = tape.take_rows(outs, _output_rows(sum(reads) - reads[-1], reads[-1], len(history[-1])))
-        return current, self.action_vector(tape, finals)
+        outs, finals, rows = self.encode_utterances(tape, history)
+        return tape.take_rows(outs, rows[-1]), self.action_vector(tape, finals)
 
     def respond_forced(
         self, tape: Tape, history: Sequence[Sequence[int]], gold_ids: Sequence[int]
@@ -435,8 +496,41 @@ class StudentModel(_SeqModel):
         enc_outs, action = self.encode_history(tape, history)
         return self.decode_teacher_forced(tape, action, enc_outs, gold_ids), action
 
+    def encode_turns(self, turns: Sequence["PreparedTurn"]) -> tuple[np.ndarray, list[list[int]], np.ndarray]:
+        """Encodings of the turns' histories for greedy decoding, off the tape:
+        (encoder outputs; each turn's rows of them, its current utterance's;
+        the (B, H) actions, the context LSTM's h after each history).
+
+        ``encode_off_tape`` encodes the turns' distinct utterances packed, and
+        one packed ``lstm_sequence`` runs the context LSTM over their final
+        states: one sequence per distinct history that begins no other. A
+        history that begins another is read from that one's per-step states,
+        so the turns of an episode cost the steps of its last turn. Histories
+        that share only a beginning each run it.
+        """
+        if not all(turn.history_ids for turn in turns):
+            raise ValueError("history must contain at least the current user utterance")
+        tape, index = Tape(record=False), {}
+        keys = [tuple(index.setdefault(u, len(index)) for u in turn.history_ids) for turn in turns]
+        outs, finals, rows = self.encode_off_tape(list(index))
+        # In sorted order a history that begins any other begins the next one,
+        # so walking backwards each history is run or read from the next's.
+        sequence_of, sequences, following = {}, [], ()
+        for key in sorted(set(keys), reverse=True):
+            if following[:len(key)] != key:
+                sequences.append(key)
+            sequence_of[key] = len(sequences) - 1
+            following = key
+        lengths = [len(key) for key in sequences]
+        zeros = _zeros(len(sequences), self.config.hidden_size)
+        states, _, _ = tape.lstm_sequence(Tensor(finals[[u for key in sequences for u in key]]), zeros, zeros,
+                                          self.params["ctx_w"], self.params["ctx_b"], lengths)
+        starts = list(accumulate(lengths, initial=0))
+        actions = states.data[[starts[sequence_of[key]] + len(key) - 1 for key in keys]]
+        return outs, [rows[key[-1]] for key in keys], actions
+
     def encoding_memo(self) -> EncodingMemo:
-        """A new, empty memo of this student's encodings for one decoding pass."""
+        """A new, empty memo of this student's encodings, for ``mtss chat``."""
         return EncodingMemo(self)
 
     def reply(self, context: tuple[np.ndarray, np.ndarray], max_len: int = 30) -> list[int]:
@@ -549,32 +643,27 @@ def generate_responses(model, items: Sequence[PreparedTurn], out_vocab: Vocabula
 
     ``model`` is a student, a teacher, or a ``TeacherEnsemble``, which
     answers each turn with the teacher of the turn's domain. Teachers read
-    the user utterance and the oracle state. A student replies to the turn's
-    history as one encoding memo for the call looks it up, so each distinct
-    utterance is encoded once, and the context LSTM steps only over the
-    utterances past the longest earlier history that this one begins with.
+    the user utterance and the oracle state; a student reads the turn's
+    history.
 
-    The turns decode in lockstep: among each ``DECODE_ROWS`` consecutive
-    turns, one ``decode_greedy`` call answers all those that share a
-    decoding model and an encoder length.
+    The turns are encoded and decoded in runs of ``DECODE_ROWS`` consecutive
+    turns. Each decoding model encodes its turns of a run in lockstep
+    (``encode_turns``), then one ``decode_greedy`` call answers all those
+    that share an encoder length.
     """
-    memo = model.encoding_memo() if isinstance(model, StudentModel) else None
     replies: list[list[int]] = [[] for _ in items]
     for start in range(0, len(items), DECODE_ROWS):
-        groups: dict[tuple[_SeqModel, int], list[tuple[int, np.ndarray, np.ndarray]]] = {}
-        for i, item in enumerate(items[start:start + DECODE_ROWS], start):
-            if memo is not None:
-                decoder = model
-                enc_outs, action = memo(item.history_ids)
-            else:
-                decoder = model.teachers[item.domain] if isinstance(model, TeacherEnsemble) else model
-                tape = Tape(record=False)
-                outs, v_u = decoder.encode_utterance(tape, item.user_ids)
-                enc_outs, action = outs.data, decoder.action_vector(tape, v_u, item.state).data
-            groups.setdefault((decoder, len(enc_outs)), []).append((i, enc_outs, action))
-        for (decoder, _), group in groups.items():
-            decoded = decoder.decode_greedy(np.stack([action for _, _, action in group]),
-                                            np.stack([enc_outs for _, enc_outs, _ in group]), max_len)
-            for (i, _, _), ids in zip(group, decoded):
-                replies[i] = ids
+        by_model: dict[_SeqModel, list[int]] = {}
+        for i in range(start, min(start + DECODE_ROWS, len(items))):
+            decoder = model.teachers[items[i].domain] if isinstance(model, TeacherEnsemble) else model
+            by_model.setdefault(decoder, []).append(i)
+        for decoder, turns in by_model.items():
+            outs, rows, actions = decoder.encode_turns([items[i] for i in turns])
+            groups: dict[int, list[int]] = {}
+            for k, turn_rows in enumerate(rows):
+                groups.setdefault(len(turn_rows), []).append(k)
+            for group in groups.values():
+                decoded = decoder.decode_greedy(actions[group], outs[[rows[k] for k in group]], max_len)
+                for k, ids in zip(group, decoded):
+                    replies[turns[k]] = ids
     return {(item.episode_id, item.turn_index): out_vocab.decode(ids) for item, ids in zip(items, replies)}

@@ -1,6 +1,6 @@
 """Test helpers: gradient checks against central differences, parameter
 bytes, a tape-based greedy decoder, memo-free student contexts and replies,
-and probes of the memo and the decoder."""
+and probes of the memo, the packed encoders and the decoder."""
 
 from __future__ import annotations
 
@@ -113,6 +113,35 @@ def count_context_steps(monkeypatch) -> list[tuple[int, ...]]:
 
     monkeypatch.setattr(models, "lstm_row_step", counting)
     return steps
+
+
+def record_word_encodes(monkeypatch) -> list[list[tuple[int, ...]]]:
+    """From now on, the utterances of each packed word-encoder call
+    (``encode_utterances``), one list per call."""
+    calls: list[list[tuple[int, ...]]] = []
+    encode = models._SeqModel.encode_utterances
+
+    def recording(self, tape, utterances, vector=False):
+        calls.append([tuple(u) for u in utterances])
+        return encode(self, tape, utterances, vector)
+
+    monkeypatch.setattr(models._SeqModel, "encode_utterances", recording)
+    return calls
+
+
+def record_context_runs(monkeypatch, student) -> list[list[int]]:
+    """From now on, the sequence lengths of each ``Tape.lstm_sequence`` call
+    over the student's context weights, one list per call."""
+    runs: list[list[int]] = []
+    run = Tape.lstm_sequence
+
+    def recording(self, xs, h0, c0, w, b, lengths=None):
+        if w is student.params["ctx_w"]:
+            runs.append(lengths)
+        return run(self, xs, h0, c0, w, b, lengths)
+
+    monkeypatch.setattr(Tape, "lstm_sequence", recording)
+    return runs
 
 
 def count_decoded_rows(monkeypatch) -> list[int]:

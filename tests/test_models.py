@@ -2,12 +2,14 @@
 
 import gc
 import sys
+import weakref
+from collections import OrderedDict
 
 import numpy as np
 import pytest
 
 from helpers import (count_context_steps, count_decoded_rows, grad_check_params, memo_free_context, memo_free_reply,
-                     param_bytes, tape_greedy, track_memos)
+                     param_bytes, record_context_runs, record_word_encodes, tape_greedy, track_memos)
 from mtss.corpus import Corpus, DomainSchema, Episode, Vocabulary, build_vocab
 from mtss.corpus.vocab import BOS_ID, EOS_ID, PAD_ID, RESERVED
 from mtss.diffnum import (
@@ -178,9 +180,22 @@ class TestStudentAction:
         assert not np.array_equal(short.data, longer.data)
 
 
+class CountingMap(OrderedDict):
+    """An ordered map that counts its membership probes."""
+
+    def __init__(self):
+        super().__init__()
+        self.probes = 0
+
+    def __contains__(self, key):
+        self.probes += 1
+        return super().__contains__(key)
+
+
 class TestIncrementalInference:
-    """A reply to memoised utterance encodings must compute what re-encoding
-    the whole history computes, while encoding each utterance only once."""
+    """A reply to shared utterance encodings, a pass's packed ones or the
+    chat memo's, must compute what re-encoding the whole history computes,
+    while encoding each utterance only once."""
 
     # A larger init scale than TINY so greedy replies depend on the history.
     CONFIG = ModelConfig(embed_size=8, hidden_size=12, init_scale=0.5)
@@ -219,47 +234,64 @@ class TestIncrementalInference:
 
     def test_context_steps_once_per_new_utterance(self, episode_setup, monkeypatch):
         """A turn's history extends the previous turn's by a system and a
-        user utterance, so the context LSTM runs one row for each of them."""
+        user utterance, so a pass runs the context LSTM once over the last
+        turn's history, one row per utterance, and reads every earlier turn
+        from its steps; a second copy of the episode adds no step."""
         corpus, in_vocab, out_vocab, student = episode_setup
-        items = prepare_turns(corpus, in_vocab, out_vocab)
-        steps = count_context_steps(monkeypatch)
-        generate_responses(student, items, out_vocab, max_len=8)
-        assert steps == [(self.CONFIG.hidden_size,)] * len(items[-1].history_ids)
+        episode = corpus.episodes[0]
+        again = Episode(episode.episode_id + "-again", episode.turns, episode.goal)
+        for episodes in ([episode], [episode, again]):
+            items = prepare_turns(Corpus(corpus.schemas, corpus.database, episodes), in_vocab, out_vocab)
+            steps = count_context_steps(monkeypatch)
+            runs = record_context_runs(monkeypatch, student)
+            generate_responses(student, items, out_vocab, max_len=8)
+            monkeypatch.undo()
+            assert runs == [[len(items[-1].history_ids)]] and steps == []
 
-    def test_a_cold_long_history_steps_without_recursion(self, episode_setup):
+    def test_a_cold_long_history_steps_without_recursion(self, episode_setup, monkeypatch):
         """2,000 utterances, past Python's default recursion limit of 1,000."""
         corpus, in_vocab, _, student = episode_setup
         episode = corpus.episodes[0]
         utterances = full_history(episode, len(episode.turns) - 1, in_vocab)
         history = [utterances[i % len(utterances)] for i in range(2000)]
         assert len(history) == 2000 > sys.getrecursionlimit()
-        enc_outs, h = student.encoding_memo()(history)
+        memo = student.encoding_memo()
+        memo.contexts = CountingMap()
+        enc_outs, h = memo(history)
         reference_outs, reference_h, _ = memo_free_context(student, history)
         assert np.array_equal(enc_outs, reference_outs.data)
         assert np.array_equal(h, reference_h.data)
+        # A cold lookup probes a bounded number of prefixes, not all 2,000.
+        assert memo.contexts.probes == models.CONTEXT_PROBES
+        # A reply's history extends the last lookup's by two utterances: it
+        # finds that entry and steps the context over the two only.
+        memo.contexts.probes = 0
+        steps = count_context_steps(monkeypatch)
+        longer = history + utterances[:2]
+        enc_outs, h = memo(longer)
+        reference_outs, reference_h, _ = memo_free_context(student, longer)
+        assert np.array_equal(enc_outs, reference_outs.data)
+        assert np.array_equal(h, reference_h.data)
+        assert memo.contexts.probes == 3 and len(steps) == 2
 
     def test_generate_responses_matches_reference(self, episode_setup, monkeypatch):
         corpus, in_vocab, out_vocab, student = episode_setup
         episode = corpus.episodes[0]
         turns = len(episode.turns)
         assert turns >= 3
-        calls = []
-        encode = StudentModel.encode_utterance
-
-        def counting(self, tape, token_ids):
-            calls.append(tuple(token_ids))
-            return encode(self, tape, token_ids)
-
         # A second copy of the episode repeats every utterance in another dialogue.
         again = Episode(episode.episode_id + "-again", episode.turns, episode.goal)
         items = prepare_turns(Corpus(corpus.schemas, corpus.database, [episode, again]), in_vocab, out_vocab)
-        monkeypatch.setattr(StudentModel, "encode_utterance", counting)
+        one_by_one = count_context_steps(monkeypatch)
+        calls = record_word_encodes(monkeypatch)
         generated = generate_responses(student, items, out_vocab, max_len=8)
         monkeypatch.undo()
-        # One encode per distinct utterance: 2t - 1 of them in a t-turn episode.
+        # One packed encode of the distinct utterances, 2t - 1 of them in a
+        # t-turn episode, and no utterance encoded on its own.
         distinct = {tuple(utterance) for item in items for utterance in item.history_ids}
-        assert len(calls) == len(set(calls)) == len(distinct) == 2 * turns - 1
-        assert set(calls) == distinct
+        assert len(calls) == 1 and one_by_one == []
+        assert len(calls[0]) == len(set(calls[0])) == len(distinct) == 2 * turns - 1
+        assert set(calls[0]) == distinct
 
         replies = []
         for index in range(turns):
@@ -288,17 +320,13 @@ class TestIncrementalInference:
 
     @pytest.mark.parametrize("capacity", [None, 1], ids=["default-capacity", "capacity-1"])
     def test_memo_replies_match_a_memo_free_replay(self, repeating_setup, monkeypatch, capacity):
+        """A pass's replies equal the memo-free ones, whether it holds all its
+        turns' encodings at once or, in runs of ``capacity`` = 1 turn, each
+        turn's only, so that every run encodes its own history again."""
         items, out_vocab, student = repeating_setup
         if capacity is not None:
-            monkeypatch.setattr(models, "ENCODING_MEMO_SIZE", capacity)
-        calls = []
-        encode = StudentModel.encode_utterance
-
-        def counting(self, tape, token_ids):
-            calls.append(tuple(token_ids))
-            return encode(self, tape, token_ids)
-
-        monkeypatch.setattr(StudentModel, "encode_utterance", counting)
+            monkeypatch.setattr(models, "DECODE_ROWS", capacity)
+        calls = record_word_encodes(monkeypatch)
         generated = generate_responses(student, items, out_vocab, max_len=8)
         monkeypatch.undo()
         expected = {(item.episode_id, item.turn_index):
@@ -308,10 +336,61 @@ class TestIncrementalInference:
         repeat = [item.history_ids for item in items if item.episode_id == "repeat"][-1]
         assert repeat[0] == repeat[-1]  # the episode repeats an utterance
         distinct = {tuple(utterance) for item in items for utterance in item.history_ids}
+        encoded = [utterance for call in calls for utterance in call]
         if capacity is None:
-            assert len(calls) == len(set(calls)) and set(calls) == distinct
-        else:  # evictions: some utterance is encoded more than once
-            assert set(calls) == distinct and len(calls) > len(distinct)
+            assert len(calls) == 1 and len(encoded) == len(set(encoded)) and set(encoded) == distinct
+        else:  # one run per turn, each encoding its history's distinct utterances
+            assert calls == [list(dict.fromkeys(item.history_ids)) for item in items]
+            assert set(encoded) == distinct and len(encoded) > len(distinct)
+
+    def test_encoder_calls_hold_at_most_encoder_rows_ids(self, repeating_setup, monkeypatch):
+        """A run's distinct utterances are split between packed calls of at
+        most ENCODER_ROWS token ids, or one longer utterance each, in order,
+        and the replies stay the memo-free ones."""
+        items, out_vocab, student = repeating_setup
+        distinct = list(dict.fromkeys(u for item in items for u in item.history_ids))
+        limit = max(map(len, distinct)) - 1  # the longest utterance is one call of its own
+        monkeypatch.setattr(models, "ENCODER_ROWS", limit)
+        calls = record_word_encodes(monkeypatch)
+        generated = generate_responses(student, items, out_vocab, max_len=8)
+        monkeypatch.undo()
+        assert generated == {(item.episode_id, item.turn_index):
+                             out_vocab.decode(memo_free_reply(student, item.history_ids, 8)) for item in items}
+        sizes = [sum(map(len, call)) for call in calls]
+        assert all(size <= limit or len(call) == 1 for size, call in zip(sizes, calls))
+        assert max(sizes) > limit and max(map(len, calls)) > 1
+        assert [u for call in calls for u in call] == distinct
+
+    def test_pass_encodings_match_the_one_row_path(self, repeating_setup, episode_setup):
+        """A pass's packed encodings of each turn are within 1e-12 relative
+        of the memo's one row at a time, and those of a one-turn pass over a
+        one-utterance history equal them bit for bit. Likewise for a teacher
+        against ``encode_utterance`` and ``action_vector`` turn by turn."""
+        items, _, student = repeating_setup
+        corpus, in_vocab, out_vocab, _ = episode_setup
+        stated = prepare_turns(corpus, in_vocab, out_vocab)
+        teacher = TeacherModel(self.CONFIG, len(in_vocab), len(out_vocab), len(stated[0].state), seed=6)
+        memo = student.encoding_memo()
+
+        def one_row(model, item):
+            if model is student:
+                return memo(item.history_ids)
+            tape = Tape(record=False)
+            outs, v_u = teacher.encode_utterance(tape, item.user_ids)
+            return outs.data, teacher.action_vector(tape, v_u, item.state).data
+
+        for model, turns in ((student, items), (teacher, stated)):
+            outs, rows, actions = model.encode_turns(turns)
+            assert len(rows) == len(actions) == len(turns)
+            for item, turn_rows, action in zip(turns, rows, actions):
+                enc_outs, reference = one_row(model, item)
+                assert np.allclose(outs[turn_rows], enc_outs, rtol=1e-12, atol=1e-15)
+                assert np.allclose(action, reference, rtol=1e-12, atol=1e-15)
+            first = turns[0]
+            assert len(first.history_ids) == 1
+            outs, (turn_rows,), actions = model.encode_turns([first])
+            enc_outs, reference = one_row(model, first)
+            assert np.array_equal(outs[turn_rows], enc_outs) and np.array_equal(actions[0], reference)
 
     def test_a_changed_model_replies_as_a_fresh_copy(self, episode_setup):
         """No encoding outlives the weights: after an in-place change, the
@@ -374,16 +453,26 @@ class TestIncrementalInference:
         with pytest.raises(ValueError, match="at least the current user utterance"):
             student.reply(student.encoding_memo()([]))
 
-    def test_a_memo_dies_with_its_pass(self, episode_setup, monkeypatch):
-        """No reference cycle keeps a pass's memo alive once the pass returns,
-        even with the cycle collector off."""
+    def test_encodings_die_with_their_pass(self, episode_setup, monkeypatch):
+        """A pass makes no memo, and no reference cycle keeps its packed
+        encodings alive once it returns, even with the cycle collector off."""
         corpus, in_vocab, out_vocab, student = episode_setup
         items = prepare_turns(corpus, in_vocab, out_vocab)
         memos = track_memos(monkeypatch)
+        encodings: list[weakref.ref] = []
+        encode = StudentModel.encode_turns
+
+        def tracked(self, turns):
+            outs, rows, actions = encode(self, turns)
+            encodings.extend((weakref.ref(outs), weakref.ref(actions)))
+            return outs, rows, actions
+
+        monkeypatch.setattr(StudentModel, "encode_turns", tracked)
         gc.disable()
         try:
             generate_responses(student, items, out_vocab, max_len=8)
-            assert len(memos) == 1 and memos[0]() is None
+            assert memos == [] and len(encodings) == 2
+            assert all(ref() is None for ref in encodings)
         finally:
             gc.enable()
 
@@ -554,14 +643,26 @@ class TestGreedyReference:
         assert max(lengths) == max_len and (max_len == 1 or len(lengths) > 1)
 
     def test_short_runs_decode_as_one_run(self, world, monkeypatch):
-        """Runs of DECODE_ROWS turns bound the rows of a decode call and
-        change no reply."""
+        """Runs of DECODE_ROWS turns bound the rows of a decode call and the
+        utterances of a packed encoder call, and change no reply: each
+        decoding model encodes the distinct utterances of its turns of the
+        run, the student its histories', a teacher its user utterances."""
         items, out_vocab, student, ensemble = world
         whole = [generate_responses(model, items, out_vocab, 8) for model in (student, ensemble)]
         rows = count_decoded_rows(monkeypatch)
         monkeypatch.setattr(models, "DECODE_ROWS", 3)
+        calls = record_word_encodes(monkeypatch)
         assert [generate_responses(model, items, out_vocab, 8) for model in (student, ensemble)] == whole
         assert sum(rows) == 2 * len(items) and 1 < max(rows) <= 3
+        runs = [items[start:start + 3] for start in range(0, len(items), 3)]
+        expected = [list(dict.fromkeys(u for item in run for u in item.history_ids)) for run in runs]
+        for run in runs:
+            by_domain = {}
+            for item in run:
+                by_domain.setdefault(item.domain, []).append(item.user_ids)
+            expected += [list(dict.fromkeys(users)) for users in by_domain.values()]
+        assert calls == expected
+        assert len(calls) > 2 * len(runs)  # some run has turns of two teachers
 
 
 class TestOverfitOnePair:
