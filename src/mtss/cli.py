@@ -372,6 +372,8 @@ def _load_generations(path: Path) -> dict[tuple[str, int], list[str]]:
 
 def cmd_evaluate(args) -> int:
     started = time.monotonic()
+    if args.model and args.generations:
+        raise UsageError("evaluate takes --model or --generations, not both")
     max_len = _max_len(args)
     data_dir = Path(args.data)
     corpus = _load_split(data_dir, args.split)
@@ -493,11 +495,12 @@ def cmd_chat(args, stdin=None, stdout=None) -> int:
 
     say("type a message; /reset clears history, /quit exits")
     # One encoding memo for the whole process, kept across /reset, so a new
-    # session reuses the encodings of utterances that earlier ones met, and
-    # each reply steps the context LSTM over the two utterances since the last.
+    # session reuses the encodings of utterances that earlier ones met. The
+    # session's state is the context LSTM's (h, c) after its last step and
+    # the utterances said since (the last reply), so each reply steps the
+    # context over that reply and its own line only.
     memo = student.encoding_memo()
-    history: list = []  # the session's utterances as token-id tuples, oldest first
-    belief: dict = {}
+    state, unread, belief = None, [], {}
     for line in stdin:
         line = line.strip()
         if not line:
@@ -505,7 +508,7 @@ def cmd_chat(args, stdin=None, stdout=None) -> int:
         if line == "/quit":
             break
         if line == "/reset":
-            history, belief = [], {}
+            state, unread, belief = None, [], {}
             say("(history cleared)")
             continue
         if delex is not None:
@@ -516,14 +519,12 @@ def cmd_chat(args, stdin=None, stdout=None) -> int:
                     belief.setdefault(domain, {})[slot] = value
         else:
             tokens = line.lower().split()
-        size = len(history)
         try:
-            history.append(tuple(in_vocab.encode(tokens)))
-            reply = out_vocab.decode(student.reply(memo(history), max_len))
-            history.append(tuple(in_vocab.encode(reply)))
-        except Exception:  # decode failure: apologize, keep history intact
+            context = memo(unread + [in_vocab.encode(tokens)], state)
+            reply = out_vocab.decode(student.reply(context, max_len))
+            state, unread = context[1], [in_vocab.encode(reply)]
+        except Exception:  # decode failure: apologize, keep the session's state
             say("sorry , i could not produce a response .")
-            del history[size:]
             continue
         if args.lexicalize:
             reply = lexicalize(reply, corpus, belief)

@@ -378,71 +378,53 @@ DECODE_ROWS = 1024
 ENCODER_ROWS = 2048
 
 # ``mtss chat`` keeps one memo for the process. A cycle of perfbench's chat
-# scripts meets 123 distinct utterances, so its utterance map evicts nothing.
-# Its context map may evict the histories of finished sessions: a reply reads
-# only the entry of the previous reply's history, which its own history
-# extends. README gives the memory an entry holds.
+# scripts meets 123 distinct utterances, so it evicts nothing. README gives
+# the memory an entry holds.
 ENCODING_MEMO_SIZE = 512
-
-# A chat reply's history extends the previous lookup's by two utterances (the
-# reply and the next user line), so a lookup probes only this many of its
-# history's longest prefixes, each hashed whole, before it steps from zeros.
-# Stepping from any cached prefix, or from zeros, gives the same bits.
-CONTEXT_PROBES = 3
-
-
-def _remember(cache: OrderedDict, key, value):
-    """Put ``value`` at ``key`` as the most recently used entry of an LRU map
-    of ``ENCODING_MEMO_SIZE`` entries; returns ``value``."""
-    cache[key] = value
-    cache.move_to_end(key)
-    if len(cache) > ENCODING_MEMO_SIZE:
-        cache.popitem(last=False)
-    return value
 
 
 class EncodingMemo:
-    """A student's encodings for ``mtss chat``, which answers one reply at a
-    time, as arrays, in two least-recently-used maps of
-    ``ENCODING_MEMO_SIZE`` entries: an utterance's token ids -> its
-    ``encode_utterance`` (outputs, final state), and a history prefix -> the
-    context LSTM's (h, c) after its last utterance. It holds results of the
-    current weights, so drop it when they change.
+    """A student's utterance encodings for ``mtss chat``, which answers one
+    reply at a time, as arrays: a least-recently-used map of
+    ``ENCODING_MEMO_SIZE`` entries from an utterance's token ids to its
+    ``encode_utterance`` (outputs, final state). A chat session carries the
+    context LSTM's (h, c) itself, and the memo steps it over the utterances
+    said since its last step. It holds results of the current weights, so
+    drop it when they change.
     """
 
     def __init__(self, student: "StudentModel"):
         self.student = student
         self.tape = Tape(record=False)
         self.utterances: OrderedDict[tuple[int, ...], tuple[np.ndarray, np.ndarray]] = OrderedDict()
-        self.contexts: OrderedDict[tuple[tuple[int, ...], ...], tuple[np.ndarray, np.ndarray]] = OrderedDict()
 
     def _encode(self, token_ids: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
         """``encode_utterance`` of ``token_ids``, from the map when it holds them."""
-        found = self.utterances.get(token_ids)
+        found = self.utterances.pop(token_ids, None)
         if found is None:
             outs, final = self.student.encode_utterance(self.tape, token_ids)
             found = outs.data, final.data
-        return _remember(self.utterances, token_ids, found)
+        self.utterances[token_ids] = found
+        if len(self.utterances) > ENCODING_MEMO_SIZE:
+            self.utterances.popitem(last=False)
+        return found
 
-    def __call__(self, history: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndarray]:
-        """(the last utterance's encoder outputs, the context LSTM's h after
-        the whole history). The context LSTM starts from the longest cached
-        prefix of ``history`` among its ``CONTEXT_PROBES`` longest, or from
-        zeros, and steps one utterance at a time with ``lstm_row_step``: bit
-        for bit the one-row ``lstm_sequence`` that ``action_vector`` runs on
-        a one-utterance history.
+    def __call__(self, utterances: Sequence[Sequence[int]], state: tuple[np.ndarray, np.ndarray] | None = None
+                 ) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
+        """(the last utterance's encoder outputs, the context LSTM's (h, c)
+        after it). The context LSTM starts from ``state``, its (h, c) after
+        the utterances before these, or from zeros, and steps one utterance
+        at a time with ``lstm_row_step``: bit for bit the one-row
+        ``lstm_sequence`` that ``action_vector`` runs on a one-utterance
+        history.
         """
-        key = tuple(map(tuple, history))
-        if not key:
+        if not utterances:
             raise ValueError("history must contain at least the current user utterance")
-        start = next((n for n in range(len(key), max(0, len(key) - CONTEXT_PROBES), -1)
-                      if key[:n] in self.contexts), 0)
-        p, hidden = self.student.params, self.student.config.hidden_size
-        h, c = self.contexts[key[:start]] if start else (np.zeros(hidden), np.zeros(hidden))
-        for utterance in key[start:]:
-            h, c = lstm_row_step(self._encode(utterance)[1], h, c, p["ctx_w"].data, p["ctx_b"].data)
-        _remember(self.contexts, key, (h, c))
-        return self._encode(key[-1])[0], h
+        p = self.student.params
+        h, c = state if state is not None else (np.zeros(self.student.config.hidden_size),) * 2
+        for utterance in utterances:
+            h, c = lstm_row_step(self._encode(tuple(utterance))[1], h, c, p["ctx_w"].data, p["ctx_b"].data)
+        return self._encode(tuple(utterances[-1]))[0], (h, c)
 
 
 class StudentModel(_SeqModel):
@@ -533,15 +515,15 @@ class StudentModel(_SeqModel):
         """A new, empty memo of this student's encodings, for ``mtss chat``."""
         return EncodingMemo(self)
 
-    def reply(self, context: tuple[np.ndarray, np.ndarray], max_len: int = 30) -> list[int]:
-        """Greedy response to a history given as ``EncodingMemo`` looks it
-        up: the last utterance's encoder outputs, which the decoder attends
-        over, and the context LSTM's h after the whole history, the action.
-        That h is ``encode_history``'s bit for bit on one utterance, and within
-        about 1e-12 relative on more, whose inputs ``encode_history``
-        projects in one product.
+    def reply(self, context: tuple[np.ndarray, tuple[np.ndarray, np.ndarray]], max_len: int = 30) -> list[int]:
+        """Greedy response to a history as ``EncodingMemo`` steps it: the
+        last utterance's encoder outputs, which the decoder attends over,
+        and the context LSTM's (h, c) after the whole history, whose h is
+        the action. That h is ``encode_history``'s bit for bit on one
+        utterance, and within about 1e-12 relative on more, whose inputs
+        ``encode_history`` projects in one product.
         """
-        enc_outs, action = context
+        enc_outs, (action, _) = context
         return self.decode_greedy(action[None], enc_outs[None], max_len)[0]
 
 

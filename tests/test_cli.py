@@ -4,10 +4,12 @@ import gc
 import io
 import json
 import os
+import re
 import shlex
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -558,6 +560,9 @@ MALFORMED_INPUTS = [
     ("evaluate-zero-max-len", EXIT_USAGE, lambda ws, tmp: [
         "evaluate", "--model", str(ws / "student" / "student.ckpt"), "--data", str(ws / "data"),
         "--max-len", "0"], None),
+    ("evaluate-model-and-generations", EXIT_USAGE, lambda ws, tmp: [
+        "evaluate", "--model", str(ws / "student" / "student.ckpt"), "--data", str(ws / "data"),
+        "--generations", _write(tmp / "gen.jsonl", "")], None),
     ("chat-zero-max-len", EXIT_USAGE, lambda ws, tmp: [
         "chat", "--model", str(ws / "student" / "student.ckpt"), "--max-len", "0"], None),
     ("chat-teacher-checkpoint", EXIT_DATA, lambda ws, tmp: [
@@ -817,6 +822,40 @@ class TestChat:
         assert steps == [(hidden,)] * (2 * len(lines) - 1)
         assert self.replies(out) == self.reference_replies(workspace, history_student, lines, memo_free_reply)
 
+    def test_a_long_session_holds_its_memory(self, history_student, tmp_path):
+        """A session of 1,200 lines peaks under tracemalloc within 1.5 times
+        a 150-line session's peak: it carries the context LSTM's state, not
+        its history. Its replies equal ``memo_free_reply``'s given the
+        transcript before them, checked at sampled turns. The session reads
+        and writes files, so its I/O buffers do not grow with it, and its
+        replies are at most two tokens long, so it runs fast under tracing."""
+        args = build_parser().parse_args(["chat", "--model", str(history_student), "--max-len", "2"])
+
+        def traced(lines):
+            (tmp_path / "in.txt").write_text("\n".join(lines) + "\n")
+            with open(tmp_path / "in.txt") as stdin, open(tmp_path / "out.txt", "w") as stdout:
+                tracemalloc.start()
+                try:
+                    cmd_chat(args, stdin, stdout)
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+            return peak, (tmp_path / "out.txt").read_text().splitlines()[1:]  # after the greeting
+
+        lines = self.CONVERSATION * 240
+        short_peak, short = traced(lines[:150])
+        long_peak, replies = traced(lines)
+        assert len(replies) == len(lines) and replies[:150] == short and len(set(replies)) > 1
+        assert long_peak < 1.5 * short_peak, (long_peak, short_peak)
+        student, in_vocab, out_vocab = load_model(history_student, "student")
+        history = []
+        for turn, (line, reply) in enumerate(zip(lines, replies)):
+            history.append(in_vocab.encode(line.split()))
+            if turn in (0, 149, len(lines) - 1):
+                tokens = out_vocab.decode(memo_free_reply(student, history, 2))
+                assert reply == (" ".join(tokens) if tokens else "...")
+            history.append(in_vocab.encode([] if reply == "..." else reply.split()))
+
     def test_the_memo_dies_with_the_chat(self, workspace, history_student, monkeypatch):
         """No reference cycle keeps the chat's memo alive once ``cmd_chat``
         returns, even with the cycle collector off."""
@@ -895,3 +934,23 @@ class TestUsage:
                 words.pop(0)
             assert words[0] == "mtss", line
             build_parser().parse_args(words[1:])
+
+    def test_readme_names_live_names(self, workspace):
+        """Every UPPER_CASE name README gives in backticks is a constant of
+        ``mtss.models``, with the value README gives it, or an environment
+        variable the source reads; and README's epoch-log keys are the keys of
+        every line ``_fit`` wrote to the workspace's teacher and student logs."""
+        root = Path(__file__).resolve().parents[1]
+        readme = (root / "README.md").read_text(encoding="utf-8")
+        source = "".join(path.read_text(encoding="utf-8") for path in (root / "src").rglob("*.py"))
+        dead = {name for name in re.findall(r"`([A-Z][A-Z0-9_]+)`", readme)
+                if not hasattr(models, name) and f'"{name}"' not in source}
+        assert dead == set()
+        values = re.findall(r"`([A-Z][A-Z0-9_]+)` = ([0-9,]+)", readme)
+        assert len(values) >= 3
+        for name, value in values:
+            assert getattr(models, name) == int(value.replace(",", "")), name
+        logged = readme.split("`student_log.jsonl` with the keys", 1)[1].split(";", 1)[0]
+        keys = {tuple(json.loads(line)) for log in ("teachers/teacher_log.jsonl", "student/student_log.jsonl")
+                for line in (workspace / log).read_text().splitlines()}
+        assert keys == {tuple(re.findall(r"`(\w+)`", logged))}

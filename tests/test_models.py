@@ -3,7 +3,6 @@
 import gc
 import sys
 import weakref
-from collections import OrderedDict
 
 import numpy as np
 import pytest
@@ -180,18 +179,6 @@ class TestStudentAction:
         assert not np.array_equal(short.data, longer.data)
 
 
-class CountingMap(OrderedDict):
-    """An ordered map that counts its membership probes."""
-
-    def __init__(self):
-        super().__init__()
-        self.probes = 0
-
-    def __contains__(self, key):
-        self.probes += 1
-        return super().__contains__(key)
-
-
 class TestIncrementalInference:
     """A reply to shared utterance encodings, a pass's packed ones or the
     chat memo's, must compute what re-encoding the whole history computes,
@@ -212,17 +199,18 @@ class TestIncrementalInference:
     def test_state_matches_encode_history_bitwise(self, episode_setup):
         """Each turn's outputs and context h and c equal the from-scratch
         reference bit for bit, though each turn steps on from the previous
-        turn's cached state. They equal ``encode_history``'s bit for bit on
-        the first turn, a one-utterance history; later turns differ in
-        rounding, as ``encode_history`` projects every utterance's input in
-        one product."""
+        turn's state over the utterances since. They equal
+        ``encode_history``'s bit for bit on the first turn, a one-utterance
+        history; later turns differ in rounding, as ``encode_history``
+        projects every utterance's input in one product."""
         corpus, in_vocab, _, student = episode_setup
         episode = corpus.episodes[0]
-        memo = student.encoding_memo()
+        memo, state, stepped = student.encoding_memo(), None, 0
         for index in range(len(episode.turns)):
             history = full_history(episode, index, in_vocab)
-            enc_outs, h = memo(history)
-            c = memo.contexts[tuple(map(tuple, history))][1]
+            enc_outs, state = memo(history[stepped:], state)
+            stepped = len(history)
+            h, c = state
             for got, expected in zip((enc_outs, h, c), memo_free_context(student, history)):
                 assert np.array_equal(got, expected.data)
             tape = Tape(record=False)
@@ -249,30 +237,27 @@ class TestIncrementalInference:
             assert runs == [[len(items[-1].history_ids)]] and steps == []
 
     def test_a_cold_long_history_steps_without_recursion(self, episode_setup, monkeypatch):
-        """2,000 utterances, past Python's default recursion limit of 1,000."""
+        """2,000 utterances, past Python's default recursion limit of 1,000,
+        stepped from zeros; then a reply's two utterances stepped from there."""
         corpus, in_vocab, _, student = episode_setup
         episode = corpus.episodes[0]
         utterances = full_history(episode, len(episode.turns) - 1, in_vocab)
         history = [utterances[i % len(utterances)] for i in range(2000)]
         assert len(history) == 2000 > sys.getrecursionlimit()
         memo = student.encoding_memo()
-        memo.contexts = CountingMap()
-        enc_outs, h = memo(history)
-        reference_outs, reference_h, _ = memo_free_context(student, history)
-        assert np.array_equal(enc_outs, reference_outs.data)
-        assert np.array_equal(h, reference_h.data)
-        # A cold lookup probes a bounded number of prefixes, not all 2,000.
-        assert memo.contexts.probes == models.CONTEXT_PROBES
-        # A reply's history extends the last lookup's by two utterances: it
-        # finds that entry and steps the context over the two only.
-        memo.contexts.probes = 0
         steps = count_context_steps(monkeypatch)
+        enc_outs, state = memo(history)
+        assert len(steps) == 2000
+        for got, expected in zip((enc_outs, *state), memo_free_context(student, history)):
+            assert np.array_equal(got, expected.data)
+        # A reply steps the state over the two utterances since: the reply
+        # and the next user line.
+        steps.clear()
         longer = history + utterances[:2]
-        enc_outs, h = memo(longer)
-        reference_outs, reference_h, _ = memo_free_context(student, longer)
-        assert np.array_equal(enc_outs, reference_outs.data)
-        assert np.array_equal(h, reference_h.data)
-        assert memo.contexts.probes == 3 and len(steps) == 2
+        enc_outs, state = memo(longer[-2:], state)
+        assert len(steps) == 2
+        for got, expected in zip((enc_outs, *state), memo_free_context(student, longer)):
+            assert np.array_equal(got, expected.data)
 
     def test_generate_responses_matches_reference(self, episode_setup, monkeypatch):
         corpus, in_vocab, out_vocab, student = episode_setup
@@ -374,7 +359,8 @@ class TestIncrementalInference:
 
         def one_row(model, item):
             if model is student:
-                return memo(item.history_ids)
+                enc_outs, (h, _) = memo(item.history_ids)
+                return enc_outs, h
             tape = Tape(record=False)
             outs, v_u = teacher.encode_utterance(tape, item.user_ids)
             return outs.data, teacher.action_vector(tape, v_u, item.state).data
@@ -477,13 +463,15 @@ class TestIncrementalInference:
             gc.enable()
 
     def test_a_warm_reply_runs_off_the_tape(self, episode_setup, monkeypatch):
-        """Once the memo holds a history, a reply to it records nothing and
-        runs no tape op: no decoder step, no context step, no stack."""
+        """Once the memo holds a history's utterances, stepping a state over
+        them and replying records nothing and runs no tape op: no decoder
+        step, no context step, no stack."""
         corpus, in_vocab, _, student = episode_setup
         episode = corpus.episodes[0]
         history = full_history(episode, len(episode.turns) - 1, in_vocab)
         memo = student.encoding_memo()
         expected = student.reply(memo(history), 8)
+        _, state = memo(history[:-2])
 
         def off_the_tape(*args, **kwargs):
             raise AssertionError("a warm reply ran a tape op")
@@ -491,6 +479,7 @@ class TestIncrementalInference:
         for name in ("lstm_step", "lstm_sequence", "stack"):
             monkeypatch.setattr(Tape, name, off_the_tape)
         assert student.reply(memo(history), 8) == expected
+        assert student.reply(memo(history[-2:], state), 8) == expected
 
 
 class TestDecoder:

@@ -562,8 +562,7 @@ class TestHelpers:
             assert item.gold_ids == out_vocab.encode(turns[item.turn_index].system)
 
     def test_turns_of_an_episode_share_their_utterances(self, tiny_world):
-        """An utterance is one tuple for every turn of its episode, and the
-        encoding memo's history keys share it instead of copying its ids."""
+        """An utterance is one tuple for every turn of its episode."""
         train, _, in_vocab, out_vocab = tiny_world
         items = prepare_turns(train, in_vocab, out_vocab)
         last = {item.episode_id: item for item in items}
@@ -572,8 +571,3 @@ class TestHelpers:
             whole = last[item.episode_id].history_ids
             assert all(type(mine) is tuple and mine is theirs for mine, theirs in zip(item.history_ids, whole))
             assert item.user_ids is whole[len(item.history_ids) - 1]
-        memo = StudentModel(ModelConfig(embed_size=4, hidden_size=5), len(in_vocab), len(out_vocab)).encoding_memo()
-        for item in items:
-            memo(item.history_ids)
-        owned = {id(utterance) for item in last.values() for utterance in item.history_ids}
-        assert all(id(utterance) in owned for key in memo.contexts for utterance in key)
