@@ -35,6 +35,7 @@ from mtss.corpus import (
     save_vocab,
     schema_hash,
 )
+from mtss.corpus.delex import split_placeholder
 from mtss.diffnum import CheckpointError, DivergenceError
 from mtss.metrics import MetricReport, score_corpus
 from mtss.models import TeacherEnsemble, generate_responses, load_model, prepare_turns
@@ -163,6 +164,13 @@ def _turns_per_domain(corpus: Corpus) -> dict[str, int]:
 
 def cmd_prepare(args) -> int:
     started = time.monotonic()
+    if args.data:
+        unread = {"--synth-config": args.synth_config, "--seed": args.seed}
+    else:
+        unread = {"--schemas": args.schemas, "--database": args.database, "--test-list": args.test_list}
+    for flag, value in unread.items():
+        if value is not None:
+            raise UsageError(f"prepare {'with' if args.data else 'without'} --data does not read {flag}")
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     inputs: list[Path] = []
@@ -357,16 +365,29 @@ def _report_outputs(report: MetricReport, out_dir: Path | None, generated):
 
 
 def _load_generations(path: Path) -> dict[tuple[str, int], list[str]]:
-    """One JSON object per line with "episode", "turn" and "response"."""
+    """One JSON object per line: "episode" a string, "turn" an integer of at
+    least 0 (not a bool) and "response" a string, each (episode, turn) once."""
     generated = {}
     for number, line in enumerate(read_input(path, str.splitlines), 1):
         if not line.strip():
             continue
         try:
             doc = json.loads(line)
-            generated[(doc["episode"], int(doc["turn"]))] = doc["response"].split()
-        except (KeyError, TypeError, ValueError, AttributeError) as exc:
+            episode, turn, response = doc["episode"], doc["turn"], doc["response"]
+        except (KeyError, TypeError, ValueError) as exc:
             raise CorpusError(f"{path}:{number}: malformed generations line ({exc!r})") from None
+        if not isinstance(episode, str):
+            problem = f'"episode" must be a string, got {episode!r}'
+        elif isinstance(turn, bool) or not isinstance(turn, int) or turn < 0:
+            problem = f'"turn" must be an integer of at least 0, got {turn!r}'
+        elif not isinstance(response, str):
+            problem = f'"response" must be a string, got {response!r}'
+        elif (episode, turn) in generated:
+            problem = f"episode {episode!r} turn {turn} appears twice"
+        else:
+            generated[(episode, turn)] = response.split()
+            continue
+        raise CorpusError(f"{path}:{number}: {problem}")
     return generated
 
 
@@ -402,11 +423,15 @@ def cmd_evaluate(args) -> int:
 
 
 def worker_count() -> int:
-    """Sweep process cap from MTSS_THREADS; defaults to sequential."""
+    """Sweep process cap from MTSS_THREADS, a positive integer; defaults to sequential."""
+    value = os.environ.get("MTSS_THREADS", "1")
     try:
-        return max(1, int(os.environ.get("MTSS_THREADS", "1")))
+        count = int(value)
     except ValueError:
-        return 1
+        count = 0
+    if count < 1:
+        raise UsageError(f"MTSS_THREADS must be a positive integer, got {value!r}")
+    return count
 
 
 def _run_sweep_cell(packed) -> dict:
@@ -428,6 +453,7 @@ def _run_sweep_cell(packed) -> dict:
 
 def cmd_sweep(args) -> int:
     started = time.monotonic()
+    threads = worker_count()
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     config = _load_training_config(args)
@@ -435,7 +461,7 @@ def cmd_sweep(args) -> int:
         (args.data, args.teachers, str(out_dir), config.to_dict(), a1, a2)
         for a1, a2 in SWEEP_GRID
     ]
-    workers = min(worker_count(), len(jobs))
+    workers = min(threads, len(jobs))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_run_sweep_cell, jobs))
@@ -459,13 +485,11 @@ def lexicalize(tokens: list[str], corpus: Corpus, belief: dict) -> list[str]:
     """Fill placeholders from the top database match under the current belief."""
     out = []
     for token in tokens:
-        if not (token.startswith("[") and token.endswith("]")) or "_" not in token:
+        parsed = split_placeholder(token, corpus.schemas)
+        if parsed is None:
             out.append(token)
             continue
-        domain, _, slot = token[1:-1].partition("_")
-        if domain not in corpus.schemas:
-            out.append(token)
-            continue
+        domain, slot = parsed
         constraints = {
             s: v for s, v in belief.get(domain, {}).items()
             if s in corpus.schemas[domain].informable
@@ -514,8 +538,8 @@ def cmd_chat(args, stdin=None, stdout=None) -> int:
         if delex is not None:
             tokens, _, matches = delex.with_matches(line)
             for tag, value in matches:
-                domain, _, slot = tag[1:-1].partition("_")
-                if domain in corpus.schemas and slot in corpus.schemas[domain].informable:
+                domain, slot = split_placeholder(tag, corpus.schemas) or (None, None)
+                if domain is not None and slot in corpus.schemas[domain].informable:
                     belief.setdefault(domain, {})[slot] = value
         else:
             tokens = line.lower().split()

@@ -7,11 +7,24 @@ Placeholders have the form [domain_slot], so a second pass is a no-op.
 
 from __future__ import annotations
 
+from typing import Iterable
+
 from mtss.corpus.types import Database, DomainSchema
 
 
 def placeholder(domain: str, slot: str) -> str:
     return f"[{domain}_{slot}]"
+
+
+def split_placeholder(token: str, domains: Iterable[str]) -> tuple[str, str] | None:
+    """(domain, slot) of a ``[domain_slot]`` token, under the longest of
+    ``domains`` it starts with, since a domain name may hold "_"; None when
+    the token is no placeholder of those domains."""
+    if not (token.startswith("[") and token.endswith("]")):
+        return None
+    inner = token[1:-1]
+    domain = max((d for d in domains if inner.startswith(d + "_")), key=len, default=None)
+    return None if domain is None else (domain, inner[len(domain) + 1:])
 
 
 class Delexicalizer:

@@ -343,13 +343,6 @@ class Tape:
         self._emit(tuple(parts), (out,), backward)
         return out
 
-    def stack(self, rows: Sequence[Tensor]) -> Tensor:
-        if not rows or any(r.data.shape != rows[0].data.shape or r.data.ndim != 1 for r in rows):
-            raise ShapeMismatchError("stack", *(r.shape for r in rows))
-        out = self._out(np.stack([r.data for r in rows]), tuple(rows))
-        self._emit(tuple(rows), (out,), lambda gs: tuple(gs[0][i] for i in range(len(rows))))
-        return out
-
     def take_rows(self, m: Tensor, indices: Sequence[int]) -> Tensor:
         """Row gather, i.e. embedding lookup; backward scatter-adds into ``m``."""
         if m.data.ndim != 2:

@@ -44,11 +44,8 @@ def _bleu_counts(cand: Tokens, ref: Tokens) -> tuple[int, ...]:
     return (*matched, *total, len(cand), len(ref))
 
 
-def _corpus_bleu(pair_counts: Sequence[tuple[int, ...]]) -> float:
-    """Corpus-level BLEU-4 from the ``_bleu_counts`` of each pair."""
-    if not pair_counts:
-        raise ValueError("need equally many candidates and references, at least one pair")
-    sums = [sum(column) for column in zip(*pair_counts)]
+def _corpus_bleu(sums: Sequence[int]) -> float:
+    """Corpus-level BLEU-4 from the column sums of its pairs' ``_bleu_counts``."""
     matched, total, cand_len, ref_len = sums[:4], sums[4:8], sums[8], sums[9]
     if cand_len == 0:
         return 0.0
@@ -65,9 +62,10 @@ def bleu4(candidates: Sequence[Tokens], references: Sequence[Tokens]) -> float:
     """Corpus-level BLEU-4 in [0, 100]: modified n-gram precisions for n=1..4,
     geometric mean, brevity penalty, no smoothing, case-insensitive.
     """
-    if len(candidates) != len(references):
+    if len(candidates) != len(references) or not candidates:
         raise ValueError("need equally many candidates and references, at least one pair")
-    return _corpus_bleu([_bleu_counts(cand, ref) for cand, ref in zip(candidates, references)])
+    pair_counts = [_bleu_counts(cand, ref) for cand, ref in zip(candidates, references)]
+    return _corpus_bleu([sum(column) for column in zip(*pair_counts)])
 
 
 # -- entity recall ----------------------------------------------------------------
@@ -80,16 +78,16 @@ def extract_placeholders(tokens: Tokens) -> set[str]:
 def entity_recall(generated: Tokens, gold: Tokens) -> float | None:
     """Recall of gold entity placeholders; None when the gold has none."""
     wanted = extract_placeholders(gold)
-    if not wanted:
-        return None
-    return len(wanted & extract_placeholders(generated)) / len(wanted)
+    return len(wanted & extract_placeholders(generated)) / len(wanted) if wanted else None
+
+
+def _mean(scores: Sequence[float]) -> float | None:
+    """``sum / len`` in the given order, so a report keeps its bits; None when empty."""
+    return sum(scores) / len(scores) if scores else None
 
 
 def mean_entity_recall(pairs: Iterable[tuple[Tokens, Tokens]]) -> float | None:
-    scores = [r for gen, gold in pairs if (r := entity_recall(gen, gold)) is not None]
-    if not scores:
-        return None
-    return sum(scores) / len(scores)
+    return _mean([r for gen, gold in pairs if (r := entity_recall(gen, gold)) is not None])
 
 
 # -- inform / success ----------------------------------------------------------------
@@ -101,31 +99,6 @@ def offer_slot(schema: DomainSchema) -> str:
         if candidate in schema.requestable or candidate in schema.informable:
             return candidate
     return sorted(schema.requestable)[0] if schema.requestable else sorted(schema.informable)[0]
-
-
-def _episode_outcome(episode, corpus: Corpus, generated: GeneratedMap) -> dict[str, tuple[bool, bool]]:
-    """Per goal domain: (informed, succeeded) for one episode."""
-    outcome = {}
-    for domain, goal in episode.goal.items():
-        if domain not in corpus.schemas:
-            raise CorpusError(f"{episode.episode_id}: goal references unknown domain {domain!r}")
-        emitted: set[str] = set()
-        for index, turn in enumerate(episode.turns):
-            if turn.domain != domain:
-                continue
-            tokens = generated.get((episode.episode_id, index), ())
-            emitted |= extract_placeholders(tokens)
-        informed = True
-        if goal.offer:
-            offer_tag = placeholder(domain, offer_slot(corpus.schemas[domain]))
-            informed = offer_tag in emitted and bool(
-                query_db(corpus.database, domain, goal.constraints)
-            )
-        succeeded = informed and all(
-            placeholder(domain, slot) in emitted for slot in goal.requested
-        )
-        outcome[domain] = (informed, succeeded)
-    return outcome
 
 
 # -- combined report ----------------------------------------------------------------
@@ -156,64 +129,71 @@ class MetricReport:
         def pct(x):
             return "   -" if x is None else f"{100.0 * x:5.1f}"
 
-        lines = [
+        def line(name, m, turns):
+            return (f"{name:<12} {m.bleu4:6.1f} {pct(m.entity_recall):>6} "
+                    f"{pct(m.inform):>7} {pct(m.success):>8} {turns:>6}")
+
+        return "\n".join([
             f"{'domain':<12} {'BLEU':>6} {'ER':>6} {'Inform':>7} {'Success':>8} {'turns':>6}",
-            f"{'overall':<12} {self.bleu4:6.1f} {pct(self.entity_recall):>6} "
-            f"{pct(self.inform):>7} {pct(self.success):>8} {sum(m.turns for m in self.per_domain.values()):>6}",
-        ]
-        for domain in sorted(self.per_domain):
-            m = self.per_domain[domain]
-            lines.append(
-                f"{domain:<12} {m.bleu4:6.1f} {pct(m.entity_recall):>6} "
-                f"{pct(m.inform):>7} {pct(m.success):>8} {m.turns:>6}"
-            )
-        return "\n".join(lines)
+            line("overall", self, sum(m.turns for m in self.per_domain.values())),
+            *(line(domain, m, m.turns) for domain, m in sorted(self.per_domain.items())),
+        ])
+
+
+@dataclass
+class _Tally:
+    """One report row's running sums: its turns' BLEU statistics and entity
+    recalls in corpus order, and its episodes' goal outcomes."""
+    bleu: list[int] = field(default_factory=lambda: [0] * 10)
+    recalls: list[float] = field(default_factory=list)
+    turns: int = 0
+    outcomes: list[tuple[bool, bool]] = field(default_factory=list)
+
+    def add_turn(self, counts: tuple[int, ...], recall: float | None) -> None:
+        self.bleu = [total + count for total, count in zip(self.bleu, counts)]
+        if recall is not None:
+            self.recalls.append(recall)
+        self.turns += 1
+
+    def row(self) -> DomainMetrics:
+        return DomainMetrics(_corpus_bleu(self.bleu), _mean(self.recalls),
+                             _mean([i for i, _ in self.outcomes]), _mean([s for _, s in self.outcomes]),
+                             self.turns, len(self.outcomes))
 
 
 def score_corpus(corpus: Corpus, generated: GeneratedMap) -> MetricReport:
     """Full report over generated responses keyed by (episode id, turn index).
 
-    An episode informs (succeeds) iff every one of its goal domains does;
-    the per-domain rows are in sorted domain order. Each turn's BLEU
-    statistics are counted once and summed into the overall and its
-    domain's score.
+    One pass reads each turn once: its BLEU statistics, its reply's
+    placeholders and its entity recall go to its domain's row and to the
+    overall one. Each goal domain of an episode is then judged from the
+    placeholders of the episode's turns in that domain; the episode informs
+    (succeeds) iff every goal domain does. Rows are in sorted domain order.
     """
-    all_pairs = []
-    all_counts = []
-    by_domain_pairs: dict[str, list] = {}
-    by_domain_counts: dict[str, list] = {}
-    domain_outcomes: dict[str, list[tuple[bool, bool]]] = {}
+    overall, rows = _Tally(), {}
     informed = succeeded = 0
     for episode in corpus.episodes:
+        emitted: dict[str, set[str]] = {}
         for index, turn in enumerate(episode.turns):
-            pair = (generated.get((episode.episode_id, index), []), turn.system)
-            counts = _bleu_counts(*pair)
-            all_pairs.append(pair)
-            all_counts.append(counts)
-            by_domain_pairs.setdefault(turn.domain, []).append(pair)
-            by_domain_counts.setdefault(turn.domain, []).append(counts)
-        outcome = _episode_outcome(episode, corpus, generated)
-        for domain, result in outcome.items():
-            domain_outcomes.setdefault(domain, []).append(result)
-        if all(ok for ok, _ in outcome.values()):
-            informed += 1
-            succeeded += all(ok for _, ok in outcome.values())
-
-    report = MetricReport(
-        bleu4=_corpus_bleu(all_counts),
-        inform=informed / len(corpus.episodes),
-        success=succeeded / len(corpus.episodes),
-        entity_recall=mean_entity_recall(all_pairs),
-    )
-    for domain in sorted(set(by_domain_pairs) | set(domain_outcomes)):
-        pairs = by_domain_pairs.get(domain, [])
-        outcomes = domain_outcomes.get(domain, [])
-        report.per_domain[domain] = DomainMetrics(
-            bleu4=_corpus_bleu(by_domain_counts[domain]) if pairs else 0.0,
-            entity_recall=mean_entity_recall(pairs),
-            inform=sum(i for i, _ in outcomes) / len(outcomes) if outcomes else None,
-            success=sum(s for _, s in outcomes) / len(outcomes) if outcomes else None,
-            turns=len(pairs),
-            episodes=len(outcomes),
-        )
-    return report
+            reply = generated.get((episode.episode_id, index), ())
+            said, wanted = extract_placeholders(reply), extract_placeholders(turn.system)
+            counts = _bleu_counts(reply, turn.system)
+            recall = len(wanted & said) / len(wanted) if wanted else None
+            overall.add_turn(counts, recall)
+            rows.setdefault(turn.domain, _Tally()).add_turn(counts, recall)
+            emitted.setdefault(turn.domain, set()).update(said)
+        judged = []
+        for domain, goal in episode.goal.items():
+            if domain not in corpus.schemas:
+                raise CorpusError(f"{episode.episode_id}: goal references unknown domain {domain!r}")
+            said = emitted.get(domain, set())
+            inform = not goal.offer or (
+                placeholder(domain, offer_slot(corpus.schemas[domain])) in said
+                and bool(query_db(corpus.database, domain, goal.constraints)))
+            judged.append((inform, inform and all(placeholder(domain, slot) in said for slot in goal.requested)))
+            rows.setdefault(domain, _Tally()).outcomes.append(judged[-1])
+        informed += all(i for i, _ in judged)
+        succeeded += all(s for _, s in judged)
+    return MetricReport(_corpus_bleu(overall.bleu), informed / len(corpus.episodes),
+                        succeeded / len(corpus.episodes), _mean(overall.recalls),
+                        {domain: rows[domain].row() for domain in sorted(rows)})

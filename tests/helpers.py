@@ -90,7 +90,7 @@ def memo_free_context(student, history: Sequence[Sequence[int]]) -> tuple[Tensor
     h = c = Tensor(np.zeros(student.config.hidden_size))
     for utterance in history:
         outs, final = student.encode_utterance(tape, utterance)
-        _, h, c = tape.lstm_sequence(tape.stack([final]), h, c, student.params["ctx_w"], student.params["ctx_b"])
+        _, h, c = tape.lstm_sequence(Tensor(final.data[None]), h, c, student.params["ctx_w"], student.params["ctx_b"])
     return outs, h, c
 
 

@@ -18,7 +18,8 @@ import pytest
 from helpers import count_context_steps, memo_free_reply, tape_greedy, track_memos
 from mtss import cli, models
 from mtss.cli import EXIT_DATA, EXIT_INTERRUPTED, EXIT_OK, EXIT_USAGE, build_parser, cmd_chat, main
-from mtss.corpus import Corpus, Delexicalizer, load_corpus, load_vocab
+from mtss.corpus import (Corpus, Database, Delexicalizer, DomainSchema, EntityRecord, Episode, Turn,
+                         build_vocab, load_corpus, load_vocab, save_corpus)
 from mtss.diffnum import Tape, load_checkpoint, save_checkpoint
 from mtss.models import ModelConfig, StudentModel, TeacherModel, load_model
 from mtss.training import evaluate_model
@@ -249,9 +250,15 @@ class TestTrainStudent:
         assert code == EXIT_DATA
         assert len(err.strip().splitlines()) == 1 and "vocabularies" in err
 
-    def test_sweep_cell_matches_train_student(self, workspace, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("threads", [None, "2"], ids=["unset", "2"])
+    def test_sweep_cell_matches_train_student(self, workspace, tmp_path, monkeypatch, threads):
+        """Sequential or in a process pool, a sweep cell's checkpoint is the
+        train-student one byte for byte."""
         monkeypatch.setattr(cli, "SWEEP_GRID", [(0.005, 0.005), (0.0, 0.0)])
-        monkeypatch.delenv("MTSS_THREADS", raising=False)
+        if threads is None:
+            monkeypatch.delenv("MTSS_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("MTSS_THREADS", threads)
         out = tmp_path / "sweep"
         assert main(["sweep", "--data", str(workspace / "data"), "--teachers", str(workspace / "teachers"),
                      "--config", str(workspace / "train.json"), "--out", str(out)]) == EXIT_OK
@@ -260,6 +267,17 @@ class TestTrainStudent:
         cell = Path(rows[0]["checkpoint"])
         assert cell.read_bytes() == (workspace / "student" / "student.ckpt").read_bytes()
         assert Path(rows[1]["checkpoint"]).read_bytes() != cell.read_bytes()
+
+    @pytest.mark.parametrize("threads", ["abc", "0", "-2", ""])
+    def test_threads_must_be_a_positive_integer(self, workspace, tmp_path, monkeypatch, capsys, threads):
+        monkeypatch.setattr(cli, "SWEEP_GRID", [(0.0, 0.0)])
+        monkeypatch.setenv("MTSS_THREADS", threads)
+        code = main(["sweep", "--data", str(workspace / "data"), "--teachers", str(workspace / "teachers"),
+                     "--config", str(workspace / "train.json"), "--out", str(tmp_path / "sweep")])
+        err = capsys.readouterr().err
+        assert code == EXIT_USAGE
+        assert len(err.strip().splitlines()) == 1 and "MTSS_THREADS" in err
+        assert not (tmp_path / "sweep").exists()
 
     def test_missing_teachers_is_data_error(self, workspace, tmp_path):
         code = main(["train-student", "--data", str(workspace / "data"),
@@ -386,6 +404,11 @@ def _at(name):
     return lambda ws, tmp: tmp / name
 
 
+def _at_line(name, number):
+    """``<path>:<line>`` builder of line ``number`` of the file ``name`` under a test's scratch directory."""
+    return lambda ws, tmp: f"{tmp / name}:{number}"
+
+
 def _data_with(workspace, tmp_path, name, doc) -> str:
     """A copy of the workspace data whose file ``name`` holds ``doc``, or is
     gone when ``doc`` is None."""
@@ -455,6 +478,11 @@ def _multiwoz_prepare(tmp, dump, restaurant=None) -> list[str]:
     _write(tmp / "base.json", {**MULTIWOZ_BASE, "schemas": schemas})
     return ["prepare", "--data", _write(tmp / "data.json", dump), "--schemas", str(tmp / "base.json"),
             "--database", str(tmp / "base.json"), "--out", str(tmp / "out")]
+
+
+def _evaluate_generations(ws, tmp, text: str) -> list[str]:
+    """``evaluate --generations`` of a file holding ``text``."""
+    return ["evaluate", "--data", str(ws / "data"), "--generations", _write(tmp / "gen.jsonl", text + "\n")]
 
 
 def _checkpoint_of_unknown_kind(workspace, tmp_path) -> str:
@@ -553,6 +581,19 @@ MALFORMED_INPUTS = [
         "evaluate", "--data", str(ws / "data"),
         "--generations", _write(tmp / "gen.jsonl", '{"episode": "test-0000", "turn": 0}\n')],
         _at("gen.jsonl")),
+    ("generations-episode-not-a-string", EXIT_DATA, lambda ws, tmp: _evaluate_generations(
+        ws, tmp, '{"episode": 0, "turn": 0, "response": "hi"}'), _at_line("gen.jsonl", 1)),
+    ("generations-turn-is-a-bool", EXIT_DATA, lambda ws, tmp: _evaluate_generations(
+        ws, tmp, '{"episode": "test-0000", "turn": true, "response": "hi"}'), _at_line("gen.jsonl", 1)),
+    ("generations-fractional-turn", EXIT_DATA, lambda ws, tmp: _evaluate_generations(
+        ws, tmp, '{"episode": "test-0000", "turn": 2.7, "response": "hi"}'), _at_line("gen.jsonl", 1)),
+    ("generations-turn-is-a-string", EXIT_DATA, lambda ws, tmp: _evaluate_generations(
+        ws, tmp, '{"episode": "test-0000", "turn": "3", "response": "hi"}'), _at_line("gen.jsonl", 1)),
+    ("generations-negative-turn", EXIT_DATA, lambda ws, tmp: _evaluate_generations(
+        ws, tmp, '{"episode": "test-0000", "turn": -1, "response": "hi"}'), _at_line("gen.jsonl", 1)),
+    ("generations-repeated-turn", EXIT_DATA, lambda ws, tmp: _evaluate_generations(
+        ws, tmp, '{"episode": "test-0000", "turn": 0, "response": "hi"}\n\n'
+             '{"episode": "test-0000", "turn": 0, "response": "bye"}'), _at_line("gen.jsonl", 3)),
     ("vocab-no-role", EXIT_DATA, lambda ws, tmp: [
         "train-teachers", "--out", str(tmp / "out"),
         "--data", _data_with(ws, tmp, "vocab_in.json", {"tokens": _input_tokens(ws)})],
@@ -597,6 +638,11 @@ MALFORMED_INPUTS = [
         "--config", str(ws / "train.json"), "--seed", "-3"], None),
     ("prepare-negative-seed", EXIT_USAGE, lambda ws, tmp: ["prepare", "--out", str(tmp / "out"), "--seed", "-1"],
         None),
+    ("prepare-data-with-seed", EXIT_USAGE, lambda ws, tmp: [
+        *_multiwoz_prepare(tmp, {"d1.json": {"log": HELLO_LOG}}), "--seed", "3"], lambda ws, tmp: "--seed"),
+    ("prepare-synth-with-schemas", EXIT_USAGE, lambda ws, tmp: [
+        "prepare", "--out", str(tmp / "out"), "--schemas", str(ws / "data" / "corpus_train.json")],
+        lambda ws, tmp: "--schemas"),
     ("synth-fractional-domains", EXIT_USAGE, lambda ws, tmp: [
         "prepare", "--out", str(tmp / "out"), "--synth-config", _write(tmp / "synth.json", {"domains": 2.5})],
         _at("synth.json")),
@@ -896,6 +942,35 @@ class TestChat:
             workspace, ["i am looking for a north restaurant", "/quit"], lexicalize=True
         )
         assert "[" not in out.replace("[restaurant_", "[") or "[" not in out
+
+    def test_a_domain_name_with_an_underscore_is_tracked_and_filled(self, tmp_path, monkeypatch):
+        """`taxi_booking` placeholders update the belief and get filled: a
+        placeholder splits at the longest schema domain it starts with, so
+        neither `taxi` nor the first "_" claims `[taxi_booking_contact]`."""
+        schemas = {
+            "taxi": DomainSchema("taxi", informable={"area": ["north", "south"]}, requestable=["contact"]),
+            "taxi_booking": DomainSchema("taxi_booking", informable={"time": ["noon", "dusk"]},
+                                         requestable=["contact"]),
+        }
+        database = Database({
+            "taxi": [EntityRecord("t0", {"area": "north", "contact": "111"})],
+            "taxi_booking": [EntityRecord("b0", {"time": "noon", "contact": "222"}),
+                             EntityRecord("b1", {"time": "dusk", "contact": "333"})],
+        })
+        turn = Turn("a cab at [taxi_booking_time]".split(), "call [taxi_booking_contact] .".split(),
+                    "taxi_booking", {}, ["[taxi_booking_contact]"])
+        corpus = Corpus(schemas, database, [Episode("e0", [turn])])
+        save_corpus(corpus, tmp_path / "corpus.json")
+        in_vocab, out_vocab = build_vocab(corpus, "input", min_freq=1), build_vocab(corpus, "output")
+        StudentModel(ModelConfig(embed_size=4, hidden_size=4), len(in_vocab), len(out_vocab), seed=0).save(
+            tmp_path / "student.ckpt", schemas, in_vocab, out_vocab, {})
+        reply = out_vocab.encode("call [taxi_booking_contact] .".split())
+        monkeypatch.setattr(StudentModel, "reply", lambda self, context, max_len: reply)
+        args = build_parser().parse_args(["chat", "--model", str(tmp_path / "student.ckpt"),
+                                          "--data", str(tmp_path / "corpus.json"), "--lexicalize"])
+        out = io.StringIO()
+        assert cmd_chat(args, stdin=io.StringIO("a cab at dusk\nthanks\n"), stdout=out) == EXIT_OK
+        assert self.replies(out.getvalue()) == ["call 333 .", "call 333 ."]
 
 
 class TestUsage:

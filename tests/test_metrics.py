@@ -1,6 +1,7 @@
 """Metrics: BLEU vs a brute-force oracle, ER cases, Inform/Success fixtures."""
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -253,7 +254,9 @@ class TestScoreCorpus:
 
     def test_report_bleu_is_bleu4_of_its_pairs(self):
         """Each turn's n-grams are counted once for the overall and the
-        per-domain scores, which stay exactly ``bleu4`` over the same pairs."""
+        per-domain scores, which stay exactly ``bleu4`` over the same pairs;
+        entity recall is exactly ``mean_entity_recall`` over them, and each
+        goal domain is judged on its own placeholders."""
         from mtss.synthcorpus import SynthConfig, gen_corpus
 
         corpus, _ = gen_corpus(SynthConfig(seed=4, train_episodes=12, test_episodes=1))
@@ -269,12 +272,31 @@ class TestScoreCorpus:
         for episode in corpus.episodes:
             for index, turn in enumerate(episode.turns):
                 pairs.setdefault(turn.domain, []).append((generated[(episode.episode_id, index)], turn.system))
-        everything = [pair for domain in pairs for pair in pairs[domain]]
+        everything = [(generated[(episode.episode_id, index)], turn.system)
+                      for episode in corpus.episodes for index, turn in enumerate(episode.turns)]
         assert len(pairs) > 1 and 0.0 < report.bleu4 < 100.0
         assert report.bleu4 == bleu4(*zip(*everything))
         assert report.bleu4 == pytest.approx(brute_force_bleu(*zip(*everything)), rel=1e-12)
         for domain, domain_pairs in pairs.items():
             assert report.per_domain[domain].bleu4 == bleu4(*zip(*domain_pairs))
+        assert report.entity_recall == mean_entity_recall(everything)
+        goals = Counter(domain for episode in corpus.episodes for domain in episode.goal)
+        assert sorted(report.per_domain) == sorted(set(pairs) | set(goals))
+        for domain, row in report.per_domain.items():
+            assert row.entity_recall == mean_entity_recall(pairs.get(domain, []))
+            assert (row.turns, row.episodes) == (len(pairs.get(domain, [])), goals[domain])
+
+        gold = score_corpus(corpus, generated_like_gold(corpus))
+        assert (gold.inform, gold.success) == (1.0, 1.0)
+        assert all((gold.per_domain[d].inform, gold.per_domain[d].success) == (1.0, 1.0) for d in goals)
+        dropped = sorted(goals)[0]
+        stripped = {
+            (episode.episode_id, index): [t for t in turn.system if not t.startswith(f"[{dropped}_")]
+            for episode in corpus.episodes for index, turn in enumerate(episode.turns)
+        }
+        report = score_corpus(corpus, stripped)
+        assert report.per_domain[dropped].inform == 0.0 and report.inform < 1.0
+        assert all(report.per_domain[d].inform == 1.0 for d in goals if d != dropped)
 
     def test_report_serializes_and_formats(self):
         corpus = fixture_corpus()

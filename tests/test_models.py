@@ -166,7 +166,7 @@ class TestStudentAction:
         tape = Tape(record=False)
         enc_outs, action = student.encode_history(tape, history)
         encoded = [student.encode_utterance(tape, utterance) for utterance in history]
-        expected = student.action_vector(tape, tape.stack([v for _, v in encoded]))
+        expected = student.action_vector(tape, Tensor(np.stack([v.data for _, v in encoded])))
         assert enc_outs.data.shape == (len(history[-1]), TINY.hidden_size)
         assert np.allclose(enc_outs.data, encoded[-1][0].data, rtol=1e-12, atol=1e-15)
         assert np.allclose(action.data, expected.data, rtol=1e-12, atol=1e-15)
@@ -465,7 +465,7 @@ class TestIncrementalInference:
     def test_a_warm_reply_runs_off_the_tape(self, episode_setup, monkeypatch):
         """Once the memo holds a history's utterances, stepping a state over
         them and replying records nothing and runs no tape op: no decoder
-        step, no context step, no stack."""
+        step, no context step, no op of any kind."""
         corpus, in_vocab, _, student = episode_setup
         episode = corpus.episodes[0]
         history = full_history(episode, len(episode.turns) - 1, in_vocab)
@@ -476,7 +476,9 @@ class TestIncrementalInference:
         def off_the_tape(*args, **kwargs):
             raise AssertionError("a warm reply ran a tape op")
 
-        for name in ("lstm_step", "lstm_sequence", "stack"):
+        ops = [name for name, value in vars(Tape).items() if callable(value) and not name.startswith("_")]
+        assert {"lstm_step", "lstm_sequence", "concat", "matmul"} <= set(ops)
+        for name in ops:
             monkeypatch.setattr(Tape, name, off_the_tape)
         assert student.reply(memo(history), 8) == expected
         assert student.reply(memo(history[-2:], state), 8) == expected

@@ -251,29 +251,31 @@ class TestGradCheckExamples:
             grad_check(lambda t, v: t.sum(v), Tensor([1.0]), eps=0.0)
 
 
+# Each case: an op over inputs of the given shapes, drawn in [-1, 1).
 PRIMITIVE_CASES = [
-    ("add", lambda t, a, b: t.add(a, b), 2),
-    ("sub", lambda t, a, b: t.sub(a, b), 2),
-    ("mul", lambda t, a, b: t.mul(a, b), 2),
-    ("scale", lambda t, a: t.scale(a, 1.7), 1),
-    ("tanh", lambda t, a: t.tanh(a), 1),
+    ("add", lambda t, a, b: t.add(a, b), [(4,), (4,)]),
+    ("sub", lambda t, a, b: t.sub(a, b), [(4,), (4,)]),
+    ("mul", lambda t, a, b: t.mul(a, b), [(4,), (4,)]),
+    ("scale", lambda t, a: t.scale(a, 1.7), [(4,)]),
+    ("tanh", lambda t, a: t.tanh(a), [(4,)]),
     # "log": gold log-probabilities picked from rows, as the NLL reads them;
-    # "softmax": log-softmax over the rows of a 2-D input.
-    ("log", lambda t, a, b: t.pick(t.log_softmax(t.stack([a, b])), [0, 3]), 2),
-    ("softmax", lambda t, a, b: t.log_softmax(t.stack([a, t.scale(b, 4.0)])), 2),
-    ("log_softmax", lambda t, a: t.log_softmax(a), 1),
-    ("concat", lambda t, a, b: t.concat([a, b]), 2),
-    ("matvec", lambda t, a, b: t.matmul(t.stack([a, b]), a), 2),
+    # "softmax": log-softmax over the rows of a 2-D input, its second row
+    # scaled by 4.
+    ("log", lambda t, m: t.pick(t.log_softmax(m), [0, 3]), [(2, 4)]),
+    ("softmax", lambda t, m: t.log_softmax(t.mul(m, Tensor(np.array([[1.0] * 4, [4.0] * 4])))), [(2, 4)]),
+    ("log_softmax", lambda t, a: t.log_softmax(a), [(4,)]),
+    ("concat", lambda t, a, b: t.concat([a, b]), [(4,), (4,)]),
+    ("matvec", lambda t, m, v: t.matmul(m, v), [(2, 4), (4,)]),
 ]
 
 
 class TestPrimitiveGradients:
-    @pytest.mark.parametrize("name,op,arity", PRIMITIVE_CASES, ids=[c[0] for c in PRIMITIVE_CASES])
-    def test_against_finite_differences_50_seeds(self, name, op, arity):
+    @pytest.mark.parametrize("name,op,shapes", PRIMITIVE_CASES, ids=[c[0] for c in PRIMITIVE_CASES])
+    def test_against_finite_differences_50_seeds(self, name, op, shapes):
         worst = 0.0
         for seed in range(50):
             rng = np.random.default_rng(seed)
-            args = [rand(rng, 4) for _ in range(arity)]
+            args = [rand(rng, *shape) for shape in shapes]
             weights = Tensor(rng.normal(size=16))
 
             def f(tape):
