@@ -43,8 +43,9 @@ from mtss.synthcorpus import SynthConfig, gen_corpus
 from mtss.training import (
     TrainingConfig,
     TrainingDivergenceError,
+    distillation_data,
     evaluate_model,
-    train_student,
+    fit_student,
     train_teacher_ensemble,
 )
 
@@ -140,7 +141,13 @@ def _max_len(args) -> int:
 
 
 def _load_split(data_dir: Path, split: str) -> Corpus:
-    return load_corpus(data_dir / f"corpus_{split}.json")
+    """A prepared split; one with no episodes is a data error, since no
+    command can train on it or score it."""
+    path = data_dir / f"corpus_{split}.json"
+    corpus = load_corpus(path)
+    if not corpus.episodes:
+        raise CorpusError(f"{path}: the {split} split has no episodes")
+    return corpus
 
 
 def _load_prepared(data_dir: Path) -> tuple[Corpus, Vocabulary, Vocabulary]:
@@ -316,8 +323,12 @@ def _train_and_save(data_dir: Path, teacher_dir: Path, config: TrainingConfig, p
     """Distil the teachers into a student on the prepared training split and
     save it to ``path``; returns (student, epoch stats, in_vocab, out_vocab)."""
     train, in_vocab, out_vocab = _load_prepared(data_dir)
-    ensemble = load_ensemble(teacher_dir, train.schemas, in_vocab, out_vocab)
-    student, stats = train_student(train, ensemble, in_vocab, out_vocab, config, log_path)
+    # The ensemble is a temporary, freed once every turn's targets are
+    # computed, so training holds only the student and its optimizer; a
+    # local name for it would keep it alive until this function returns.
+    data = distillation_data(train, load_ensemble(teacher_dir, train.schemas, in_vocab, out_vocab),
+                             in_vocab, out_vocab, config)
+    student, stats = fit_student(data, in_vocab, out_vocab, config, log_path)
     path.parent.mkdir(parents=True, exist_ok=True)
     student.save(path, train.schemas, in_vocab, out_vocab, config.to_dict())
     return student, stats, in_vocab, out_vocab

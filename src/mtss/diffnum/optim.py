@@ -28,28 +28,43 @@ class Adam:
         self.m = [np.zeros_like(p.data) for p in self.params]
         self.v = [np.zeros_like(p.data) for p in self.params]
         self.step_count = 0
-        # Scratch buffers keep the update allocation-free on the hot path.
-        self._scratch = [np.empty_like(p.data) for p in self.params]
+        # One scratch buffer the size of the largest parameter, viewed at
+        # each parameter's shape, keeps a step allocation-free; a clipped
+        # step scales each gradient in turn into a second one.
+        self._scratch = self._views()
+        self._clipped = self._views() if clip_norm is not None else None
+
+    def _views(self) -> list[np.ndarray]:
+        buffer = np.empty(max((p.data.size for p in self.params), default=0))
+        return [buffer[:p.data.size].reshape(p.data.shape) for p in self.params]
 
     def zero_grad(self) -> None:
         for p in self.params:
             p.grad = None
 
     def step(self) -> None:
-        """One update, in place, from each parameter's ``grad`` (None counts as zero)."""
-        grads = [p.grad if p.grad is not None else np.zeros_like(p.data) for p in self.params]
-        if self.clip_norm is not None:
-            total = float(np.sqrt(sum(float((g * g).sum()) for g in grads)))
-            if total > self.clip_norm > 0:
-                factor = self.clip_norm / total
-                grads = [g * factor for g in grads]
+        """One update, in place, from each parameter's ``grad`` (None counts
+        as zero). A non-finite gradient raises before any parameter moves."""
+        grads = [p.grad if p.grad is not None else np.broadcast_to(0.0, p.data.shape)
+                 for p in self.params]
         for i, g in enumerate(grads):
             if not np.isfinite(g).all():
                 raise DivergenceError(f"non-finite gradient for parameter {i}")
+        factor = None
+        if self.clip_norm is not None:
+            squares = 0.0
+            for g, t in zip(grads, self._scratch):
+                np.multiply(g, g, out=t)
+                squares += float(t.sum())
+            total = float(np.sqrt(squares))
+            if total > self.clip_norm > 0:
+                factor = self.clip_norm / total
         self.step_count += 1
         bc1 = 1.0 - BETA1 ** self.step_count
         bc2 = 1.0 - BETA2 ** self.step_count
-        for p, g, m, v, t in zip(self.params, grads, self.m, self.v, self._scratch):
+        for i, (p, g, m, v, t) in enumerate(zip(self.params, grads, self.m, self.v, self._scratch)):
+            if factor is not None:
+                g = np.multiply(g, factor, out=self._clipped[i])
             m *= BETA1
             np.multiply(g, 1.0 - BETA1, out=t)
             m += t

@@ -189,8 +189,14 @@ def _append_log(log_path, record: dict) -> None:
         fh.write(json.dumps(record) + "\n")
 
 
-def _snapshot(model) -> dict[str, np.ndarray]:
-    return {name: p.data.copy() for name, p in model.params.items()}
+def _snapshot(model, into: dict[str, np.ndarray] | None = None) -> dict[str, np.ndarray]:
+    """A copy of the model's parameters, written into ``into`` (an earlier
+    snapshot of the same model) when one is given."""
+    if into is None:
+        return {name: p.data.copy() for name, p in model.params.items()}
+    for name, p in model.params.items():
+        np.copyto(into[name], p.data)
+    return into
 
 
 # -- the training loop ----------------------------------------------------------------
@@ -246,7 +252,8 @@ def _fit(
     ``score(record)``, when given, fills the record's validation fields and
     returns a comparable key, or None when nothing was scored. The model
     ends with the parameters of the highest key; ``best`` is the
-    (key, parameters) candidate to beat before the first epoch.
+    (key, parameters) candidate to beat before the first epoch. A better
+    epoch is copied into the one snapshot ``_fit`` holds.
     """
     optimizer = Adam(model.parameter_list(), lr=config.lr, clip_norm=config.grad_clip)
     best_key, best_params = best
@@ -255,9 +262,11 @@ def _fit(
         record = _epoch(items, optimizer, rng, epoch, label, losses)
         key = score(record) if score is not None else None
         if key is not None and (best_key is None or key > best_key):
-            best_key, best_params = key, _snapshot(model)
+            best_key, best_params = key, _snapshot(model, best_params)
         stats.append(record)
         _append_log(log_path, {"model": label, **record.to_dict()})
+    # Nothing reads the last step's gradients, so the model keeps none.
+    optimizer.zero_grad()
     if best_key is not None:
         model.load_arrays(best_params)
     return stats
@@ -331,7 +340,8 @@ def finetune_domain_teacher(
             record.val_entity_recall = recall
         return recall
 
-    best = (validation_recall(), _snapshot(model))
+    recall = validation_recall()
+    best = (recall, _snapshot(model)) if recall is not None else (None, None)
     rng = np.random.default_rng([config.seed, 2, domain_index])
     return model, _fit(model, bucket, config.finetune_epochs, rng, f"teacher-{domain}",
                        _teacher_losses(model), config, log_path, validation_recall, best)
@@ -382,21 +392,32 @@ def _teacher_targets(
     return np.exp(log_probs.data), action.data.copy()
 
 
-def train_student(
+@dataclass
+class DistillationData:
+    """What student training reads: the prepared training turns, each turn's
+    teacher targets (None when no teacher runs), and the validation split."""
+
+    items: list[PreparedTurn]
+    targets: list[tuple[np.ndarray, np.ndarray]] | None
+    val_part: Corpus
+    val_items: list[PreparedTurn]
+
+
+def distillation_data(
     corpus: Corpus,
     ensemble: TeacherEnsemble,
     in_vocab: Vocabulary,
     out_vocab: Vocabulary,
     config: TrainingConfig,
-    log_path=None,
-) -> tuple[StudentModel, list[EpochStats]]:
-    """Distill the teacher ensemble into one HRED student.
-
-    Per turn the teacher of the turn's domain runs teacher-forced on the
-    oracle state to produce constants; the student runs teacher-forced on
-    the raw history; the combined loss backpropagates into student
-    parameters only. With both weights zero this is the plain history-only
-    baseline and no teacher runs.
+) -> DistillationData:
+    """The targets phase of ``train_student``: split and prepare the corpus,
+    then run the teacher of each training turn's domain teacher-forced on
+    the oracle state, once. Every epoch reads these targets, so no teacher
+    is needed once this returns. They are dense, turns × gold length × V_out
+    float64 values (ROADMAP item 10); recomputing them each epoch instead
+    made train_student 4.4% slower (CHANGES.md, "Losses on
+    log-probabilities"). With both weights zero, or no epoch to train, no
+    teacher runs.
     """
     config.validate()
     if not corpus.episodes:
@@ -406,24 +427,34 @@ def train_student(
     needs_teacher = config.alpha1 > 0 or config.alpha2 > 0
     items = prepare_turns(train_part, in_vocab, out_vocab, states=needs_teacher)
     val_items = prepare_turns(val_part, in_vocab, out_vocab, states=False)
+    targets = None
+    if needs_teacher and config.epochs > 0:
+        targets = [_teacher_targets(ensemble.teachers[item.domain], item) for item in items]
+    return DistillationData(items, targets, val_part, val_items)
+
+
+def fit_student(
+    data: DistillationData,
+    in_vocab: Vocabulary,
+    out_vocab: Vocabulary,
+    config: TrainingConfig,
+    log_path=None,
+) -> tuple[StudentModel, list[EpochStats]]:
+    """The training phase of ``train_student``: the student runs
+    teacher-forced on the raw history, and the combined loss backpropagates
+    into student parameters only."""
     student = StudentModel(
         config.model, len(in_vocab), len(out_vocab),
         seed=int(np.random.default_rng([config.seed, 10]).integers(2**31)),
     )
     rng = np.random.default_rng([config.seed, 11])
-    # Teacher targets are computed once per turn and kept for every epoch;
-    # recomputing them made train_student 4.4% slower (CHANGES.md, "Losses on
-    # log-probabilities"). ROADMAP item 10 revisits the cache for memory.
-    teacher_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
     def losses(tape: Tape, index: int, item: PreparedTurn):
         log_probs, action = student.respond_forced(tape, item.history_ids, item.gold_ids)
         j_nll = nll_loss(tape, log_probs, item.gold_ids[1:])
         j_kd = j_policy = None
-        if needs_teacher:
-            if index not in teacher_cache:
-                teacher_cache[index] = _teacher_targets(ensemble.teachers[item.domain], item)
-            teacher_probs, teacher_action = teacher_cache[index]
+        if data.targets is not None:
+            teacher_probs, teacher_action = data.targets[index]
             if config.alpha1 > 0:
                 j_kd = kd_text_loss(tape, teacher_probs, log_probs)
             if config.alpha2 > 0:
@@ -433,14 +464,34 @@ def train_student(
         )
 
     def score(record: EpochStats) -> tuple | None:
-        if not config.select_best or not val_part.episodes:
+        if not config.select_best or not data.val_part.episodes:
             return None
-        generated = generate_responses(student, val_items, out_vocab, config.max_decode_len)
-        report = score_corpus(val_part, generated)
+        generated = generate_responses(student, data.val_items, out_vocab, config.max_decode_len)
+        report = score_corpus(data.val_part, generated)
         record.val_success, record.val_bleu = report.success, report.bleu4
         return report.success, report.bleu4, record.epoch
 
-    return student, _fit(student, items, config.epochs, rng, "student", losses, config, log_path, score)
+    return student, _fit(student, data.items, config.epochs, rng, "student", losses, config,
+                         log_path, score)
+
+
+def train_student(
+    corpus: Corpus,
+    ensemble: TeacherEnsemble,
+    in_vocab: Vocabulary,
+    out_vocab: Vocabulary,
+    config: TrainingConfig,
+    log_path=None,
+) -> tuple[StudentModel, list[EpochStats]]:
+    """Distill the teacher ensemble into one HRED student: the targets phase
+    (``distillation_data``), then the training phase (``fit_student``). With
+    both weights zero this is the plain history-only baseline and no
+    teacher runs. A caller that passes the only reference to a temporary
+    ensemble to ``distillation_data`` itself frees the ensemble before the
+    student is built, as ``mtss train-student`` does.
+    """
+    return fit_student(distillation_data(corpus, ensemble, in_vocab, out_vocab, config),
+                       in_vocab, out_vocab, config, log_path)
 
 
 # -- evaluation ---------------------------------------------------------------------

@@ -1,9 +1,11 @@
 """Test helpers: gradient checks against central differences, parameter
-bytes, a tape-based greedy decoder, memo-free student contexts and replies,
-and probes of the memo, the packed encoders and the decoder."""
+bytes, a traced memory peak, a tape-based greedy decoder, memo-free student
+contexts and replies, and probes of the memo, the packed encoders and the
+decoder."""
 
 from __future__ import annotations
 
+import tracemalloc
 import weakref
 from typing import Callable, Sequence
 
@@ -58,6 +60,17 @@ def grad_check_params(f: Callable[[Tape], Tensor], params: Sequence[Tensor], eps
             numeric = (f_plus - f_minus) / (2.0 * eps)
             worst = max(worst, abs(ana_flat[k] - numeric) / max(1.0, abs(ana_flat[k])))
     return worst
+
+
+def traced_peak(fn: Callable[[], object]) -> tuple[int, object]:
+    """(the peak bytes traced by tracemalloc while ``fn()`` runs, above what
+    was allocated before it, and what it returns)."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        return tracemalloc.get_traced_memory()[1], result
+    finally:
+        tracemalloc.stop()
 
 
 def param_bytes(model) -> bytes:

@@ -9,20 +9,20 @@ import shlex
 import shutil
 import subprocess
 import sys
-import tracemalloc
+import weakref
 from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from helpers import count_context_steps, memo_free_reply, tape_greedy, track_memos
-from mtss import cli, models
+from helpers import count_context_steps, memo_free_reply, tape_greedy, traced_peak, track_memos
+from mtss import cli, models, training
 from mtss.cli import EXIT_DATA, EXIT_INTERRUPTED, EXIT_OK, EXIT_USAGE, build_parser, cmd_chat, main
 from mtss.corpus import (Corpus, Database, Delexicalizer, DomainSchema, EntityRecord, Episode, Turn,
                          build_vocab, load_corpus, load_vocab, save_corpus)
 from mtss.diffnum import Tape, load_checkpoint, save_checkpoint
 from mtss.models import ModelConfig, StudentModel, TeacherModel, load_model
-from mtss.training import evaluate_model
+from mtss.training import TrainingConfig, evaluate_model
 
 TINY_TRAIN = {
     "model": {"embed_size": 6, "hidden_size": 8, "init_scale": 0.08},
@@ -249,6 +249,34 @@ class TestTrainStudent:
         err = capsys.readouterr().err
         assert code == EXIT_DATA
         assert len(err.strip().splitlines()) == 1 and "vocabularies" in err
+
+    def test_the_ensemble_is_freed_before_the_student_trains(self, workspace, tmp_path, monkeypatch):
+        """By the time the student's optimizer is built, the ensemble that
+        ``_train_and_save`` loaded and each of its teachers are gone, with
+        the cycle collector off, and the checkpoint is train-student's."""
+        refs, alive = [], []
+        load = cli.load_ensemble
+
+        def tracked(*args):
+            ensemble = load(*args)
+            refs.extend(weakref.ref(m) for m in [ensemble, ensemble.universal, *ensemble.teachers.values()])
+            return ensemble
+
+        class CheckedAdam(training.Adam):
+            def __init__(self, *args, **kwargs):
+                alive.append(sum(ref() is not None for ref in refs))
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "load_ensemble", tracked)
+        monkeypatch.setattr(training, "Adam", CheckedAdam)
+        config = TrainingConfig.from_dict(TINY_TRAIN)
+        gc.disable()
+        try:
+            cli._train_and_save(workspace / "data", workspace / "teachers", config, tmp_path / "student.ckpt")
+        finally:
+            gc.enable()
+        assert len(refs) == 6 and alive == [0]
+        assert (tmp_path / "student.ckpt").read_bytes() == (workspace / "student" / "student.ckpt").read_bytes()
 
     @pytest.mark.parametrize("threads", [None, "2"], ids=["unset", "2"])
     def test_sweep_cell_matches_train_student(self, workspace, tmp_path, monkeypatch, threads):
@@ -520,6 +548,10 @@ def _set_first_turn(key, value):
     return edit
 
 
+def _drop_episodes(doc):
+    doc["episodes"] = []
+
+
 def _set_goal_constraints(doc):
     for episode in doc["episodes"]:
         for goal in episode["goal"].values():
@@ -728,6 +760,18 @@ MALFORMED_INPUTS = [
     ("corpus-test-missing", EXIT_DATA, lambda ws, tmp: [
         "evaluate", "--model", str(ws / "student" / "student.ckpt"),
         "--data", _data_with(ws, tmp, "corpus_test.json", None)], _at("data/corpus_test.json")),
+    ("train-split-without-episodes", EXIT_DATA, lambda ws, tmp: _train_teachers_on_edited(
+        ws, tmp, _drop_episodes), _at("data/corpus_train.json")),
+    ("student-train-split-without-episodes", EXIT_DATA, lambda ws, tmp: [
+        "train-student", "--data", _data_edited(ws, tmp, "train", _drop_episodes),
+        "--teachers", str(ws / "teachers"), "--config", str(ws / "train.json"), "--out", str(tmp / "out")],
+        _at("data/corpus_train.json")),
+    ("evaluate-model-test-split-without-episodes", EXIT_DATA, lambda ws, tmp: [
+        "evaluate", "--model", str(ws / "student" / "student.ckpt"),
+        "--data", _data_edited(ws, tmp, "test", _drop_episodes)], _at("data/corpus_test.json")),
+    ("evaluate-generations-test-split-without-episodes", EXIT_DATA, lambda ws, tmp: [
+        "evaluate", "--data", _data_edited(ws, tmp, "test", _drop_episodes),
+        "--generations", _write(tmp / "gen.jsonl", "")], _at("data/corpus_test.json")),
     ("config-not-utf8", EXIT_USAGE, lambda ws, tmp: [
         "train-teachers", "--data", str(ws / "data"), "--out", str(tmp / "out"),
         "--config", _write(tmp / "train.json", NOT_UTF8)], _at("train.json")),
@@ -880,12 +924,7 @@ class TestChat:
         def traced(lines):
             (tmp_path / "in.txt").write_text("\n".join(lines) + "\n")
             with open(tmp_path / "in.txt") as stdin, open(tmp_path / "out.txt", "w") as stdout:
-                tracemalloc.start()
-                try:
-                    cmd_chat(args, stdin, stdout)
-                    peak = tracemalloc.get_traced_memory()[1]
-                finally:
-                    tracemalloc.stop()
+                peak, _ = traced_peak(lambda: cmd_chat(args, stdin, stdout))
             return peak, (tmp_path / "out.txt").read_text().splitlines()[1:]  # after the greeting
 
         lines = self.CONVERSATION * 240

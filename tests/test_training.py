@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import grad_check_params, param_bytes
+from helpers import grad_check_params, param_bytes, traced_peak
 from mtss.corpus import build_vocab
 from mtss.corpus.state import BeliefLayout, state_size
 from mtss.corpus.types import (
@@ -263,14 +263,14 @@ def finetune(universal, domain, corpus, in_vocab, out_vocab, config):
     )
 
 
-def tiny_ensemble(schemas, v_in=12, v_out=10):
+def tiny_ensemble(schemas, v_in=12, v_out=10, model=TINY):
     """An untrained ensemble: one teacher per schema domain plus the generic one."""
     state = state_size(schemas)
     teachers = {
-        d: TeacherModel(TINY, v_in, v_out, state, domain=d, seed=i)
+        d: TeacherModel(model, v_in, v_out, state, domain=d, seed=i)
         for i, d in enumerate(ensemble_domains(schemas))
     }
-    universal = TeacherModel(TINY, v_in, v_out, state, domain="all", seed=9)
+    universal = TeacherModel(model, v_in, v_out, state, domain="all", seed=9)
     return TeacherEnsemble(teachers, universal)
 
 
@@ -535,6 +535,44 @@ class TestStudentTraining:
         # Only the student reads the validation split, so it has no oracle states.
         assert calls == [(len(train_part.episodes), True), (len(val_part.episodes), False)]
         assert all(s.val_success is not None for s in stats)
+
+
+class TestFootprint:
+    def test_trained_teachers_hold_no_gradients(self, tiny_world):
+        train, _, in_vocab, out_vocab = tiny_world
+        ensemble, _ = train_teacher_ensemble(train, in_vocab, out_vocab, FAST)
+        for teacher in [ensemble.universal, *ensemble.teachers.values()]:
+            assert all(p.grad is None for p in teacher.parameter_list()), teacher.domain
+
+    def test_training_holds_the_student_and_its_optimizer(self):
+        """Under tracemalloc, the two phases of ``train_student`` run as
+        ``mtss train-student`` runs them (the targets of a temporary
+        ensemble, then training) peak below the student's parameter bytes P
+        times five (the parameters, Adam's m and v, the gradients and one
+        best snapshot), plus Adam's scratch (the largest parameter, 0.38 P),
+        plus 0.6 P of slack for one step's tape and the targets. One-turn
+        episodes keep the tape small beside P. This run peaks at about
+        5.66 P; a kept ensemble (five teachers of 0.68 P each) took it to
+        9 P, a second snapshot to 6.41 P and a scratch buffer per parameter
+        to 6.28 P."""
+        model = ModelConfig(embed_size=32, hidden_size=96)
+        train, _ = gen_corpus(SynthConfig(seed=5, train_episodes=8, test_episodes=1,
+                                          entities_per_domain=4, max_turns=1))
+        in_vocab, out_vocab = build_vocab(train, "input", min_freq=1), build_vocab(train, "output")
+        config = TrainingConfig(epochs=3, seed=0, model=model, val_fraction=0.25)
+
+        def run():
+            ensemble = tiny_ensemble(train.schemas, len(in_vocab), len(out_vocab), model)
+            data = training.distillation_data(train, ensemble, in_vocab, out_vocab, config)
+            del ensemble
+            return training.fit_student(data, in_vocab, out_vocab, config)
+
+        peak, (student, stats) = traced_peak(run)
+        # Every epoch beats the one before, so each takes a snapshot.
+        keys = [(s.val_success, s.val_bleu, s.epoch) for s in stats]
+        assert None not in keys[0] and keys == sorted(set(keys)) and len(keys) == 3
+        sizes = [p.data.nbytes for p in student.parameter_list()]
+        assert peak < 5 * sum(sizes) + max(sizes) + 3 * sum(sizes) // 5, (peak, sum(sizes))
 
 
 class TestHelpers:
