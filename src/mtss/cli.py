@@ -105,12 +105,6 @@ def _read_config_file(path: str, what: str, check) -> dict:
         raise UsageError(f"{what} file {exc}") from None
 
 
-def _check_synth(doc: dict) -> SynthConfig:
-    synth = SynthConfig(**doc)
-    synth.validate()
-    return synth
-
-
 def _load_training_config(args) -> TrainingConfig:
     doc = (_read_config_file(args.config, "training config", TrainingConfig.from_dict)
            if getattr(args, "config", None) else {})
@@ -125,11 +119,12 @@ def _load_training_config(args) -> TrainingConfig:
 
 
 def _load_synth_config(args) -> SynthConfig:
-    doc = _read_config_file(args.synth_config, "synth config", _check_synth) if args.synth_config else {}
+    doc = (_read_config_file(args.synth_config, "synth config", lambda doc: SynthConfig(**doc))
+           if args.synth_config else {})
     if args.seed is not None:
         doc["seed"] = args.seed
     try:
-        return _check_synth(doc)
+        return SynthConfig(**doc)
     except (TypeError, ValueError) as exc:
         raise UsageError(f"bad synth config: {exc}") from None
 

@@ -411,8 +411,9 @@ class Tape:
         """One LSTM cell update; gates packed as (input, forget, cell, output).
 
         ``w`` has shape (4H, D+H) and acts on the concatenation [x; h].
-        Fused into a single record because per-gate composition would
-        dominate the tape at training time.
+        Nothing trains or decodes through it: the models run
+        ``lstm_sequence`` and ``lstm_row_step``. It is the per-step
+        reference that the tests chain and perfbench wraps.
         """
         d, hidden = x.data.shape[0] if x.data.ndim == 1 else -1, h.data.shape[0] if h.data.ndim == 1 else -1
         if (

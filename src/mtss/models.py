@@ -8,6 +8,7 @@ LSTM hidden size so teacher and student actions are directly comparable.
 
 from __future__ import annotations
 
+import sys
 from collections import OrderedDict
 from dataclasses import asdict, dataclass
 from itertools import accumulate
@@ -16,6 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
+from mtss import check_count, check_number
 from mtss.corpus import GENERAL_DOMAIN, Corpus, CorpusError, DomainSchema, schema_hash
 from mtss.corpus.state import BeliefLayout, turn_state
 from mtss.corpus.vocab import BOS_ID, EOS_ID, Vocabulary
@@ -34,13 +36,17 @@ from mtss.diffnum.tape import _cell
 
 @dataclass(frozen=True)
 class ModelConfig:
+    """Model sizes and the init range; a bad value raises ``ValueError``."""
+
     embed_size: int = 50
     hidden_size: int = 150
     init_scale: float = 0.08
 
-
-def _uniform(rng: np.random.Generator, shape, scale: float) -> Tensor:
-    return Tensor(rng.uniform(-scale, scale, shape), requires_grad=True)
+    def __post_init__(self):
+        check_count("embed_size", self.embed_size, 1)
+        check_count("hidden_size", self.hidden_size, 1)
+        # The init draws uniformly from (-s, s), a range 2s wide that must be finite.
+        check_number("init_scale", self.init_scale, positive=True, most=sys.float_info.max / 2)
 
 
 def _zeros(*shape: int) -> Tensor:
@@ -68,14 +74,21 @@ class _SeqModel:
 
     kind = ""
 
-    def __init__(self, config: ModelConfig, in_vocab_size: int, out_vocab_size: int):
+    def __init__(self, config: ModelConfig, in_vocab_size: int, out_vocab_size: int, seed: int,
+                 middle: dict[str, tuple[int, ...]]):
+        """Draw the parameters from ``seed``, in order: the word encoder's,
+        a subclass's ``middle`` shapes, then the decoder's."""
         self.config = config
         self.in_vocab_size = in_vocab_size
         self.out_vocab_size = out_vocab_size
-        self.params: dict[str, Tensor] = {}
-
-    def _init_params(self, rng: np.random.Generator, shapes: dict[str, tuple[int, ...]]) -> None:
-        self.params = {name: _uniform(rng, shape, self.config.init_scale) for name, shape in shapes.items()}
+        e, h, s = config.embed_size, config.hidden_size, config.init_scale
+        shapes = {
+            "embed_in": (in_vocab_size, e), "enc_w": (4 * h, e + h), "enc_b": (4 * h,), **middle,
+            "embed_out": (out_vocab_size, e), "dec_w": (4 * h, e + h), "dec_b": (4 * h,),
+            "att_w": (h, 2 * h), "out_w": (out_vocab_size, h), "out_b": (out_vocab_size,),
+        }
+        rng = np.random.default_rng(seed)
+        self.params = {name: Tensor(rng.uniform(-s, s, shape), requires_grad=True) for name, shape in shapes.items()}
 
     def parameter_list(self) -> list[Tensor]:
         return list(self.params.values())
@@ -252,25 +265,10 @@ class TeacherModel(_SeqModel):
         domain: str = "all",
         seed: int = 0,
     ):
-        super().__init__(config, in_vocab_size, out_vocab_size)
+        h = config.hidden_size
+        super().__init__(config, in_vocab_size, out_vocab_size, seed, {"policy_w": (h, h + state_size)})
         self.state_size = state_size
         self.domain = domain
-        e, h = config.embed_size, config.hidden_size
-        self._init_params(
-            np.random.default_rng(seed),
-            {
-                "embed_in": (in_vocab_size, e),
-                "enc_w": (4 * h, e + h),
-                "enc_b": (4 * h,),
-                "policy_w": (h, h + state_size),
-                "embed_out": (out_vocab_size, e),
-                "dec_w": (4 * h, e + h),
-                "dec_b": (4 * h,),
-                "att_w": (h, 2 * h),
-                "out_w": (out_vocab_size, h),
-                "out_b": (out_vocab_size,),
-            },
-        )
 
     def action_vector(self, tape: Tape, utterance_vec: Tensor, state: np.ndarray | None) -> Tensor:
         """tanh(W [v_u; belief; pointer]); every component lands in (-1, 1)."""
@@ -433,24 +431,8 @@ class StudentModel(_SeqModel):
     kind = "student"
 
     def __init__(self, config: ModelConfig, in_vocab_size: int, out_vocab_size: int, seed: int = 0):
-        super().__init__(config, in_vocab_size, out_vocab_size)
-        e, h = config.embed_size, config.hidden_size
-        self._init_params(
-            np.random.default_rng(seed),
-            {
-                "embed_in": (in_vocab_size, e),
-                "enc_w": (4 * h, e + h),
-                "enc_b": (4 * h,),
-                "ctx_w": (4 * h, h + h),
-                "ctx_b": (4 * h,),
-                "embed_out": (out_vocab_size, e),
-                "dec_w": (4 * h, e + h),
-                "dec_b": (4 * h,),
-                "att_w": (h, 2 * h),
-                "out_w": (out_vocab_size, h),
-                "out_b": (out_vocab_size,),
-            },
-        )
+        h = config.hidden_size
+        super().__init__(config, in_vocab_size, out_vocab_size, seed, {"ctx_w": (4 * h, 2 * h), "ctx_b": (4 * h,)})
 
     def action_vector(self, tape: Tape, utterance_vecs: Tensor) -> Tensor:
         """Final hidden state of the context LSTM over the (n, H) utterance vectors."""
@@ -545,16 +527,12 @@ def load_model(path: str | Path, kind: str | None = None,
         raise CheckpointError(f"{path}: checkpoint was trained against a different schema set")
     try:
         config = ModelConfig(**meta.get("config"))
-    except TypeError as exc:
+    except (TypeError, ValueError) as exc:
         raise CheckpointError(f"{path}: bad model config in manifest ({exc})") from None
-    keys = ["in_vocab_size", "out_vocab_size"] + (["state_size"] if found == "teacher" else [])
-    sizes = {"config.embed_size": config.embed_size, "config.hidden_size": config.hidden_size,
-             **{key: meta.get(key) for key in keys}}
-    for key, value in sizes.items():
+    for key in ["in_vocab_size", "out_vocab_size"] + (["state_size"] if found == "teacher" else []):
+        value = meta.get(key)
         if not isinstance(value, int) or isinstance(value, bool) or value < 1:
             raise CheckpointError(f"{path}: manifest {key} must be a positive integer, got {value!r}")
-    if isinstance(config.init_scale, bool) or not isinstance(config.init_scale, (int, float)):
-        raise CheckpointError(f"{path}: manifest config.init_scale must be a number")
     vocabs = []
     for role, key in (("input", "in_vocab"), ("output", "out_vocab")):
         tokens = meta.get(key)

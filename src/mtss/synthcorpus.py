@@ -15,6 +15,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from mtss import check_count, check_number
 from mtss.corpus import (
     GENERAL_DOMAIN,
     Corpus,
@@ -115,17 +116,13 @@ class SynthConfig:
     max_turns: int = 6
     multi_domain_fraction: float = 0.3
 
-    def validate(self) -> None:
+    def __post_init__(self):
         """Integer counts of at least 1, an integer seed of at least 0 and a
-        fraction in [0, 1]; a bool is not a number here."""
+        fraction in [0, 1], or ``ValueError``; a bool is not a number here."""
         for name in ("seed", "domains", "slots_per_domain", "values_per_slot", "entities_per_domain",
                      "train_episodes", "test_episodes", "max_turns"):
-            value, least = getattr(self, name), 0 if name == "seed" else 1
-            if isinstance(value, bool) or not isinstance(value, int) or value < least:
-                raise ValueError(f"{name} must be an integer of at least {least}, got {value!r}")
-        fraction = self.multi_domain_fraction
-        if isinstance(fraction, bool) or not isinstance(fraction, (int, float)) or not 0 <= fraction <= 1:
-            raise ValueError(f"multi_domain_fraction must lie in [0, 1], got {fraction!r}")
+            check_count(name, getattr(self, name), 0 if name == "seed" else 1)
+        check_number("multi_domain_fraction", self.multi_domain_fraction, most=1)
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -272,7 +269,6 @@ class _EpisodeBuilder:
 
 def gen_corpus(config: SynthConfig) -> tuple[Corpus, Corpus]:
     """Generate (train, test) corpora sharing one schema set and database."""
-    config.validate()
     schemas = build_schemas(config)
     database = build_database(config, schemas)
     delex = Delexicalizer(schemas, database)

@@ -17,6 +17,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from mtss import check_count, check_number
 from mtss.corpus import Corpus, Vocabulary
 from mtss.corpus.state import state_size
 from mtss.diffnum import Adam, Tape, Tensor
@@ -39,8 +40,10 @@ class TrainingDivergenceError(RuntimeError):
     """Loss became non-finite; the message carries the state dump."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainingConfig:
+    """The training recipe; a bad value raises ``ValueError`` (a bool is not a number)."""
+
     alpha1: float = 0.005          # text-level distillation weight
     alpha2: float = 0.005          # policy-level distillation weight
     lr: float = 0.005
@@ -54,34 +57,16 @@ class TrainingConfig:
     max_decode_len: int = 30
     model: ModelConfig = field(default_factory=ModelConfig)
 
-    def validate(self) -> None:
-        """Raise ``ValueError`` naming the first value of the wrong type or
-        range. A bool is not a number here, and NaN is in no range."""
-        def check_number(name: str, value, positive: bool) -> None:
-            if (isinstance(value, bool) or not isinstance(value, (int, float))
-                    or not (value > 0 or (value == 0 and not positive))):
-                raise ValueError(f"{name} must be a {'positive' if positive else 'non-negative'} "
-                                 f"number, got {value!r}")
-
+    def __post_init__(self):
         for name in ("alpha1", "alpha2", "lr", "val_fraction"):
-            check_number(name, getattr(self, name), positive=False)
-        check_number("model.init_scale", self.model.init_scale, positive=True)
+            check_number(name, getattr(self, name))
+        if not self.val_fraction < 1:
+            raise ValueError(f"val_fraction must lie in [0, 1), got {self.val_fraction!r}")
         if self.grad_clip is not None:
             check_number("grad_clip", self.grad_clip, positive=True)
-        if not self.val_fraction < 1.0:
-            raise ValueError("val_fraction must lie in [0, 1)")
-        counts = {
-            "seed": (self.seed, 0),
-            "epochs": (self.epochs, 0),
-            "teacher_epochs": (self.teacher_epochs, 0),
-            "finetune_epochs": (self.finetune_epochs, 0),
-            "max_decode_len": (self.max_decode_len, 1),
-            "model.embed_size": (self.model.embed_size, 1),
-            "model.hidden_size": (self.model.hidden_size, 1),
-        }
-        for name, (value, least) in counts.items():
-            if isinstance(value, bool) or not isinstance(value, int) or value < least:
-                raise ValueError(f"{name} must be an integer of at least {least}, got {value!r}")
+        for name in ("seed", "epochs", "teacher_epochs", "finetune_epochs"):
+            check_count(name, getattr(self, name), 0)
+        check_count("max_decode_len", self.max_decode_len, 1)
         if not isinstance(self.select_best, bool):
             raise ValueError(f"select_best must be true or false, got {self.select_best!r}")
 
@@ -92,9 +77,7 @@ class TrainingConfig:
     def from_dict(cls, doc: dict) -> "TrainingConfig":
         doc = dict(doc)
         model = doc.pop("model", None)
-        config = cls(**doc) if model is None else cls(**doc, model=ModelConfig(**model))
-        config.validate()
-        return config
+        return cls(**doc) if model is None else cls(**doc, model=ModelConfig(**model))
 
 
 @dataclass
@@ -173,7 +156,9 @@ def split_train_val(corpus: Corpus, val_fraction: float) -> tuple[Corpus, Corpus
     """Deterministic episode-level holdout: every k-th episode validates."""
     if val_fraction <= 0 or len(corpus.episodes) < 2:
         return corpus, Corpus(corpus.schemas, corpus.database, [])
-    stride = max(2, round(1.0 / val_fraction))
+    # Once the stride reaches the episode count only episode 0 validates, so
+    # a tiny fraction (whose inverse may be infinite) gives that split too.
+    stride = max(2, round(min(1.0 / val_fraction, len(corpus.episodes))))
     train_eps = [e for i, e in enumerate(corpus.episodes) if i % stride != 0]
     val_eps = [e for i, e in enumerate(corpus.episodes) if i % stride == 0]
     return (
@@ -357,7 +342,6 @@ def train_teacher_ensemble(
     """Universal teacher on all training turns, then one fine-tuned teacher
     per domain bucket. Each split is prepared once and shared by every teacher.
     """
-    config.validate()
     if not corpus.episodes:
         raise ValueError("cannot train on an empty corpus")
     train_part, val_part = split_train_val(corpus, config.val_fraction)
@@ -419,17 +403,20 @@ def distillation_data(
     log-probabilities"). With both weights zero, or no epoch to train, no
     teacher runs.
     """
-    config.validate()
     if not corpus.episodes:
         raise ValueError("cannot train on an empty corpus")
     train_part, val_part = split_train_val(corpus, config.val_fraction)
-    # Only a teacher reads oracle states, and no teacher runs at (0, 0).
-    needs_teacher = config.alpha1 > 0 or config.alpha2 > 0
+    # Only a teacher reads oracle states, and only for the targets, so each
+    # turn's state is dropped once its targets exist.
+    needs_teacher = (config.alpha1 > 0 or config.alpha2 > 0) and config.epochs > 0
     items = prepare_turns(train_part, in_vocab, out_vocab, states=needs_teacher)
     val_items = prepare_turns(val_part, in_vocab, out_vocab, states=False)
     targets = None
-    if needs_teacher and config.epochs > 0:
-        targets = [_teacher_targets(ensemble.teachers[item.domain], item) for item in items]
+    if needs_teacher:
+        targets = []
+        for item in items:
+            targets.append(_teacher_targets(ensemble.teachers[item.domain], item))
+            item.state = None
     return DistillationData(items, targets, val_part, val_items)
 
 

@@ -1,8 +1,10 @@
 """Command line: full tiny pipeline, manifests, exit codes, chat REPL."""
 
+import copy
 import gc
 import io
 import json
+import math
 import os
 import re
 import shlex
@@ -11,6 +13,7 @@ import subprocess
 import sys
 import weakref
 from collections import Counter
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -22,6 +25,7 @@ from mtss.corpus import (Corpus, Database, Delexicalizer, DomainSchema, EntityRe
                          build_vocab, load_corpus, load_vocab, save_corpus)
 from mtss.diffnum import Tape, load_checkpoint, save_checkpoint
 from mtss.models import ModelConfig, StudentModel, TeacherModel, load_model
+from mtss.synthcorpus import SynthConfig
 from mtss.training import TrainingConfig, evaluate_model
 
 TINY_TRAIN = {
@@ -519,6 +523,12 @@ def _checkpoint_of_unknown_kind(workspace, tmp_path) -> str:
     return str(tmp_path / "bogus.ckpt")
 
 
+def _student_with_init_scale(workspace, tmp_path, value) -> str:
+    arrays, meta = load_checkpoint(workspace / "student" / "student.ckpt")
+    save_checkpoint(tmp_path / "scaled.ckpt", arrays, {**meta, "config": {**meta["config"], "init_scale": value}})
+    return str(tmp_path / "scaled.ckpt")
+
+
 def _data_edited(workspace, tmp_path, split, edit) -> str:
     """A copy of the workspace data whose corpus_<split>.json went through
     ``edit``, a function that changes the parsed JSON document in place."""
@@ -655,6 +665,16 @@ MALFORMED_INPUTS = [
         _teachers_edited(ws, tmp, duplicate=["hotel"]), ws, tmp), _at("teachers/teacher_hotel_again.ckpt")),
     ("init-scale-not-a-number", EXIT_USAGE, lambda ws, tmp: _train_teachers_with(
         {"model": {**TINY_TRAIN["model"], "init_scale": "big"}}, ws, tmp), _at("train.json")),
+    ("init-scale-overflows", EXIT_USAGE, lambda ws, tmp: _train_teachers_with(
+        {"model": {**TINY_TRAIN["model"], "init_scale": 1e308}}, ws, tmp), _at("train.json")),
+    ("init-scale-infinite", EXIT_USAGE, lambda ws, tmp: _train_teachers_with(
+        {"model": {**TINY_TRAIN["model"], "init_scale": math.inf}}, ws, tmp), _at("train.json")),
+    ("manifest-init-scale-overflows", EXIT_DATA, lambda ws, tmp: [
+        "evaluate", "--model", _student_with_init_scale(ws, tmp, 1e308), "--data", str(ws / "data")],
+        _at("scaled.ckpt")),
+    ("manifest-init-scale-nan", EXIT_DATA, lambda ws, tmp: [
+        "evaluate", "--model", _student_with_init_scale(ws, tmp, math.nan), "--data", str(ws / "data")],
+        _at("scaled.ckpt")),
     ("model-not-an-object", EXIT_USAGE, lambda ws, tmp: _train_teachers_with({"model": []}, ws, tmp),
         _at("train.json")),
     ("grad-clip-not-a-number", EXIT_USAGE, lambda ws, tmp: _train_teachers_with({"grad_clip": "x"}, ws, tmp),
@@ -787,6 +807,69 @@ def test_malformed_input_ends_in_one_line(workspace, tmp_path, capsys, expected,
     assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
     if blame is not None:
         assert str(blame(workspace, tmp_path)) in err
+
+
+# Every numeric field of a training config file, a synth config file and a
+# checkpoint manifest is set, one at a time, to each of these values.
+MUTANT_VALUES = [True, "1", None, math.nan, math.inf, -math.inf, 1e308, 1e-320, -1, 0, 1.5]
+
+
+def _training_config_sweep(ws, tmp):
+    """(the mutated file, its error code, the base document, its numeric
+    fields, a writer of a mutant, the commands that read it). The base
+    trains no epoch, so an accepted mutant stays cheap."""
+    path = tmp / "train.json"
+    base = {**TINY_TRAIN, "epochs": 0, "teacher_epochs": 0, "finetune_epochs": 0}
+    keys = [f.name for f in fields(TrainingConfig) if f.name not in ("select_best", "model")]
+    keys += [f"model.{f.name}" for f in fields(ModelConfig)]
+    runs = [["train-teachers", "--data", str(ws / "data"), "--out", str(tmp / "out"), "--config", str(path)],
+            ["train-student", "--data", str(ws / "data"), "--teachers", str(ws / "teachers"),
+             "--out", str(tmp / "out"), "--config", str(path)]]
+    return path, EXIT_USAGE, base, keys, lambda doc: _write(path, doc), runs
+
+
+def _synth_config_sweep(ws, tmp):
+    path = tmp / "synth.json"
+    base = {"seed": 0, "domains": 1, "train_episodes": 2, "test_episodes": 1, "entities_per_domain": 2}
+    keys = [f.name for f in fields(SynthConfig)]
+    runs = [["prepare", "--out", str(tmp / "out"), "--synth-config", str(path)]]
+    return path, EXIT_USAGE, base, keys, lambda doc: _write(path, doc), runs
+
+
+def _manifest_sweep(ws, tmp):
+    path = tmp / "teacher.ckpt"
+    arrays, meta = load_checkpoint(ws / "teachers" / "universal.ckpt")
+    keys = [f"config.{f.name}" for f in fields(ModelConfig)] + ["in_vocab_size", "out_vocab_size", "state_size"]
+    runs = [["evaluate", "--model", str(path), "--data", str(ws / "data"), "--max-len", "2"]]
+    return path, EXIT_DATA, meta, keys, lambda doc: save_checkpoint(path, arrays, doc), runs
+
+
+@pytest.mark.parametrize("sweep", [_training_config_sweep, _synth_config_sweep, _manifest_sweep],
+                         ids=["training-config", "synth-config", "manifest"])
+def test_numeric_mutants_succeed_or_end_in_one_line(workspace, tmp_path, capsys, sweep):
+    """Each mutant run exits 0 and writes nothing to stderr, or exits with
+    the file's error code and one stderr line that names the file."""
+    path, expected, base, keys, write, runs = sweep(workspace, tmp_path)
+    faults = []
+    for key in keys:
+        for value in MUTANT_VALUES:
+            doc = copy.deepcopy(base)
+            *parents, leaf = key.split(".")
+            node = doc
+            for parent in parents:
+                node = node[parent]
+            node[leaf] = value
+            write(doc)
+            for argv in runs:
+                try:
+                    code = main(argv)
+                except Exception as exc:  # outside pytest, a traceback
+                    code = exc
+                err = capsys.readouterr().err
+                if not (code == EXIT_OK and not err
+                        or code == expected and len(err.strip().splitlines()) == 1 and str(path) in err):
+                    faults.append(f"{argv[0]} with {key}={value!r}: exit {code!r}, stderr {err!r}")
+    assert not faults, "\n".join(faults)
 
 
 def full_history_reply(student, history, max_len):

@@ -107,9 +107,9 @@ class TestGeneration:
 
     def test_invalid_config_rejected(self):
         with pytest.raises(ValueError):
-            SynthConfig(domains=0).validate()
+            SynthConfig(domains=0)
         with pytest.raises(ValueError):
-            SynthConfig(multi_domain_fraction=1.5).validate()
+            SynthConfig(multi_domain_fraction=1.5)
 
     def test_multi_domain_fraction_respected(self):
         train, _ = gen_corpus(SynthConfig(seed=3, train_episodes=60, test_episodes=1))

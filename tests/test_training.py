@@ -574,6 +574,15 @@ class TestFootprint:
         sizes = [p.data.nbytes for p in student.parameter_list()]
         assert peak < 5 * sum(sizes) + max(sizes) + 3 * sum(sizes) // 5, (peak, sum(sizes))
 
+    def test_no_oracle_state_outlives_the_targets(self, tiny_world):
+        # Only the teacher targets read a turn's state, so student training keeps none.
+        train, _, in_vocab, out_vocab = tiny_world
+        ensemble = tiny_ensemble(train.schemas, len(in_vocab), len(out_vocab))
+        config = TrainingConfig(epochs=1, seed=0, model=TINY)
+        data = training.distillation_data(train, ensemble, in_vocab, out_vocab, config)
+        assert data.targets is not None and len(data.targets) == len(data.items) > 0
+        assert all(item.state is None for item in data.items)
+
 
 class TestHelpers:
     def test_split_train_val_partitions_episodes(self, tiny_world):
@@ -583,6 +592,15 @@ class TestHelpers:
         assert {e.episode_id for e in a.episodes}.isdisjoint(e.episode_id for e in b.episodes)
         full, empty = split_train_val(train, 0.0)
         assert len(full.episodes) == len(train.episodes) and not empty.episodes
+
+    @pytest.mark.parametrize("fraction", [1e-320, 1e-300, 1 / 12])
+    def test_a_tiny_fraction_validates_the_first_episode(self, tiny_world, fraction):
+        # One validation episode in twelve or fewer: only episode 0 validates,
+        # also where 1 / fraction overflows.
+        train, _, _, _ = tiny_world
+        assert len(train.episodes) == 12
+        train_part, val_part = split_train_val(train, fraction)
+        assert val_part.episodes == train.episodes[:1] and train_part.episodes == train.episodes[1:]
 
     def test_prepared_history_is_the_full_history(self, tiny_world):
         train, _, in_vocab, out_vocab = tiny_world
