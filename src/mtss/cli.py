@@ -38,7 +38,7 @@ from mtss.corpus import (
 from mtss.corpus.delex import split_placeholder
 from mtss.diffnum import CheckpointError, DivergenceError
 from mtss.metrics import MetricReport, score_corpus
-from mtss.models import TeacherEnsemble, generate_responses, load_model, prepare_turns
+from mtss.models import TeacherEnsemble, ensemble_domains, generate_responses, load_model, prepare_turns
 from mtss.synthcorpus import SynthConfig, gen_corpus
 from mtss.training import (
     TrainingConfig,
@@ -284,10 +284,14 @@ def _teacher_report(ensemble: TeacherEnsemble, test: Corpus, in_vocab, out_vocab
 # -- student training -----------------------------------------------------------------
 
 
-def load_ensemble(teacher_dir: Path, schemas: dict, in_vocab: Vocabulary,
-                  out_vocab: Vocabulary) -> TeacherEnsemble:
-    """The teachers in ``teacher_dir``: exactly one per schema domain plus
-    the generic one, each trained on the given schemas and vocabularies."""
+def load_ensemble(teacher_dir: Path, schemas: dict, in_vocab: Vocabulary, out_vocab: Vocabulary,
+                  config: TrainingConfig) -> TeacherEnsemble:
+    """The teachers in ``teacher_dir``, each file judged once: trained on the
+    given schemas and vocabularies, shaped like the universal teacher, and
+    the one teacher of a domain of ``ensemble_domains(schemas)``; then every
+    such domain must have a teacher. A student that distils the teachers'
+    actions (alpha2 > 0, with epochs to train) must have their hidden size,
+    or the config is a usage error."""
     def load(path: Path):
         teacher, teacher_in, teacher_out = load_model(path, "teacher", schemas)
         if (teacher_in.tokens, teacher_out.tokens) != (in_vocab.tokens, out_vocab.tokens):
@@ -295,22 +299,29 @@ def load_ensemble(teacher_dir: Path, schemas: dict, in_vocab: Vocabulary,
         return teacher
 
     universal = load(teacher_dir / "universal.ckpt")
+    domains = ensemble_domains(schemas)
     teachers = {}
     for path in sorted(teacher_dir.glob("teacher_*.ckpt")):
         teacher = load(path)
+        if teacher.domain not in domains:
+            raise CheckpointError(f"{path}: teacher for domain {teacher.domain!r}, which is not in the schemas "
+                                  f"or {GENERAL_DOMAIN!r}")
         if teacher.domain in teachers:
             raise CheckpointError(f"{path}: a second teacher for domain {teacher.domain!r}")
-        try:
-            teacher.check_shaped_like(universal)
-        except ValueError as exc:
-            raise CheckpointError(f"{path}: {exc}") from None
+        for name, p in teacher.params.items():
+            expected = universal.params[name].data.shape
+            if p.data.shape != expected:
+                raise CheckpointError(f"{path}: parameter {name!r} has shape {p.data.shape}, "
+                                      f"the universal teacher's {expected}")
         teachers[teacher.domain] = teacher
-    ensemble = TeacherEnsemble(teachers, universal)
-    try:
-        ensemble.validate(schemas)
-    except ValueError as exc:
-        raise CheckpointError(f"{teacher_dir}: {exc}") from None
-    return ensemble
+    missing = [domain for domain in domains if domain not in teachers]
+    if missing:
+        raise CheckpointError(f"{teacher_dir}: no teacher for domain {missing[0]!r}")
+    hidden = universal.config.hidden_size
+    if config.alpha2 > 0 and config.epochs > 0 and config.model.hidden_size != hidden:
+        raise UsageError(f"model.hidden_size is {config.model.hidden_size}, but the teachers in {teacher_dir} "
+                         f"have {hidden}; with alpha2 > 0 the student's action must match theirs")
+    return TeacherEnsemble(teachers, universal)
 
 
 def _train_and_save(data_dir: Path, teacher_dir: Path, config: TrainingConfig, path: Path,
@@ -321,7 +332,7 @@ def _train_and_save(data_dir: Path, teacher_dir: Path, config: TrainingConfig, p
     # The ensemble is a temporary, freed once every turn's targets are
     # computed, so training holds only the student and its optimizer; a
     # local name for it would keep it alive until this function returns.
-    data = distillation_data(train, load_ensemble(teacher_dir, train.schemas, in_vocab, out_vocab),
+    data = distillation_data(train, load_ensemble(teacher_dir, train.schemas, in_vocab, out_vocab, config),
                              in_vocab, out_vocab, config)
     student, stats = fit_student(data, in_vocab, out_vocab, config, log_path)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -542,7 +553,7 @@ def cmd_chat(args, stdin=None, stdout=None) -> int:
             say("(history cleared)")
             continue
         if delex is not None:
-            tokens, _, matches = delex.with_matches(line)
+            tokens, matches = delex.with_matches(line)
             for tag, value in matches:
                 domain, slot = split_placeholder(tag, corpus.schemas) or (None, None)
                 if domain is not None and slot in corpus.schemas[domain].informable:

@@ -57,14 +57,13 @@ class Delexicalizer:
         for entries in self._by_first.values():
             entries.sort(key=lambda item: (-len(item[0]), item[1]))
 
-    def __call__(self, text: str) -> tuple[list[str], set[str]]:
-        return self.with_matches(text)[:2]
+    def __call__(self, text: str) -> list[str]:
+        return self.with_matches(text)[0]
 
-    def with_matches(self, text: str) -> tuple[list[str], set[str], list[tuple[str, str]]]:
+    def with_matches(self, text: str) -> tuple[list[str], list[tuple[str, str]]]:
         """Delexicalize and also report (placeholder, matched surface form) pairs."""
         tokens = text.lower().split()
         out: list[str] = []
-        seen: set[str] = set()
         matches: list[tuple[str, str]] = []
         i = 0
         while i < len(tokens):
@@ -79,7 +78,6 @@ class Delexicalizer:
             else:
                 cand, tag = hit
                 out.append(tag)
-                seen.add(tag)
                 matches.append((tag, " ".join(cand)))
                 i += len(cand)
-        return out, seen, matches
+        return out, matches

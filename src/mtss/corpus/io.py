@@ -66,7 +66,6 @@ def _corpus_to_dict(corpus: Corpus) -> dict:
                         "system": " ".join(t.system),
                         "domain": t.domain,
                         "belief": t.belief,
-                        "placeholders": sorted(t.placeholders),
                     }
                     for t in e.turns
                 ],
@@ -99,7 +98,6 @@ def _corpus_from_dict(doc: dict) -> Corpus:
                 system=t["system"].split(),
                 domain=t["domain"],
                 belief=t.get("belief", {}),
-                placeholders=t.get("placeholders", []),
             )
             for t in raw["turns"]
         ]
@@ -253,15 +251,12 @@ def _from_multiwoz(raw, schemas: dict[str, DomainSchema], database: Database,
                 domain = sorted(changed)[0] if changed else None
             if domain is None:
                 domain = prev_domain if prev_domain in schemas else GENERAL_DOMAIN
-            user_tokens, _ = delex(user_entry.get("text", ""))
-            system_tokens, placeholders = delex(system_entry.get("text", ""))
             turns.append(
                 Turn(
-                    user=user_tokens,
-                    system=system_tokens,
+                    user=delex(user_entry.get("text", "")),
+                    system=delex(system_entry.get("text", "")),
                     domain=domain,
                     belief={d: dict(s) for d, s in belief.items()},
-                    placeholders=sorted(placeholders),
                 )
             )
             prev_belief = belief

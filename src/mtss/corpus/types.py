@@ -59,15 +59,13 @@ class Database:
 class Turn:
     """One exchange: delexicalized user and system token sequences.
 
-    ``belief`` is cumulative up to and including this turn. ``placeholders``
-    is the set of entity placeholders present in the gold system response.
+    ``belief`` is cumulative up to and including this turn.
     """
 
     user: list[str]
     system: list[str]
     domain: str
     belief: dict[str, dict[str, str]] = field(default_factory=dict)
-    placeholders: list[str] = field(default_factory=list)
 
 
 @dataclass

@@ -15,7 +15,7 @@ from collections import Counter
 from dataclasses import asdict, dataclass, field
 from typing import Iterable, Mapping, Sequence
 
-from mtss.corpus import Corpus, CorpusError, DomainSchema, query_db
+from mtss.corpus import Corpus, DomainSchema, query_db
 from mtss.corpus.delex import placeholder
 
 Tokens = Sequence[str]
@@ -169,6 +169,7 @@ def score_corpus(corpus: Corpus, generated: GeneratedMap) -> MetricReport:
     overall one. Each goal domain of an episode is then judged from the
     placeholders of the episode's turns in that domain; the episode informs
     (succeeds) iff every goal domain does. Rows are in sorted domain order.
+    ``Corpus.validate`` has checked that every goal domain is a schema domain.
     """
     overall, rows = _Tally(), {}
     informed = succeeded = 0
@@ -184,8 +185,6 @@ def score_corpus(corpus: Corpus, generated: GeneratedMap) -> MetricReport:
             emitted.setdefault(turn.domain, set()).update(said)
         judged = []
         for domain, goal in episode.goal.items():
-            if domain not in corpus.schemas:
-                raise CorpusError(f"{episode.episode_id}: goal references unknown domain {domain!r}")
             said = emitted.get(domain, set())
             inform = not goal.offer or (
                 placeholder(domain, offer_slot(corpus.schemas[domain])) in said

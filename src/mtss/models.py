@@ -311,15 +311,6 @@ class TeacherModel(_SeqModel):
     def _extra_save_meta(self) -> dict:
         return {"state_size": self.state_size, "domain": self.domain}
 
-    def check_shaped_like(self, universal: "TeacherModel") -> None:
-        """Raises ``ValueError`` naming the first parameter whose shape
-        differs from the universal teacher's."""
-        for name, p in self.params.items():
-            expected = universal.params[name].data.shape
-            if p.data.shape != expected:
-                raise ValueError(f"teacher {self.domain!r} parameter {name!r} has shape {p.data.shape}, "
-                                 f"the universal teacher's {expected}")
-
 
 def ensemble_domains(schemas: dict[str, DomainSchema]) -> list[str]:
     """The domains of a teacher ensemble, in training order: every schema
@@ -329,24 +320,13 @@ def ensemble_domains(schemas: dict[str, DomainSchema]) -> list[str]:
 
 @dataclass
 class TeacherEnsemble:
-    """The universal teacher and the complete ``{domain: teacher}`` map; the
-    teacher of a turn is ``teachers[turn.domain]``."""
+    """The universal teacher and the ``{domain: teacher}`` map over
+    ``ensemble_domains``; the teacher of a turn is ``teachers[turn.domain]``.
+    ``train_teacher_ensemble`` builds it complete, and ``cli.load_ensemble``
+    judges one read from a directory."""
 
     teachers: dict[str, TeacherModel]
     universal: TeacherModel
-
-    def validate(self, schemas: dict[str, DomainSchema]) -> None:
-        """Exactly one teacher per domain of ``ensemble_domains(schemas)``,
-        each shaped like the universal teacher; raises ``ValueError``."""
-        domains = ensemble_domains(schemas)
-        for domain in domains:
-            if domain not in self.teachers:
-                raise ValueError(f"no teacher for domain {domain!r}")
-        for domain, teacher in self.teachers.items():
-            if domain not in domains:
-                raise ValueError(f"teacher for domain {domain!r}, which is not in the schemas "
-                                 f"or {GENERAL_DOMAIN!r}")
-            teacher.check_shaped_like(self.universal)
 
 
 # ``generate_responses`` encodes and decodes its turns in runs of DECODE_ROWS

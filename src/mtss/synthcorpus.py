@@ -181,10 +181,8 @@ class _EpisodeBuilder:
         self.goal: dict[str, DomainGoal] = {}
 
     def _emit(self, user: str, system: str, domain: str) -> None:
-        user_tokens, _ = self.delex(user)
-        system_tokens, placeholders = self.delex(system)
         belief_copy = {d: dict(slots) for d, slots in self.belief.items()}
-        self.turns.append(Turn(user_tokens, system_tokens, domain, belief_copy, sorted(placeholders)))
+        self.turns.append(Turn(self.delex(user), self.delex(system), domain, belief_copy))
 
     def _count_phrase(self, domain: str) -> str:
         constraints = self.belief.get(domain, {})

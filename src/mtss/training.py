@@ -37,7 +37,8 @@ log = logging.getLogger(__name__)
 
 
 class TrainingDivergenceError(RuntimeError):
-    """Loss became non-finite; the message carries the state dump."""
+    """A training step overflowed or its loss became non-finite; the message
+    names the model, epoch, episode and turn."""
 
 
 @dataclass(frozen=True)
@@ -53,7 +54,6 @@ class TrainingConfig:
     teacher_epochs: int = 6
     finetune_epochs: int = 3
     val_fraction: float = 0.1
-    select_best: bool = True
     max_decode_len: int = 30
     model: ModelConfig = field(default_factory=ModelConfig)
 
@@ -67,8 +67,6 @@ class TrainingConfig:
         for name in ("seed", "epochs", "teacher_epochs", "finetune_epochs"):
             check_count(name, getattr(self, name), 0)
         check_count("max_decode_len", self.max_decode_len, 1)
-        if not isinstance(self.select_best, bool):
-            raise ValueError(f"select_best must be true or false, got {self.select_best!r}")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -139,8 +137,6 @@ def kd_policy_loss(tape: Tape, teacher_action: np.ndarray, student_action: Tenso
 def combined_loss(tape: Tape, j_nll: Tensor, j_kd: Tensor | None, j_kd_policy: Tensor | None,
                   alpha1: float, alpha2: float) -> Tensor:
     """j_nll + alpha1 * j_kd + alpha2 * j_kd_policy; degenerates to j_nll exactly."""
-    if alpha1 < 0 or alpha2 < 0:
-        raise ValueError("loss weights must be non-negative")
     total = j_nll
     if alpha1 != 0.0 and j_kd is not None:
         total = tape.add(total, tape.scale(j_kd, alpha1))
@@ -198,22 +194,26 @@ def _epoch(
     label: str,
     losses: Losses,
 ) -> EpochStats:
-    """One pass over the items in a fresh random order, one Adam step per turn."""
+    """One pass over the items in a fresh random order, one Adam step per
+    turn. A non-finite loss, or an overflow or invalid operation anywhere in
+    a step, is a divergence."""
     start = time.monotonic()
     sums = [0.0, 0.0, 0.0, 0.0]
     for index in rng.permutation(len(items)):
         item = items[index]
         tape = Tape()
-        terms = losses(tape, index, item)
-        value = terms[-1].item()
-        if not np.isfinite(value):
-            raise TrainingDivergenceError(
-                f"{label} diverged at epoch {epoch}, episode {item.episode_id} "
-                f"turn {item.turn_index}: loss={value!r}"
-            )
-        optimizer.zero_grad()
-        tape.backward(terms[-1])
-        optimizer.step()
+        try:
+            with np.errstate(over="raise", invalid="raise"):
+                terms = losses(tape, index, item)
+                value = terms[-1].item()
+                if not np.isfinite(value):
+                    raise FloatingPointError(f"loss={value!r}")
+                optimizer.zero_grad()
+                tape.backward(terms[-1])
+                optimizer.step()
+        except FloatingPointError as exc:
+            raise TrainingDivergenceError(f"{label} diverged at epoch {epoch}, episode {item.episode_id} "
+                                          f"turn {item.turn_index}: {exc}") from None
         for k, term in enumerate(terms):
             sums[k] += term.item() if term is not None else 0.0
     n = max(1, len(items))
@@ -314,8 +314,6 @@ def finetune_domain_teacher(
         return model, []
 
     def validation_recall(record: EpochStats | None = None) -> float | None:
-        if not config.select_best:
-            return None
         generated = generate_responses(model, val_bucket, out_vocab, config.max_decode_len)
         recall = mean_entity_recall(
             (generated[(item.episode_id, item.turn_index)], out_vocab.decode(item.gold_ids))
@@ -342,8 +340,6 @@ def train_teacher_ensemble(
     """Universal teacher on all training turns, then one fine-tuned teacher
     per domain bucket. Each split is prepared once and shared by every teacher.
     """
-    if not corpus.episodes:
-        raise ValueError("cannot train on an empty corpus")
     train_part, val_part = split_train_val(corpus, config.val_fraction)
     items = prepare_turns(train_part, in_vocab, out_vocab)
     val_items = prepare_turns(val_part, in_vocab, out_vocab)
@@ -359,9 +355,7 @@ def train_teacher_ensemble(
             [i for i in val_items if i.domain == domain],
             out_vocab, config, log_path,
         )
-    ensemble = TeacherEnsemble(teachers, universal)
-    ensemble.validate(corpus.schemas)
-    return ensemble, all_stats
+    return TeacherEnsemble(teachers, universal), all_stats
 
 
 # -- student training -----------------------------------------------------------------
@@ -394,17 +388,18 @@ def distillation_data(
     out_vocab: Vocabulary,
     config: TrainingConfig,
 ) -> DistillationData:
-    """The targets phase of ``train_student``: split and prepare the corpus,
-    then run the teacher of each training turn's domain teacher-forced on
-    the oracle state, once. Every epoch reads these targets, so no teacher
-    is needed once this returns. They are dense, turns × gold length × V_out
-    float64 values (ROADMAP item 10); recomputing them each epoch instead
-    made train_student 4.4% slower (CHANGES.md, "Losses on
-    log-probabilities"). With both weights zero, or no epoch to train, no
-    teacher runs.
+    """The targets phase of distilling the ensemble into one HRED student:
+    split and prepare the corpus, then run the teacher of each training
+    turn's domain teacher-forced on the oracle state, once. Every epoch of
+    ``fit_student`` reads these targets, so no teacher is needed once this
+    returns: a caller that passes the only reference to a temporary ensemble
+    frees it before the student is built, as ``mtss train-student`` does.
+    The targets are dense, turns × gold length × V_out float64 values
+    (ROADMAP item 10); recomputing them each epoch instead made student
+    training 4.4% slower (CHANGES.md, "Losses on log-probabilities"). With
+    both weights zero (the plain history-only baseline), or no epoch to
+    train, no teacher runs.
     """
-    if not corpus.episodes:
-        raise ValueError("cannot train on an empty corpus")
     train_part, val_part = split_train_val(corpus, config.val_fraction)
     # Only a teacher reads oracle states, and only for the targets, so each
     # turn's state is dropped once its targets exist.
@@ -427,9 +422,9 @@ def fit_student(
     config: TrainingConfig,
     log_path=None,
 ) -> tuple[StudentModel, list[EpochStats]]:
-    """The training phase of ``train_student``: the student runs
-    teacher-forced on the raw history, and the combined loss backpropagates
-    into student parameters only."""
+    """The training phase, on the targets of ``distillation_data``: the
+    student runs teacher-forced on the raw history, and the combined loss
+    backpropagates into student parameters only."""
     student = StudentModel(
         config.model, len(in_vocab), len(out_vocab),
         seed=int(np.random.default_rng([config.seed, 10]).integers(2**31)),
@@ -451,7 +446,7 @@ def fit_student(
         )
 
     def score(record: EpochStats) -> tuple | None:
-        if not config.select_best or not data.val_part.episodes:
+        if not data.val_part.episodes:
             return None
         generated = generate_responses(student, data.val_items, out_vocab, config.max_decode_len)
         report = score_corpus(data.val_part, generated)
@@ -460,25 +455,6 @@ def fit_student(
 
     return student, _fit(student, data.items, config.epochs, rng, "student", losses, config,
                          log_path, score)
-
-
-def train_student(
-    corpus: Corpus,
-    ensemble: TeacherEnsemble,
-    in_vocab: Vocabulary,
-    out_vocab: Vocabulary,
-    config: TrainingConfig,
-    log_path=None,
-) -> tuple[StudentModel, list[EpochStats]]:
-    """Distill the teacher ensemble into one HRED student: the targets phase
-    (``distillation_data``), then the training phase (``fit_student``). With
-    both weights zero this is the plain history-only baseline and no
-    teacher runs. A caller that passes the only reference to a temporary
-    ensemble to ``distillation_data`` itself frees the ensemble before the
-    student is built, as ``mtss train-student`` does.
-    """
-    return fit_student(distillation_data(corpus, ensemble, in_vocab, out_vocab, config),
-                       in_vocab, out_vocab, config, log_path)
 
 
 # -- evaluation ---------------------------------------------------------------------

@@ -20,7 +20,8 @@ import pytest
 
 from helpers import count_context_steps, memo_free_reply, tape_greedy, traced_peak, track_memos
 from mtss import cli, models, training
-from mtss.cli import EXIT_DATA, EXIT_INTERRUPTED, EXIT_OK, EXIT_USAGE, build_parser, cmd_chat, main
+from mtss.cli import (EXIT_DATA, EXIT_DIVERGED, EXIT_INTERRUPTED, EXIT_OK, EXIT_USAGE, build_parser, cmd_chat,
+                      main)
 from mtss.corpus import (Corpus, Database, Delexicalizer, DomainSchema, EntityRecord, Episode, Turn,
                          build_vocab, load_corpus, load_vocab, save_corpus)
 from mtss.diffnum import Tape, load_checkpoint, save_checkpoint
@@ -188,7 +189,8 @@ class TestTrainTeachers:
         data, max_len = workspace / "data", TINY_TRAIN["max_decode_len"]
         train, in_vocab, out_vocab = cli._load_prepared(data)
         test = load_corpus(data / "corpus_test.json")
-        ensemble = cli.load_ensemble(workspace / "teachers", train.schemas, in_vocab, out_vocab)
+        ensemble = cli.load_ensemble(workspace / "teachers", train.schemas, in_vocab, out_vocab,
+                                     TrainingConfig.from_dict(TINY_TRAIN))
         decoded, decode = [], TeacherModel.decode_greedy
 
         def counted_decode(self, actions, *args):
@@ -220,7 +222,8 @@ class TestTrainTeachers:
         data = workspace / "data"
         train, in_vocab, out_vocab = cli._load_prepared(data)
         test = load_corpus(data / "corpus_test.json")
-        ensemble = cli.load_ensemble(workspace / "teachers", train.schemas, in_vocab, out_vocab)
+        ensemble = cli.load_ensemble(workspace / "teachers", train.schemas, in_vocab, out_vocab,
+                                     TrainingConfig.from_dict(TINY_TRAIN))
         prepared, prepare_turns = [], cli.prepare_turns
 
         def counted(corpus, *args):
@@ -310,6 +313,29 @@ class TestTrainStudent:
         assert code == EXIT_USAGE
         assert len(err.strip().splitlines()) == 1 and "MTSS_THREADS" in err
         assert not (tmp_path / "sweep").exists()
+
+    @pytest.mark.parametrize("alpha2,expected", [(0.005, EXIT_USAGE), (0.0, EXIT_OK)])
+    def test_a_student_of_another_hidden_size_needs_alpha2_zero(self, workspace, tmp_path, capsys, monkeypatch,
+                                                              alpha2, expected):
+        """J_KD_pi pulls the student's action toward its teacher's, so with
+        alpha2 > 0 a student whose hidden size is not the teachers' is one
+        usage line, before any teacher target is computed. With alpha2 = 0
+        it trains, distilling the text-level targets only."""
+        computed, targets = [], training._teacher_targets
+        monkeypatch.setattr(training, "_teacher_targets", lambda *args: computed.append(args) or targets(*args))
+        config = {**TINY_TRAIN, "epochs": 1, "alpha1": 0.005, "alpha2": alpha2,
+                  "model": {**TINY_TRAIN["model"], "hidden_size": 12}}
+        out = tmp_path / "out"
+        code = main(["train-student", "--data", str(workspace / "data"), "--teachers", str(workspace / "teachers"),
+                     "--config", _write(tmp_path / "train.json", config), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == expected
+        if expected == EXIT_USAGE:
+            assert len(err.strip().splitlines()) == 1 and "hidden_size is 12" in err and "have 8" in err
+            assert not computed and not (out / "student.ckpt").exists()
+        else:
+            assert not err and computed
+            assert load_model(out / "student.ckpt")[0].config.hidden_size == 12
 
     def test_missing_teachers_is_data_error(self, workspace, tmp_path):
         code = main(["train-student", "--data", str(workspace / "data"),
@@ -478,15 +504,19 @@ def _teachers_with_other_size(workspace, tmp_path) -> str:
     return str(teachers)
 
 
-def _teachers_edited(workspace, tmp_path, drop=(), duplicate=()) -> str:
-    """The workspace teachers without the checkpoints of the ``drop`` domains
-    and with a second checkpoint for each ``duplicate`` domain."""
+def _teachers_edited(workspace, tmp_path, drop=(), duplicate=(), foreign=()) -> str:
+    """The workspace teachers without the checkpoints of the ``drop`` domains,
+    with a second checkpoint for each ``duplicate`` domain, and with a copy
+    of the generic teacher whose manifest names each ``foreign`` domain."""
     teachers = tmp_path / "teachers"
     shutil.copytree(workspace / "teachers", teachers)
     for domain in drop:
         (teachers / f"teacher_{domain}.ckpt").unlink()
     for domain in duplicate:
         shutil.copy(teachers / f"teacher_{domain}.ckpt", teachers / f"teacher_{domain}_again.ckpt")
+    for domain in foreign:
+        arrays, meta = load_checkpoint(teachers / "teacher_general.ckpt")
+        save_checkpoint(teachers / f"teacher_{domain}.ckpt", arrays, {**meta, "domain": domain})
     return str(teachers)
 
 
@@ -663,6 +693,8 @@ MALFORMED_INPUTS = [
         _teachers_edited(ws, tmp, drop=["hotel"]), ws, tmp), _at("teachers")),
     ("teachers-with-two-for-hotel", EXIT_DATA, lambda ws, tmp: _train_student_with(
         _teachers_edited(ws, tmp, duplicate=["hotel"]), ws, tmp), _at("teachers/teacher_hotel_again.ckpt")),
+    ("teacher-domain-off-the-schemas", EXIT_DATA, lambda ws, tmp: _train_student_with(
+        _teachers_edited(ws, tmp, foreign=["weather"]), ws, tmp), _at("teachers/teacher_weather.ckpt")),
     ("init-scale-not-a-number", EXIT_USAGE, lambda ws, tmp: _train_teachers_with(
         {"model": {**TINY_TRAIN["model"], "init_scale": "big"}}, ws, tmp), _at("train.json")),
     ("init-scale-overflows", EXIT_USAGE, lambda ws, tmp: _train_teachers_with(
@@ -683,8 +715,10 @@ MALFORMED_INPUTS = [
         _at("train.json")),
     ("fractional-seed", EXIT_USAGE, lambda ws, tmp: _train_teachers_with({"seed": 1.5}, ws, tmp),
         _at("train.json")),
-    ("select-best-not-a-bool", EXIT_USAGE, lambda ws, tmp: _train_teachers_with({"select_best": "no"}, ws, tmp),
+    ("select-best-is-a-stale-key", EXIT_USAGE, lambda ws, tmp: _train_teachers_with({"select_best": True}, ws, tmp),
         _at("train.json")),
+    ("lr-overflows-a-step", EXIT_DIVERGED, lambda ws, tmp: _train_teachers_with({"lr": 1e300}, ws, tmp),
+        lambda ws, tmp: "teacher-all diverged at epoch 1, episode"),
     ("negative-seed-flag", EXIT_USAGE, lambda ws, tmp: [
         "train-teachers", "--data", str(ws / "data"), "--out", str(tmp / "out"),
         "--config", str(ws / "train.json"), "--seed", "-3"], None),
@@ -820,7 +854,7 @@ def _training_config_sweep(ws, tmp):
     trains no epoch, so an accepted mutant stays cheap."""
     path = tmp / "train.json"
     base = {**TINY_TRAIN, "epochs": 0, "teacher_epochs": 0, "finetune_epochs": 0}
-    keys = [f.name for f in fields(TrainingConfig) if f.name not in ("select_best", "model")]
+    keys = [f.name for f in fields(TrainingConfig) if f.name != "model"]
     keys += [f"model.{f.name}" for f in fields(ModelConfig)]
     runs = [["train-teachers", "--data", str(ws / "data"), "--out", str(tmp / "out"), "--config", str(path)],
             ["train-student", "--data", str(ws / "data"), "--teachers", str(ws / "teachers"),
@@ -1080,7 +1114,7 @@ class TestChat:
                              EntityRecord("b1", {"time": "dusk", "contact": "333"})],
         })
         turn = Turn("a cab at [taxi_booking_time]".split(), "call [taxi_booking_contact] .".split(),
-                    "taxi_booking", {}, ["[taxi_booking_contact]"])
+                    "taxi_booking")
         corpus = Corpus(schemas, database, [Episode("e0", [turn])])
         save_corpus(corpus, tmp_path / "corpus.json")
         in_vocab, out_vocab = build_vocab(corpus, "input", min_freq=1), build_vocab(corpus, "output")

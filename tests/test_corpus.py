@@ -70,8 +70,8 @@ def database(schemas):
     )
 
 
-def make_turn(user, system, domain, belief=None, placeholders=()):
-    return Turn(user.split(), system.split(), domain, belief or {}, sorted(placeholders))
+def make_turn(user, system, domain, belief=None):
+    return Turn(user.split(), system.split(), domain, belief or {})
 
 
 @pytest.fixture
@@ -86,14 +86,12 @@ def corpus(schemas, database):
                     "i recommend [restaurant_name] .",
                     "restaurant",
                     belief={"restaurant": {"area": "north"}},
-                    placeholders=["[restaurant_name]"],
                 ),
                 make_turn(
                     "what is the phone ?",
                     "the phone is [restaurant_phone] .",
                     "restaurant",
                     belief={"restaurant": {"area": "north"}},
-                    placeholders=["[restaurant_phone]"],
                 ),
             ],
             goal={"restaurant": DomainGoal({"area": "north"}, ["phone"], offer=True)},
@@ -106,7 +104,6 @@ def corpus(schemas, database):
                     "how about [hotel_name] ?",
                     "hotel",
                     belief={"hotel": {"price": "cheap"}},
-                    placeholders=["[hotel_name]"],
                 ),
             ],
             goal={"hotel": DomainGoal({"price": "cheap"}, ["address"], offer=True)},
@@ -117,20 +114,20 @@ def corpus(schemas, database):
 
 class TestDelexicalize:
     def test_direct_substitution(self, schemas, database):
-        tokens, seen = Delexicalizer(schemas, database)("book the golden wok")
+        tokens, matches = Delexicalizer(schemas, database).with_matches("book the golden wok")
         assert tokens == ["book", "the", "[restaurant_name]"]
-        assert seen == {"[restaurant_name]"}
+        assert matches == [("[restaurant_name]", "golden wok")]
 
     def test_no_db_values_pass_through(self, schemas, database):
-        tokens, seen = Delexicalizer(schemas, database)("i would like something nice")
+        tokens, matches = Delexicalizer(schemas, database).with_matches("i would like something nice")
         assert tokens == "i would like something nice".split()
-        assert seen == set()
+        assert matches == []
 
     def test_longest_match_wins(self, schemas, database):
         # "north indian" (food) must beat its prefix "north" (area).
-        tokens, seen = Delexicalizer(schemas, database)("some north indian food")
+        tokens, matches = Delexicalizer(schemas, database).with_matches("some north indian food")
         assert tokens == ["some", "[restaurant_food]", "food"]
-        assert seen == {"[restaurant_food]"}
+        assert matches == [("[restaurant_food]", "north indian")]
 
     def test_longest_match_agrees_with_brute_force(self, schemas, database):
         delex = Delexicalizer(schemas, database)
@@ -146,7 +143,7 @@ class TestDelexicalize:
         words = ["please", "find", "north", "indian", "cheap", "wok", "golden", "the"]
         for _ in range(200):
             text = " ".join(rng.choice(words, size=rng.integers(1, 8)))
-            tokens, _ = delex(text)
+            tokens = delex(text)
             # Brute force: at every position the longest matching surface form wins.
             raw = text.split()
             expected = []
@@ -170,8 +167,8 @@ class TestDelexicalize:
             assert tokens == expected
 
     def test_idempotent(self, schemas, database):
-        once, _ = Delexicalizer(schemas, database)("golden wok in the north")
-        twice, _ = Delexicalizer(schemas, database)(" ".join(once))
+        once = Delexicalizer(schemas, database)("golden wok in the north")
+        twice = Delexicalizer(schemas, database)(" ".join(once))
         assert once == twice
 
 
@@ -340,6 +337,17 @@ class TestCorpusIO:
         save_corpus(corpus, path)
         assert load_corpus(path) == corpus
 
+    def test_a_file_with_turn_placeholders_still_loads(self, corpus, tmp_path):
+        # Corpus files once listed each turn's gold placeholders; nothing reads them.
+        path = tmp_path / "corpus.json"
+        save_corpus(corpus, path)
+        doc = json.loads(path.read_text())
+        for episode in doc["episodes"]:
+            for turn in episode["turns"]:
+                turn["placeholders"] = sorted(t for t in turn["system"].split() if t.startswith("["))
+        path.write_text(json.dumps(doc))
+        assert load_corpus(path) == corpus
+
     def test_schema_hash_stable_and_sensitive(self, schemas):
         h1 = schema_hash(schemas)
         assert h1 == schema_hash(dict(reversed(list(schemas.items()))))
@@ -362,10 +370,12 @@ class TestCorpusIO:
         (lambda doc: doc["episodes"][0]["turns"][1].update(belief=["restaurant"]), "belief"),
         (lambda doc: doc["episodes"][0]["goal"]["restaurant"].update(constraints={"area": 3}), "goal"),
         (lambda doc: doc["episodes"][0]["goal"]["restaurant"].update(requested="phone"), "goal"),
+        (lambda doc: doc["episodes"][0]["goal"].update(cinema={"constraints": {}, "requested": []}),
+         "goal domain 'cinema' not in schemas"),
         (lambda doc: doc["database"]["hotel"][0].update(values={"price": ["cheap"]}), "hotel-0"),
     ], ids=["belief-value", "belief-slot-not-informable", "belief-domain", "belief-slots-not-an-object",
             "belief-not-an-object", "goal-constraint-not-a-string", "goal-requested-not-a-list",
-            "record-value-not-a-string"])
+            "goal-domain-off-the-schemas", "record-value-not-a-string"])
     def test_fields_the_models_read_are_checked(self, corpus, tmp_path, edit, match):
         path = tmp_path / "c.json"
         save_corpus(corpus, path)

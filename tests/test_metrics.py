@@ -8,7 +8,6 @@ import pytest
 
 from mtss.corpus import (
     Corpus,
-    CorpusError,
     Database,
     DomainGoal,
     DomainSchema,
@@ -167,9 +166,9 @@ def fixture_corpus():
 
     turns = [
         Turn("i want food in the north".split(), "i recommend [restaurant_name] .".split(),
-             "restaurant", {"restaurant": {"area": "north"}}, ["[restaurant_name]"]),
+             "restaurant", {"restaurant": {"area": "north"}}),
         Turn("what is the phone ?".split(), "the phone is [restaurant_phone] .".split(),
-             "restaurant", {"restaurant": {"area": "north"}}, ["[restaurant_phone]"]),
+             "restaurant", {"restaurant": {"area": "north"}}),
     ]
     goal = {"restaurant": DomainGoal({"area": "north"}, ["phone"], offer=True)}
     corpus = Corpus(schemas, database, [episode("ep", turns, goal)])
@@ -210,12 +209,6 @@ class TestInformSuccess:
         corpus = fixture_corpus()
         corpus.episodes[0].goal["restaurant"].constraints = {"area": "moon"}
         assert inform_success(corpus, generated_like_gold(corpus)) == (0.0, 0.0)
-
-    def test_unknown_goal_domain_errors(self):
-        corpus = fixture_corpus()
-        corpus.episodes[0].goal["cinema"] = DomainGoal({}, [], offer=True)
-        with pytest.raises(CorpusError, match="unknown domain"):
-            inform_success(corpus, generated_like_gold(corpus))
 
     def test_taxi_offer_uses_contact_placeholder(self):
         corpus = fixture_corpus()

@@ -24,13 +24,14 @@ from mtss import models, training
 from mtss.training import (
     TrainingConfig,
     combined_loss,
+    distillation_data,
     finetune_domain_teacher,
+    fit_student,
     kd_policy_loss,
     kd_text_loss,
     nll_loss,
     prepare_turns,
     split_train_val,
-    train_student,
     train_teacher_ensemble,
     train_universal_teacher,
 )
@@ -227,12 +228,6 @@ class TestCombinedLoss:
             total = combined_loss(tape, *parts, a1, a2).item()
             assert total == pytest.approx(vals[0] + a1 * vals[1] + a2 * vals[2], abs=1e-12)
 
-    def test_negative_weights_rejected(self):
-        tape = Tape()
-        j = tape.sum(Tensor([1.0]))
-        with pytest.raises(ValueError):
-            combined_loss(tape, j, j, j, -0.1, 0.0)
-
 
 @pytest.fixture(scope="module")
 def tiny_world():
@@ -286,25 +281,11 @@ class TestRouting:
             return targets(teacher, item)
 
         monkeypatch.setattr(training, "_teacher_targets", recorded_targets)
-        config = TrainingConfig(epochs=1, seed=0, model=TINY, select_best=False)
-        train_student(train, ensemble, in_vocab, out_vocab, config)
+        config = TrainingConfig(epochs=1, seed=0, model=TINY, val_fraction=0.0)
+        fit_student(distillation_data(train, ensemble, in_vocab, out_vocab, config),
+                    in_vocab, out_vocab, config)
         assert all(teacher == tag for teacher, tag in routed)
         assert {tag for _, tag in routed} == set(ensemble_domains(train.schemas))
-
-    def test_missing_teacher_for_tagged_domain_errors(self, tiny_world):
-        schemas = tiny_world[0].schemas
-        ensemble = tiny_ensemble(schemas)
-        ensemble.validate(schemas)
-        del ensemble.teachers["hotel"]
-        with pytest.raises(ValueError, match="no teacher for domain 'hotel'"):
-            ensemble.validate(schemas)
-
-    def test_teacher_for_unknown_domain_errors(self, tiny_world):
-        schemas = tiny_world[0].schemas
-        ensemble = tiny_ensemble(schemas)
-        ensemble.teachers["weather"] = ensemble.teachers["general"]
-        with pytest.raises(ValueError, match="'weather'"):
-            ensemble.validate(schemas)
 
 
 class TestTeacherTraining:
@@ -355,7 +336,6 @@ class TestTeacherTraining:
         config = TrainingConfig(teacher_epochs=1, finetune_epochs=1, model=TINY, seed=2)
         ensemble, _ = train_teacher_ensemble(train, in_vocab, out_vocab, config)
         assert list(ensemble.teachers) == ensemble_domains(train.schemas) == sorted(train.schemas) + ["general"]
-        ensemble.validate(train.schemas)
 
     def test_ensemble_prepares_each_split_once(self, tiny_world, monkeypatch):
         train, _, in_vocab, out_vocab = tiny_world
@@ -433,11 +413,12 @@ class TestStudentTraining:
         train, _, in_vocab, out_vocab = tiny_world
         config = TrainingConfig(
             epochs=3, teacher_epochs=1, finetune_epochs=0, lr=0.01, seed=3,
-            model=TINY, select_best=False,
+            model=TINY, val_fraction=0.0,
         )
         ensemble, _ = train_teacher_ensemble(train, in_vocab, out_vocab, config)
         before = {d: param_bytes(t) for d, t in ensemble.teachers.items()}
-        student, stats = train_student(train, ensemble, in_vocab, out_vocab, config)
+        student, stats = fit_student(distillation_data(train, ensemble, in_vocab, out_vocab, config),
+                                     in_vocab, out_vocab, config)
         assert stats[-1].total < stats[0].total
         assert all(param_bytes(ensemble.teachers[d]) == b for d, b in before.items())
         assert stats[0].kd_text > 0.0 and stats[0].kd_policy > 0.0
@@ -447,11 +428,13 @@ class TestStudentTraining:
         # weights zero the run matches a student trained with no ensemble.
         train, _, in_vocab, out_vocab = tiny_world
         config = TrainingConfig(
-            epochs=1, alpha1=0.0, alpha2=0.0, seed=5, model=TINY, select_best=False
+            epochs=1, alpha1=0.0, alpha2=0.0, seed=5, model=TINY, val_fraction=0.0
         )
         ensemble = tiny_ensemble(train.schemas, len(in_vocab), len(out_vocab))
-        student_a, stats = train_student(train, ensemble, in_vocab, out_vocab, config)
-        student_b, _ = train_student(train, ensemble, in_vocab, out_vocab, config)
+        student_a, stats = fit_student(distillation_data(train, ensemble, in_vocab, out_vocab, config),
+                                       in_vocab, out_vocab, config)
+        student_b, _ = fit_student(distillation_data(train, ensemble, in_vocab, out_vocab, config),
+                                   in_vocab, out_vocab, config)
         assert param_bytes(student_a) == param_bytes(student_b)
         assert stats[0].kd_text == 0.0 and stats[0].kd_policy == 0.0
         assert stats[0].total == stats[0].nll
@@ -465,7 +448,8 @@ class TestStudentTraining:
         prepare = training.prepare_turns
 
         def train_and_save(name):
-            student, _ = train_student(train, ensemble, in_vocab, out_vocab, config)
+            student, _ = fit_student(distillation_data(train, ensemble, in_vocab, out_vocab, config),
+                                     in_vocab, out_vocab, config)
             student.save(tmp_path / name, train.schemas, in_vocab, out_vocab, config.to_dict())
             return (tmp_path / name).read_bytes()
 
@@ -486,8 +470,10 @@ class TestStudentTraining:
             epochs=2, teacher_epochs=1, finetune_epochs=1, seed=11, model=TINY
         )
         ensemble, _ = train_teacher_ensemble(train, in_vocab, out_vocab, config)
-        student_a, _ = train_student(train, ensemble, in_vocab, out_vocab, config)
-        student_b, _ = train_student(train, ensemble, in_vocab, out_vocab, config)
+        student_a, _ = fit_student(distillation_data(train, ensemble, in_vocab, out_vocab, config),
+                                   in_vocab, out_vocab, config)
+        student_b, _ = fit_student(distillation_data(train, ensemble, in_vocab, out_vocab, config),
+                                   in_vocab, out_vocab, config)
         assert param_bytes(student_a) == param_bytes(student_b)
 
     def test_teacher_cache_does_not_change_results(self, tiny_world, monkeypatch):
@@ -508,8 +494,9 @@ class TestStudentTraining:
 
         monkeypatch.setattr(training, "_teacher_targets", counted_targets)
         monkeypatch.setattr(training, "kd_text_loss", recorded_kd_text)
-        config = TrainingConfig(epochs=2, seed=6, model=TINY, select_best=False)
-        train_student(train, ensemble, in_vocab, out_vocab, config)
+        config = TrainingConfig(epochs=2, seed=6, model=TINY, val_fraction=0.0)
+        fit_student(distillation_data(train, ensemble, in_vocab, out_vocab, config),
+                    in_vocab, out_vocab, config)
 
         items = prepare_turns(split_train_val(train, config.val_fraction)[0], in_vocab, out_vocab)
         fresh = sorted(targets(ensemble.teachers[item.domain], item)[0].tobytes() for item in items)
@@ -530,7 +517,8 @@ class TestStudentTraining:
 
         monkeypatch.setattr(training, "prepare_turns", counted)
         config = TrainingConfig(epochs=epochs, seed=0, model=TINY)
-        _, stats = train_student(train, ensemble, in_vocab, out_vocab, config)
+        _, stats = fit_student(distillation_data(train, ensemble, in_vocab, out_vocab, config),
+                               in_vocab, out_vocab, config)
         train_part, val_part = split_train_val(train, config.val_fraction)
         # Only the student reads the validation split, so it has no oracle states.
         assert calls == [(len(train_part.episodes), True), (len(val_part.episodes), False)]
@@ -545,9 +533,9 @@ class TestFootprint:
             assert all(p.grad is None for p in teacher.parameter_list()), teacher.domain
 
     def test_training_holds_the_student_and_its_optimizer(self):
-        """Under tracemalloc, the two phases of ``train_student`` run as
-        ``mtss train-student`` runs them (the targets of a temporary
-        ensemble, then training) peak below the student's parameter bytes P
+        """Under tracemalloc, the two phases of student training run as
+        ``mtss train-student`` runs them (``distillation_data`` of a
+        temporary ensemble, then ``fit_student``) peak below the student's parameter bytes P
         times five (the parameters, Adam's m and v, the gradients and one
         best snapshot), plus Adam's scratch (the largest parameter, 0.38 P),
         plus 0.6 P of slack for one step's tape and the targets. One-turn
