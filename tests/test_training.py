@@ -17,10 +17,10 @@ from mtss.corpus.types import (
     Episode,
     Turn,
 )
-from mtss.diffnum import Tape, Tensor
+from mtss.diffnum import CheckpointError, Tape, Tensor
 from mtss.models import ModelConfig, StudentModel, TeacherEnsemble, TeacherModel, ensemble_domains
 from mtss.synthcorpus import SynthConfig, gen_corpus
-from mtss import models, training
+from mtss import cli, models, training
 from mtss.training import (
     TrainingConfig,
     combined_loss,
@@ -228,6 +228,12 @@ class TestCombinedLoss:
             total = combined_loss(tape, *parts, a1, a2).item()
             assert total == pytest.approx(vals[0] + a1 * vals[1] + a2 * vals[2], abs=1e-12)
 
+    def test_negative_weights_rejected(self):
+        # The weights are checked once, when the config is built.
+        for weights in ({"alpha1": -0.1}, {"alpha2": -0.1}):
+            with pytest.raises(ValueError, match="alpha"):
+                TrainingConfig(**weights)
+
 
 @pytest.fixture(scope="module")
 def tiny_world():
@@ -286,6 +292,20 @@ class TestRouting:
                     in_vocab, out_vocab, config)
         assert all(teacher == tag for teacher, tag in routed)
         assert {tag for _, tag in routed} == set(ensemble_domains(train.schemas))
+
+    def test_missing_teacher_for_tagged_domain_errors(self, tiny_world, tmp_path):
+        # A teacher directory is judged when it is loaded: each domain needs its teacher.
+        train, _, in_vocab, out_vocab = tiny_world
+        ensemble = tiny_ensemble(train.schemas, len(in_vocab), len(out_vocab))
+        ensemble.universal.save(tmp_path / "universal.ckpt", train.schemas, in_vocab, out_vocab, {})
+        for domain, teacher in ensemble.teachers.items():
+            teacher.save(tmp_path / f"teacher_{domain}.ckpt", train.schemas, in_vocab, out_vocab, {})
+        config = TrainingConfig(model=TINY)
+        loaded = cli.load_ensemble(tmp_path, train.schemas, in_vocab, out_vocab, config)
+        assert set(loaded.teachers) == set(ensemble_domains(train.schemas))
+        (tmp_path / "teacher_hotel.ckpt").unlink()
+        with pytest.raises(CheckpointError, match="no teacher for domain 'hotel'"):
+            cli.load_ensemble(tmp_path, train.schemas, in_vocab, out_vocab, config)
 
 
 class TestTeacherTraining:
