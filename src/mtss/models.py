@@ -13,7 +13,7 @@ from collections import OrderedDict
 from dataclasses import asdict, dataclass
 from itertools import accumulate
 from pathlib import Path
-from typing import Sequence
+from typing import Container, Sequence
 
 import numpy as np
 
@@ -114,24 +114,30 @@ class _SeqModel:
         starts = accumulate(reads, initial=0)
         return outs, finals, [_output_rows(s, n, len(ids)) for s, n, ids in zip(starts, reads, utterances)]
 
-    def encode_off_tape(self, utterances: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndarray, list[list[int]]]:
+    def encode_off_tape(self, utterances: Sequence[Sequence[int]], attended: Container[int]
+                        ) -> tuple[np.ndarray, np.ndarray, list[list[int]]]:
         """``encode_utterances`` of the utterances as arrays, in as few packed
-        calls as hold at most ``ENCODER_ROWS`` token ids each: the calls'
-        outputs one after another, their final states, and each utterance's
-        rows of the outputs.
+        calls as hold at most ``ENCODER_ROWS`` token ids each: the outputs of
+        the utterances whose indices are in ``attended``, one after another
+        in one array; every utterance's final state; and each utterance's
+        rows of those outputs, empty for one not attended.
         """
-        tape, outs, finals, rows = Tape(record=False), [], [], []
-        start = offset = 0
+        reads = [_read_length(ids) if i in attended else 0 for i, ids in enumerate(utterances)]
+        starts = list(accumulate(reads, initial=0))
+        hidden, tape = self.config.hidden_size, Tape(record=False)
+        outs, finals = np.empty((starts[-1], hidden)), np.empty((len(utterances), hidden))
+        start = 0
         while start < len(utterances):
             end, size = start + 1, len(utterances[start])
             while end < len(utterances) and size + len(utterances[end]) <= ENCODER_ROWS:
                 end, size = end + 1, size + len(utterances[end])
             part, part_finals, part_rows = self.encode_utterances(tape, utterances[start:end])
-            outs.append(part.data)
-            finals.append(part_finals.data)
-            rows += [[offset + r for r in each] for each in part_rows]
-            start, offset = end, offset + len(part.data)
-        return np.concatenate(outs), np.concatenate(finals), rows
+            finals[start:end] = part_finals.data
+            for i, each in enumerate(part_rows, start):
+                outs[starts[i]:starts[i + 1]] = part.data[each[0]:each[0] + reads[i]]
+            start = end
+        return outs, finals, [_output_rows(s, n, len(ids)) if n else []
+                              for s, n, ids in zip(starts, reads, utterances)]
 
     def encode_utterance(self, tape: Tape, token_ids: Sequence[int]) -> tuple[Tensor, Tensor]:
         """Per-token encoder outputs and the final hidden state: the
@@ -295,7 +301,7 @@ class TeacherModel(_SeqModel):
         """
         tape, index = Tape(record=False), {}
         slots = [index.setdefault(turn.user_ids, len(index)) for turn in turns]
-        outs, finals, rows = self.encode_off_tape(list(index))
+        outs, finals, rows = self.encode_off_tape(list(index), range(len(index)))
         actions = [self.action_vector(tape, Tensor(finals[u]), turn.state).data
                    for u, turn in zip(slots, turns)]
         return outs, [rows[u] for u in slots], np.stack(actions)
@@ -336,23 +342,22 @@ class TeacherEnsemble:
 # (one core), decoding took 194, 174, 128 and 134 µs a turn in runs of 256,
 # 512, 1,024 and 2,048 turns, 128 in one run, and 630 one turn at a time:
 # the gain is flat once groups reach about 100 rows. perfbench's 793-turn
-# evaluate split (seed 11) is one run: a pass over it peaked 25.9 MB above
-# its start under tracemalloc and took 150 ms on one core, against 21.6 MB
-# and 183 ms in runs of 512 turns and 19.6 MB and 220 ms in runs of 256.
-# Most of the peak is the packed encoders' buffers (below), so it shrinks
-# more slowly than the runs; a pass that looked each turn up in an encoding
-# memo peaked at 9.6 MB.
+# evaluate split (seed 11) is one run: a pass over it peaked 16.2 MB above
+# its start under tracemalloc and took 126 ms on one core, against 14.7 MB
+# and 157 ms in runs of 512 turns and 13.2 MB and 188 ms in runs of 256.
+# Most of the peak is the one word-encoder call (below), so it shrinks more
+# slowly than the runs; a pass that looked each turn up in an encoding memo
+# peaked at 9.6 MB.
 DECODE_ROWS = 1024
 
 # ``encode_off_tape`` packs at most ENCODER_ROWS token ids into one
 # word-encoder call; a longer utterance gets a call of its own. Until it
-# returns, a call holds about 12 kB a token id at hidden size 150: the
-# per-step buffers that ``lstm_sequence`` keeps for a backward pass.
-# perfbench's evaluate split has 1,761 ids in its distinct utterances, so
-# one call. A run of 1,024 turns whose utterances are all distinct, as
-# MultiWOZ's nearly are (synthetic 7-turn episodes of 11 to 18 ids), peaked
-# at 342 MB in one call and 72 MB in calls of 2,048 ids, against 32 MB
-# looked up in an encoding memo.
+# returns, a call holds about 8.3 kB a token id at hidden size 150, most of
+# it the input projection its steps read. perfbench's evaluate split has
+# 1,761 ids in its distinct utterances, so one call. A run of 1,024 turns
+# whose utterances are all distinct, as MultiWOZ's nearly are (synthetic
+# 7-turn episodes of 11 to 18 ids), peaked at 227 MB in one call and 38 MB
+# in calls of 2,048 ids, against 32 MB looked up in an encoding memo.
 ENCODER_ROWS = 2048
 
 # ``mtss chat`` keeps one memo for the process. A cycle of perfbench's chat
@@ -445,18 +450,19 @@ class StudentModel(_SeqModel):
         (encoder outputs; each turn's rows of them, its current utterance's;
         the (B, H) actions, the context LSTM's h after each history).
 
-        ``encode_off_tape`` encodes the turns' distinct utterances packed, and
-        one packed ``lstm_sequence`` runs the context LSTM over their final
-        states: one sequence per distinct history that begins no other. A
-        history that begins another is read from that one's per-step states,
-        so the turns of an episode cost the steps of its last turn. Histories
-        that share only a beginning each run it.
+        ``encode_off_tape`` encodes the turns' distinct utterances packed and
+        keeps the outputs of their current utterances only, and one packed
+        ``lstm_sequence`` runs the context LSTM over their final states: one
+        sequence per distinct history that begins no other. A history that
+        begins another is read from that one's per-step states, so the turns
+        of an episode cost the steps of its last turn. Histories that share
+        only a beginning each run it.
         """
         if not all(turn.history_ids for turn in turns):
             raise ValueError("history must contain at least the current user utterance")
         tape, index = Tape(record=False), {}
         keys = [tuple(index.setdefault(u, len(index)) for u in turn.history_ids) for turn in turns]
-        outs, finals, rows = self.encode_off_tape(list(index))
+        outs, finals, rows = self.encode_off_tape(list(index), {key[-1] for key in keys})
         # In sorted order a history that begins any other begins the next one,
         # so walking backwards each history is run or read from the next's.
         sequence_of, sequences, following = {}, [], ()

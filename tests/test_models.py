@@ -331,11 +331,20 @@ class TestIncrementalInference:
     def test_encoder_calls_hold_at_most_encoder_rows_ids(self, repeating_setup, monkeypatch):
         """A run's distinct utterances are split between packed calls of at
         most ENCODER_ROWS token ids, or one longer utterance each, in order,
-        and the replies stay the memo-free ones."""
+        and the replies stay the memo-free ones. The encodings a pass holds
+        are the outputs of its distinct current utterances only, each once."""
         items, out_vocab, student = repeating_setup
         distinct = list(dict.fromkeys(u for item in items for u in item.history_ids))
         limit = max(map(len, distinct)) - 1  # the longest utterance is one call of its own
         monkeypatch.setattr(models, "ENCODER_ROWS", limit)
+        outs, rows, _ = student.encode_turns(items)
+        assert sorted({r for turn_rows in rows for r in turn_rows}) == list(range(len(outs)))
+        current = {}
+        for item, turn_rows in zip(items, rows):
+            assert current.setdefault(item.user_ids, turn_rows) == turn_rows
+            enc_outs, _ = student.encode_utterance(Tape(record=False), item.user_ids)
+            assert np.allclose(outs[turn_rows], enc_outs.data, rtol=1e-12, atol=1e-15)
+        assert len(current) < len(distinct)  # some history utterance is never attended
         calls = record_word_encodes(monkeypatch)
         generated = generate_responses(student, items, out_vocab, max_len=8)
         monkeypatch.undo()

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from helpers import grad_check, grad_check_params
+from helpers import grad_check, grad_check_params, traced_peak
 from mtss.diffnum import ShapeMismatchError, Tape, TapeError, Tensor, attend
 from mtss.diffnum.tape import _cell, _cell_grad
 
@@ -49,6 +49,21 @@ class TestForwardValues:
         assert (weights >= 0).all() and abs(weights.sum() - 1.0) <= 1e-12
         assert np.array_equal(cat, np.concatenate([h, weights @ enc]))
         assert merged.shape == (4,) and np.abs(merged).max() < 1.0
+
+    @pytest.mark.parametrize("shape", [(20,), (3, 20)], ids=["vector", "block"])
+    def test_cell_is_the_written_out_formulas(self, shape):
+        """The cell's in-place ufuncs give the bits of the sigmoid's tanh form
+        and of the written-out cell and hidden-state formulas."""
+        rng = np.random.default_rng(43)
+        z, c_prev = rng.normal(scale=3.0, size=shape), rng.normal(size=shape[:-1] + (shape[-1] // 4,))
+        gi, gf, _, go = np.split(0.5 * (1 + np.tanh(0.5 * z)), 4, axis=-1)
+        gc = np.tanh(np.split(z, 4, axis=-1)[2])
+        c = gf * c_prev + gi * gc
+        gates = np.empty(shape)
+        h_got, c_got, tc_got = _cell(z.copy(), c_prev, gates)
+        assert np.array_equal(gates, np.concatenate([gi, gf, gc, go], axis=-1))
+        assert np.array_equal(c_got, c) and np.array_equal(tc_got, np.tanh(c))
+        assert np.array_equal(h_got, go * np.tanh(c))
 
     def test_index_ops_validate_range(self):
         m = Tensor(np.zeros((2, 3)))
@@ -214,6 +229,25 @@ class TestPackedSequences:
         tape.backward(weighted_sum(tape, outs, (g_hs, g_h, g_c)))
         for got, expected in zip([o.data for o in outs] + [p.grad for p in params], reference):
             assert np.array_equal(got, expected)
+
+    @pytest.mark.parametrize("lengths,vector", [
+        ([400], False), ([100] * 4, False), ([40, 1, 100, 60, 20] * 2, False), ([400], True),
+    ], ids=["one-sequence", "equal", "ragged", "vector-h0"])
+    def test_no_record_tape_keeps_only_the_forward(self, lengths, vector):
+        """Off the tape ``lstm_sequence`` returns a recording tape's bits
+        and peaks below the recording call by more than its [x; h_prev]
+        rows: it keeps no buffer that only backward reads."""
+        rng = np.random.default_rng(47)
+        d, h = 6, 16
+        state = (h,) if vector else (len(lengths), h)
+        xs, h0, c0 = rand(rng, sum(lengths), d), rand(rng, *state), rand(rng, *state)
+        w, b = rand(rng, 4 * h, d + h, lo=-0.5, hi=0.5), rand(rng, 4 * h, lo=-0.5, hi=0.5)
+        (recorded, kept), (unrecorded, outs) = (
+            traced_peak(lambda: Tape(record=record).lstm_sequence(xs, h0, c0, w, b, lengths))
+            for record in (True, False))
+        for got, expected in zip(outs, kept):
+            assert np.array_equal(got.data, expected.data)
+        assert unrecorded < recorded - xs.data.shape[0] * (d + h) * 8
 
     @pytest.mark.parametrize("lengths", [[2, 0], [2], [1, 2]], ids=["empty-sequence", "one-length", "wrong-total"])
     def test_lengths_must_cover_the_rows(self, lengths):
