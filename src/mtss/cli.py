@@ -185,6 +185,10 @@ def cmd_prepare(args) -> int:
         inputs += [data_path, schema_path, database_path]
         base = load_corpus(schema_path)
         db_doc = load_corpus(database_path) if schema_path != database_path else base
+        try:  # the database must hold a key for every domain of the schemas
+            Corpus(base.schemas, db_doc.database, []).validate()
+        except CorpusError as exc:
+            raise CorpusError(f"{database_path}: {exc}") from None
         test_ids: set[str] = set()
         if args.test_list:
             test_ids = read_input(args.test_list, lambda text: set(text.split()))
@@ -511,9 +515,7 @@ def lexicalize(tokens: list[str], corpus: Corpus, belief: dict) -> list[str]:
             s: v for s, v in belief.get(domain, {}).items()
             if s in corpus.schemas[domain].informable
         }
-        matches = query_db(corpus.database, domain, constraints)
-        if not matches:
-            matches = corpus.database.records.get(domain, [])
+        matches = query_db(corpus.database, domain, constraints) or corpus.database.records[domain]
         if matches and slot in matches[0].values:
             out.append(matches[0].values[slot])
         else:

@@ -53,22 +53,6 @@ def _zeros(*shape: int) -> Tensor:
     return Tensor(np.zeros(shape))
 
 
-def _read_length(token_ids: Sequence[int]) -> int:
-    """How many tokens the encoder reads: up to and including the first EOS."""
-    if len(token_ids) == 0:
-        raise ValueError("cannot encode an empty id sequence")
-    for t, token in enumerate(token_ids):
-        if token == EOS_ID:
-            return t + 1
-    return len(token_ids)
-
-
-def _output_rows(start: int, read: int, size: int) -> list[int]:
-    """Encoder output rows for a ``size``-token utterance whose ``read``
-    tokens were encoded from row ``start``: positions past EOS repeat its state."""
-    return list(range(start, start + read)) + [start + read - 1] * (size - read)
-
-
 class _SeqModel:
     """Parameter bookkeeping and the decoder shared by teacher and student."""
 
@@ -96,34 +80,30 @@ class _SeqModel:
     # -- word-level utterance encoder ------------------------------------------
 
     def encode_utterances(self, tape: Tape, utterances: Sequence[Sequence[int]],
-                          vector: bool = False) -> tuple[Tensor, Tensor, list[list[int]]]:
-        """Encode the utterances in one packed ``lstm_sequence``, each read up
-        to and including its first EOS.
+                          vector: bool = False) -> tuple[Tensor, Tensor, list[int]]:
+        """Encode the utterances in one packed ``lstm_sequence``, reading every id.
 
-        Returns (the hidden state after each read token, utterance after
-        utterance; the final hidden state of each utterance, one row per
-        utterance, or with ``vector`` a vector for the one utterance; each
-        utterance's rows of the first, one per token, where positions past
-        EOS repeat its state).
+        Returns (the hidden state after each id, utterance after utterance,
+        so each utterance has a block of one row per id; the final hidden
+        state of each utterance, one row per utterance, or with ``vector`` a
+        vector for the one utterance; the row each block starts at).
         """
-        hidden = self.config.hidden_size
-        reads = [_read_length(ids) for ids in utterances]
-        emb = tape.take_rows(self.params["embed_in"], [t for ids, n in zip(utterances, reads) for t in ids[:n]])
+        hidden, lengths = self.config.hidden_size, [len(ids) for ids in utterances]
+        emb = tape.take_rows(self.params["embed_in"], [t for ids in utterances for t in ids])
         zeros = _zeros(hidden) if vector else _zeros(len(utterances), hidden)
-        outs, finals, _ = tape.lstm_sequence(emb, zeros, zeros, self.params["enc_w"], self.params["enc_b"], reads)
-        starts = accumulate(reads, initial=0)
-        return outs, finals, [_output_rows(s, n, len(ids)) for s, n, ids in zip(starts, reads, utterances)]
+        outs, finals, _ = tape.lstm_sequence(emb, zeros, zeros, self.params["enc_w"], self.params["enc_b"], lengths)
+        return outs, finals, list(accumulate(lengths[:-1], initial=0))
 
     def encode_off_tape(self, utterances: Sequence[Sequence[int]], attended: Container[int]
-                        ) -> tuple[np.ndarray, np.ndarray, list[list[int]]]:
+                        ) -> tuple[np.ndarray, np.ndarray, list[range]]:
         """``encode_utterances`` of the utterances as arrays, in as few packed
-        calls as hold at most ``ENCODER_ROWS`` token ids each: the outputs of
+        calls as hold at most ``ENCODER_ROWS`` token ids each: the blocks of
         the utterances whose indices are in ``attended``, one after another
         in one array; every utterance's final state; and each utterance's
-        rows of those outputs, empty for one not attended.
+        ``range`` of rows of that array, empty for one not attended.
         """
-        reads = [_read_length(ids) if i in attended else 0 for i, ids in enumerate(utterances)]
-        starts = list(accumulate(reads, initial=0))
+        lengths = [len(ids) if i in attended else 0 for i, ids in enumerate(utterances)]
+        starts = list(accumulate(lengths, initial=0))
         hidden, tape = self.config.hidden_size, Tape(record=False)
         outs, finals = np.empty((starts[-1], hidden)), np.empty((len(utterances), hidden))
         start = 0
@@ -131,24 +111,17 @@ class _SeqModel:
             end, size = start + 1, len(utterances[start])
             while end < len(utterances) and size + len(utterances[end]) <= ENCODER_ROWS:
                 end, size = end + 1, size + len(utterances[end])
-            part, part_finals, part_rows = self.encode_utterances(tape, utterances[start:end])
+            part, part_finals, part_starts = self.encode_utterances(tape, utterances[start:end])
             finals[start:end] = part_finals.data
-            for i, each in enumerate(part_rows, start):
-                outs[starts[i]:starts[i + 1]] = part.data[each[0]:each[0] + reads[i]]
+            for i, first in enumerate(part_starts, start):
+                outs[starts[i]:starts[i + 1]] = part.data[first:first + lengths[i]]
             start = end
-        return outs, finals, [_output_rows(s, n, len(ids)) if n else []
-                              for s, n, ids in zip(starts, reads, utterances)]
+        return outs, finals, list(map(range, starts, starts[1:]))
 
     def encode_utterance(self, tape: Tape, token_ids: Sequence[int]) -> tuple[Tensor, Tensor]:
-        """Per-token encoder outputs and the final hidden state: the
-        one-utterance case of ``encode_utterances``.
-
-        One output per input position; the recurrence stops at the first EOS
-        and later positions repeat its state, so padding beyond EOS cannot
-        change the final hidden vector.
-        """
-        outs, final, (rows,) = self.encode_utterances(tape, [token_ids], vector=True)
-        return (outs if len(rows) == len(outs.data) else tape.take_rows(outs, rows)), final
+        """Per-id encoder outputs, one row per id, and the final hidden
+        state: the one-utterance case of ``encode_utterances``."""
+        return self.encode_utterances(tape, [token_ids], vector=True)[:2]
 
     # -- attention decoder ------------------------------------------------------
 
@@ -293,7 +266,7 @@ class TeacherModel(_SeqModel):
         action = self.action_vector(tape, v_u, state)
         return self.decode_teacher_forced(tape, action, enc_outs, gold_ids), action
 
-    def encode_turns(self, turns: Sequence["PreparedTurn"]) -> tuple[np.ndarray, list[list[int]], np.ndarray]:
+    def encode_turns(self, turns: Sequence["PreparedTurn"]) -> tuple[np.ndarray, list[range], np.ndarray]:
         """Encodings of the turns for greedy decoding, off the tape: (encoder
         outputs; each turn's rows of them, its user utterance's; the (B, H)
         actions). ``encode_off_tape`` encodes the turns' distinct user
@@ -435,8 +408,8 @@ class StudentModel(_SeqModel):
         """
         if not history:
             raise ValueError("history must contain at least the current user utterance")
-        outs, finals, rows = self.encode_utterances(tape, history)
-        return tape.take_rows(outs, rows[-1]), self.action_vector(tape, finals)
+        outs, finals, starts = self.encode_utterances(tape, history)
+        return tape.take_rows(outs, range(starts[-1], len(outs.data))), self.action_vector(tape, finals)
 
     def respond_forced(
         self, tape: Tape, history: Sequence[Sequence[int]], gold_ids: Sequence[int]
@@ -445,7 +418,7 @@ class StudentModel(_SeqModel):
         enc_outs, action = self.encode_history(tape, history)
         return self.decode_teacher_forced(tape, action, enc_outs, gold_ids), action
 
-    def encode_turns(self, turns: Sequence["PreparedTurn"]) -> tuple[np.ndarray, list[list[int]], np.ndarray]:
+    def encode_turns(self, turns: Sequence["PreparedTurn"]) -> tuple[np.ndarray, list[range], np.ndarray]:
         """Encodings of the turns' histories for greedy decoding, off the tape:
         (encoder outputs; each turn's rows of them, its current utterance's;
         the (B, H) actions, the context LSTM's h after each history).

@@ -598,6 +598,10 @@ def _set_goal_constraints(doc):
             goal["constraints"] = []
 
 
+def _drop_database_domain(doc):
+    del doc["database"][sorted(doc["schemas"])[0]]
+
+
 def _set_record_values(doc):
     for records in doc["database"].values():
         records[0]["values"] = []
@@ -761,6 +765,11 @@ MALFORMED_INPUTS = [
         ws, tmp, _set_goal_constraints), _at("data/corpus_test.json")),
     ("record-values-is-a-list", EXIT_DATA, lambda ws, tmp: _evaluate_gold_on_edited(ws, tmp, _set_record_values),
         _at("data/corpus_test.json")),
+    ("database-lacks-a-schema-domain", EXIT_DATA, lambda ws, tmp: _train_teachers_on_edited(
+        ws, tmp, _drop_database_domain), _at("data/corpus_train.json")),
+    ("multiwoz-database-lacks-a-schema-domain", EXIT_DATA, lambda ws, tmp: _multiwoz_prepare(
+        tmp, {"d1.json": {"log": HELLO_LOG}}) + ["--database", _write(tmp / "database.json", {"schemas": {}})],
+        _at("database.json")),
     ("multiwoz-semi-is-a-list", EXIT_DATA, lambda ws, tmp: _multiwoz_prepare(
         tmp, {"d1.json": {"log": [{"text": "hello", "metadata": {}},
                                   {"text": "hi there", "metadata": {"restaurant": {"semi": ["area"]}}}]}}),

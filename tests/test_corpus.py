@@ -219,9 +219,14 @@ class TestDbQueriesAndPointer:
     def test_contradictory_constraint_empty(self, database):
         assert query_db(database, "restaurant", {"area": "moon"}) == []
 
-    def test_unknown_domain_errors(self, database):
-        with pytest.raises(CorpusError, match="unknown domain"):
-            query_db(database, "spaceport", {})
+    def test_database_without_a_schema_domain_is_rejected(self, schemas, database):
+        """Every schema domain needs a database key, so a query never meets
+        an unknown domain; an empty record list is a key."""
+        database.records["hotel"] = []
+        Corpus(schemas, database, []).validate()
+        del database.records["hotel"]
+        with pytest.raises(CorpusError, match="database has no key for schema domain 'hotel'"):
+            Corpus(schemas, database, []).validate()
 
     @pytest.mark.parametrize("count,hot", [(0, 0), (1, 1), (2, 2), (3, 3), (17, 3)])
     def test_db_pointer_positions(self, count, hot):

@@ -10,7 +10,7 @@ import pytest
 from helpers import (count_context_steps, count_decoded_rows, grad_check_params, memo_free_context, memo_free_reply,
                      param_bytes, record_context_runs, record_word_encodes, tape_greedy, track_memos)
 from mtss.corpus import Corpus, DomainSchema, Episode, Vocabulary, build_vocab
-from mtss.corpus.vocab import BOS_ID, EOS_ID, PAD_ID, RESERVED
+from mtss.corpus.vocab import BOS_ID, EOS_ID, EOS_TOKEN, PAD_ID, RESERVED
 from mtss.diffnum import (
     Adam,
     CheckpointError,
@@ -99,6 +99,17 @@ class TestEncoder:
         with pytest.raises(ValueError):
             teacher.encode_utterance(Tape(), [])
 
+    def test_reads_every_id_past_an_eos(self, teacher):
+        """An EOS inside the ids, as a typed ``<eos>`` gives, is read like
+        any other id: one output row per id, and the rows after it move on."""
+        utterance = ids(4, 5) + [EOS_ID, 7]
+        enc, v_u = teacher.encode_utterance(Tape(), utterance)
+        assert enc.data.shape == (len(utterance), TINY.hidden_size)
+        eos = utterance.index(EOS_ID)
+        assert not any(np.array_equal(row, enc.data[eos]) for row in enc.data[eos + 1:])
+        assert np.array_equal(v_u.data, enc.data[-1])
+        assert not np.array_equal(v_u.data, teacher.encode_utterance(Tape(), ids(4, 5))[1].data)
+
 
 class TestTeacherAction:
     def test_zero_weights_give_zero_action(self, teacher):
@@ -134,17 +145,6 @@ class TestTeacherAction:
 
         assert grad_check_params(f, [teacher.params["policy_w"]], eps=1e-5) < 1e-4
 
-    def test_action_invariant_to_padding_after_eos(self, teacher):
-        rng = np.random.default_rng(4)
-        state = rand_state(rng)
-        tape = Tape()
-        _, v_u = teacher.encode_utterance(tape, ids(4, 5))
-        clean = teacher.action_vector(tape, v_u, state).data
-        tape = Tape()
-        _, v_u = teacher.encode_utterance(tape, ids(4, 5) + [PAD_ID, PAD_ID, 7])
-        padded = teacher.action_vector(tape, v_u, state).data
-        assert np.array_equal(clean, padded)
-
 
 class TestStudentAction:
     def test_single_utterance_history(self, student):
@@ -161,8 +161,8 @@ class TestStudentAction:
         [ids(4, 5, 6), ids(5), ids(7) + [PAD_ID, PAD_ID, 8]],
     ], ids=["early-eos-in-history", "early-eos-in-current"])
     def test_packed_history_matches_one_encode_per_utterance(self, student, history):
-        """Each utterance is read up to its first EOS, and outputs past it
-        repeat its state, exactly as ``encode_utterance`` reads it."""
+        """Each utterance is read in full, ids past an EOS inside it too, and
+        gets one output row per id, exactly as ``encode_utterance`` reads it."""
         tape = Tape(record=False)
         enc_outs, action = student.encode_history(tape, history)
         encoded = [student.encode_utterance(tape, utterance) for utterance in history]
@@ -290,6 +290,39 @@ class TestIncrementalInference:
             assert generated[(again.episode_id, index)] == expected
             replies.append(tuple(expected))
         assert len(set(replies)) > 1  # replies really depend on the history
+
+    @pytest.mark.parametrize("where", [0, 2], ids=["eos-in-history", "eos-in-current"])
+    def test_paths_read_past_a_typed_eos_alike(self, episode_setup, where):
+        """A line holding a typed ``<eos>`` keeps its reserved id, and
+        ``encode_history``, a pass and the chat memo all read past it, to
+        the tolerances their tests state: the memo's outputs and h within
+        1e-12 relative of ``encode_history``'s, a pass's encodings within
+        1e-12 of the memo's, and the same reply from each."""
+        corpus, in_vocab, out_vocab, student = episode_setup
+        episode = corpus.episodes[0]
+        history = full_history(episode, 1, in_vocab)
+        user = episode.turns[where // 2].user
+        history[where] = in_vocab.encode(user[:1] + [EOS_TOKEN] + user[1:])
+        assert history[where].index(EOS_ID) == 2 < len(history[where]) - 1
+        memo_outs, (h, c) = student.encoding_memo()(history)
+        tape = Tape(record=False)
+        enc_outs, action = student.encode_history(tape, history)
+        assert memo_outs.shape == (len(history[-1]), self.CONFIG.hidden_size)
+        assert np.allclose(memo_outs, enc_outs.data, rtol=1e-12, atol=0.0)
+        assert np.allclose(h, action.data, rtol=1e-12, atol=0.0)
+        cut = list(history)
+        cut[where] = history[where][:3]
+        assert not np.array_equal(student.encode_history(tape, cut)[1].data, action.data)
+
+        item = PreparedTurn(episode.episode_id, 1, episode.turns[1].domain, tuple(history[-1]), ids(),
+                            [tuple(u) for u in history], None)
+        outs, (rows,), actions = student.encode_turns([item])
+        assert np.allclose(outs[rows], memo_outs, rtol=1e-12, atol=1e-15)
+        assert np.allclose(actions[0], h, rtol=1e-12, atol=1e-15)
+        reply = student.reply((memo_outs, (h, c)), 8)
+        assert reply == tape_greedy(student, action.data, enc_outs.data, 8) == memo_free_reply(student, history, 8)
+        assert generate_responses(student, [item], out_vocab, max_len=8) == {
+            (episode.episode_id, 1): out_vocab.decode(reply)}
 
     @pytest.fixture(scope="class")
     def repeating_setup(self, episode_setup):
