@@ -27,6 +27,7 @@ from mtss.corpus import (
     Vocabulary,
     build_vocab,
     load_corpus,
+    load_schemas_and_database,
     load_vocab,
     query_db,
     read_input,
@@ -183,17 +184,12 @@ def cmd_prepare(args) -> int:
         data_path, schema_path = Path(args.data), Path(args.schemas)
         database_path = Path(args.database)
         inputs += [data_path, schema_path, database_path]
-        base = load_corpus(schema_path)
-        db_doc = load_corpus(database_path) if schema_path != database_path else base
-        try:  # the database must hold a key for every domain of the schemas
-            Corpus(base.schemas, db_doc.database, []).validate()
-        except CorpusError as exc:
-            raise CorpusError(f"{database_path}: {exc}") from None
+        schemas, database = load_schemas_and_database(schema_path, database_path)
         test_ids: set[str] = set()
         if args.test_list:
             test_ids = read_input(args.test_list, lambda text: set(text.split()))
             inputs.append(Path(args.test_list))
-        train, test, report = read_multiwoz(data_path, base.schemas, db_doc.database, test_ids)
+        train, test, report = read_multiwoz(data_path, schemas, database, test_ids)
         synth_doc, seed = None, None
     else:
         synth = _load_synth_config(args)

@@ -113,8 +113,36 @@ def save_corpus(corpus: Corpus, path: str | Path) -> None:
     )
 
 
-def load_corpus(path: str | Path) -> Corpus:
+def _read_corpus(path: str | Path) -> Corpus:
     return read_input(path, lambda text: _corpus_from_dict(json.loads(text)))
+
+
+def _check_database_keys(path: str | Path, schemas: dict, database: Database) -> None:
+    """Raise one ``CorpusError`` naming ``path``, the file holding ``database``,
+    at the first schema domain without a key (an empty record list is one)."""
+    for domain in schemas:
+        if domain not in database.records:
+            raise CorpusError(f"{path}: database has no key for schema domain {domain!r}")
+
+
+def load_corpus(path: str | Path) -> Corpus:
+    """The corpus in the file at ``path``, checked whole."""
+    corpus = _read_corpus(path)
+    _check_database_keys(path, corpus.schemas, corpus.database)
+    return corpus
+
+
+def load_schemas_and_database(
+    schema_path: str | Path, database_path: str | Path
+) -> tuple[dict[str, DomainSchema], Database]:
+    """The schemas of one corpus-format file and the database of another, or
+    the same, as ``prepare --data`` pairs them. The database-key rule is
+    checked for the pair only, naming ``database_path``."""
+    base = _read_corpus(schema_path)
+    same = Path(schema_path) == Path(database_path)
+    database = base.database if same else _read_corpus(database_path).database
+    _check_database_keys(database_path, base.schemas, database)
+    return base.schemas, database
 
 
 def save_vocab(vocab: Vocabulary, path: str | Path) -> None:

@@ -84,15 +84,12 @@ class Corpus:
     episodes: list[Episode]
 
     def validate(self) -> None:
-        """Raise ``CorpusError`` at the first schema domain without slots or
-        without a database key (an empty record list is one), unknown domain
-        tag, belief entry that is no informable value of its schema, or goal
-        or record field of the wrong type."""
+        """Raise ``CorpusError`` at the first schema domain without slots,
+        unknown domain tag, belief entry that is no informable value of its
+        schema, or goal or record field of the wrong type."""
         for domain, schema in self.schemas.items():
             if not (schema.informable or schema.requestable):
                 raise CorpusError(f"schema {domain!r} has no informable or requestable slots")
-            if domain not in self.database.records:
-                raise CorpusError(f"database has no key for schema domain {domain!r}")
         for domain, records in self.database.records.items():
             for record in records:
                 if not _strings(record.values):
@@ -134,7 +131,7 @@ def _string_list(values) -> bool:
 
 def query_db(database: Database, domain: str, constraints: dict[str, str]) -> list[EntityRecord]:
     """Entities of ``domain`` whose slots equal every constraint, by exact
-    string match. ``Corpus.validate`` ensures every schema domain has a key."""
+    string match. The corpus loaders ensure every schema domain has a key."""
     matches = []
     for record in database.records[domain]:
         if all(record.values.get(slot) == value for slot, value in constraints.items()):

@@ -163,6 +163,19 @@ class TestPrepare:
         # Nothing is seeded on this route.
         assert json.loads((out / "prepare-manifest.json").read_text())["seed"] is None
 
+    def test_multiwoz_schemas_file_needs_no_database(self, tmp_path):
+        """The ``--schemas`` file's own database is never used, so a file of
+        schemas alone pairs with a separate, complete ``--database`` file."""
+        dump = {"d1.json": {"log": [{"text": "hello", "metadata": {}},
+                                    {"text": "golden wok", "metadata": {}}]}}
+        out = tmp_path / "out"
+        assert main(["prepare", "--data", _write(tmp_path / "data.json", dump),
+                     "--schemas", _write(tmp_path / "schemas.json", {"schemas": MULTIWOZ_BASE["schemas"]}),
+                     "--database", _write(tmp_path / "database.json", MULTIWOZ_BASE),
+                     "--out", str(out)]) == EXIT_OK
+        train = load_corpus(out / "corpus_train.json")
+        assert [r.entity_id for r in train.database.records["restaurant"]] == ["r0"]
+
 
 class TestTrainTeachers:
     def test_checkpoints_and_report(self, workspace):

@@ -219,14 +219,18 @@ class TestDbQueriesAndPointer:
     def test_contradictory_constraint_empty(self, database):
         assert query_db(database, "restaurant", {"area": "moon"}) == []
 
-    def test_database_without_a_schema_domain_is_rejected(self, schemas, database):
+    def test_database_without_a_schema_domain_is_rejected(self, schemas, database, tmp_path):
         """Every schema domain needs a database key, so a query never meets
-        an unknown domain; an empty record list is a key."""
+        an unknown domain; an empty record list is a key. The loader names
+        the file."""
+        path = tmp_path / "corpus.json"
         database.records["hotel"] = []
-        Corpus(schemas, database, []).validate()
+        save_corpus(Corpus(schemas, database, []), path)
+        assert load_corpus(path).database.records["hotel"] == []
         del database.records["hotel"]
-        with pytest.raises(CorpusError, match="database has no key for schema domain 'hotel'"):
-            Corpus(schemas, database, []).validate()
+        save_corpus(Corpus(schemas, database, []), path)
+        with pytest.raises(CorpusError, match=r"corpus\.json: database has no key for schema domain 'hotel'"):
+            load_corpus(path)
 
     @pytest.mark.parametrize("count,hot", [(0, 0), (1, 1), (2, 2), (3, 3), (17, 3)])
     def test_db_pointer_positions(self, count, hot):
