@@ -39,7 +39,8 @@ from mtss.corpus import (
 from mtss.corpus.delex import split_placeholder
 from mtss.diffnum import CheckpointError, DivergenceError
 from mtss.metrics import MetricReport, score_corpus
-from mtss.models import TeacherEnsemble, ensemble_domains, generate_responses, load_model, prepare_turns
+from mtss.models import (EncodingMemo, TeacherEnsemble, ensemble_domains, generate_responses, load_model,
+                         prepare_turns)
 from mtss.synthcorpus import SynthConfig, gen_corpus
 from mtss.training import (
     TrainingConfig,
@@ -538,7 +539,7 @@ def cmd_chat(args, stdin=None, stdout=None) -> int:
     # session's state is the context LSTM's (h, c) after its last step and
     # the utterances said since (the last reply), so each reply steps the
     # context over that reply and its own line only.
-    memo = student.encoding_memo()
+    memo = EncodingMemo(student)
     state, unread, belief = None, [], {}
     for line in stdin:
         line = line.strip()
@@ -559,9 +560,9 @@ def cmd_chat(args, stdin=None, stdout=None) -> int:
         else:
             tokens = line.lower().split()
         try:
-            context = memo(unread + [in_vocab.encode(tokens)], state)
-            reply = out_vocab.decode(student.reply(context, max_len))
-            state, unread = context[1], [in_vocab.encode(reply)]
+            enc_outs, (action, cell) = memo(unread + [in_vocab.encode(tokens)], state)
+            reply = out_vocab.decode(student.decode_greedy(action[None], enc_outs[None], max_len)[0])
+            state, unread = (action, cell), [in_vocab.encode(reply)]
         except Exception:  # decode failure: apologize, keep the session's state
             say("sorry , i could not produce a response .")
             continue

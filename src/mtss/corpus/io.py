@@ -75,17 +75,21 @@ def _corpus_to_dict(corpus: Corpus) -> dict:
     }
 
 
-def _corpus_from_dict(doc: dict) -> Corpus:
-    schemas = {
-        name: DomainSchema(name, raw["informable"], raw["requestable"])
-        for name, raw in doc["schemas"].items()
-    }
-    database = Database(
+def _database_from_dict(doc: dict) -> Database:
+    return Database(
         {
             domain: [EntityRecord(r["id"], r["values"]) for r in records]
             for domain, records in doc.get("database", {}).items()
         }
     )
+
+
+def _corpus_from_dict(doc: dict) -> Corpus:
+    schemas = {
+        name: DomainSchema(name, raw["informable"], raw["requestable"])
+        for name, raw in doc["schemas"].items()
+    }
+    database = _database_from_dict(doc)
     episodes = []
     for raw in doc.get("episodes", []):
         goal = {
@@ -117,6 +121,18 @@ def _read_corpus(path: str | Path) -> Corpus:
     return read_input(path, lambda text: _corpus_from_dict(json.loads(text)))
 
 
+def _read_database(path: str | Path) -> Database:
+    """The ``database`` object of the corpus-format file at ``path``, its
+    records checked; nothing else in the file is read."""
+
+    def parse(text: str) -> Database:
+        database = _database_from_dict(json.loads(text))
+        Corpus({}, database, []).validate()
+        return database
+
+    return read_input(path, parse)
+
+
 def _check_database_keys(path: str | Path, schemas: dict, database: Database) -> None:
     """Raise one ``CorpusError`` naming ``path``, the file holding ``database``,
     at the first schema domain without a key (an empty record list is one)."""
@@ -136,11 +152,12 @@ def load_schemas_and_database(
     schema_path: str | Path, database_path: str | Path
 ) -> tuple[dict[str, DomainSchema], Database]:
     """The schemas of one corpus-format file and the database of another, or
-    the same, as ``prepare --data`` pairs them. The database-key rule is
-    checked for the pair only, naming ``database_path``."""
+    the same, as ``prepare --data`` pairs them: of another file only the
+    ``database`` object is read. The database-key rule is checked for the
+    pair only, naming ``database_path``."""
     base = _read_corpus(schema_path)
     same = Path(schema_path) == Path(database_path)
-    database = base.database if same else _read_corpus(database_path).database
+    database = base.database if same else _read_database(database_path)
     _check_database_keys(database_path, base.schemas, database)
     return base.schemas, database
 

@@ -372,7 +372,11 @@ class EncodingMemo:
         the utterances before these, or from zeros, and steps one utterance
         at a time with ``lstm_row_step``: bit for bit the one-row
         ``lstm_sequence`` that ``action_vector`` runs on a one-utterance
-        history.
+        history. The h is the student's action, and a one-row
+        ``decode_greedy`` from it over those outputs is the reply: the h is
+        ``encode_history``'s bit for bit on one utterance, and within about
+        1e-12 relative on more, whose inputs ``encode_history`` projects in
+        one product.
         """
         if not utterances:
             raise ValueError("history must contain at least the current user utterance")
@@ -451,21 +455,6 @@ class StudentModel(_SeqModel):
         starts = list(accumulate(lengths, initial=0))
         actions = states.data[[starts[sequence_of[key]] + len(key) - 1 for key in keys]]
         return outs, [rows[key[-1]] for key in keys], actions
-
-    def encoding_memo(self) -> EncodingMemo:
-        """A new, empty memo of this student's encodings, for ``mtss chat``."""
-        return EncodingMemo(self)
-
-    def reply(self, context: tuple[np.ndarray, tuple[np.ndarray, np.ndarray]], max_len: int = 30) -> list[int]:
-        """Greedy response to a history as ``EncodingMemo`` steps it: the
-        last utterance's encoder outputs, which the decoder attends over,
-        and the context LSTM's (h, c) after the whole history, whose h is
-        the action. That h is ``encode_history``'s bit for bit on one
-        utterance, and within about 1e-12 relative on more, whose inputs
-        ``encode_history`` projects in one product.
-        """
-        enc_outs, (action, _) = context
-        return self.decode_greedy(action[None], enc_outs[None], max_len)[0]
 
 
 def load_model(path: str | Path, kind: str | None = None,

@@ -1,7 +1,6 @@
 """Test helpers: gradient checks against central differences, parameter
-bytes, a traced memory peak, a tape-based greedy decoder, memo-free student
-contexts and replies, and probes of the memo, the packed encoders and the
-decoder."""
+bytes, a traced memory peak, and probes of the memo, the packed encoders and
+the decoder."""
 
 from __future__ import annotations
 
@@ -12,9 +11,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from mtss import models
-from mtss.corpus.vocab import BOS_ID, EOS_ID
-from mtss.diffnum import Tape, TapeError, Tensor, attend
-from mtss.models import StudentModel
+from mtss.diffnum import Tape, TapeError, Tensor
+from mtss.models import EncodingMemo
 
 
 def grad_check(f: Callable[[Tape, Tensor], Tensor], point: Tensor, eps: float = 1e-5) -> float:
@@ -78,42 +76,6 @@ def param_bytes(model) -> bytes:
     return b"".join(p.data.tobytes() for p in model.params.values())
 
 
-def tape_greedy(model, action: np.ndarray, enc_outs: np.ndarray, max_len: int) -> list[int]:
-    """Greedy decoding from BOS with one ``Tape.lstm_step`` record per token,
-    then ``attend`` and the projection: the reference ``decode_greedy`` must
-    equal token for token."""
-    p, tape = model.params, Tape(record=False)
-    h, c = Tensor(action), Tensor(np.zeros(model.config.hidden_size))
-    token, out = BOS_ID, []
-    for _ in range(max_len):
-        h, c = tape.lstm_step(Tensor(p["embed_out"].data[token]), h, c, p["dec_w"], p["dec_b"])
-        _, _, merged = attend(h.data, enc_outs, p["att_w"].data)
-        token = int(np.argmax(p["out_w"].data @ merged + p["out_b"].data))
-        if token == EOS_ID:
-            break
-        out.append(token)
-    return out
-
-
-def memo_free_context(student, history: Sequence[Sequence[int]]) -> tuple[Tensor, Tensor, Tensor]:
-    """(the last utterance's encoder outputs, the context LSTM's h and c after
-    the whole history), from scratch: every utterance encoded afresh, then the
-    context LSTM stepped one utterance at a time from zeros."""
-    tape = Tape(record=False)
-    h = c = Tensor(np.zeros(student.config.hidden_size))
-    for utterance in history:
-        outs, final = student.encode_utterance(tape, utterance)
-        _, h, c = tape.lstm_sequence(Tensor(final.data[None]), h, c, student.params["ctx_w"], student.params["ctx_b"])
-    return outs, h, c
-
-
-def memo_free_reply(student, history: Sequence[Sequence[int]], max_len: int) -> list[int]:
-    """The student's greedy reply to ``history`` from ``memo_free_context``
-    and ``tape_greedy``, without an encoding memo."""
-    outs, h, _ = memo_free_context(student, history)
-    return tape_greedy(student, h.data, outs.data, max_len)
-
-
 def count_context_steps(monkeypatch) -> list[tuple[int, ...]]:
     """From now on, the input shape of each context step the encoding memo
     runs (``lstm_row_step``), one entry per step."""
@@ -171,14 +133,13 @@ def count_decoded_rows(monkeypatch) -> list[int]:
 
 
 def track_memos(monkeypatch) -> list[weakref.ref]:
-    """From now on, a weak reference to each memo ``StudentModel.encoding_memo`` makes."""
+    """From now on, a weak reference to each ``EncodingMemo`` made."""
     memos: list[weakref.ref] = []
-    make = StudentModel.encoding_memo
+    init = EncodingMemo.__init__
 
-    def tracked(self):
-        memo = make(self)
-        memos.append(weakref.ref(memo))
-        return memo
+    def tracked(self, student):
+        init(self, student)
+        memos.append(weakref.ref(self))
 
-    monkeypatch.setattr(StudentModel, "encoding_memo", tracked)
+    monkeypatch.setattr(EncodingMemo, "__init__", tracked)
     return memos

@@ -18,13 +18,14 @@ from pathlib import Path
 
 import pytest
 
-from helpers import count_context_steps, memo_free_reply, tape_greedy, traced_peak, track_memos
+import reference as ref
+from helpers import count_context_steps, traced_peak, track_memos
 from mtss import cli, models, training
 from mtss.cli import (EXIT_DATA, EXIT_DIVERGED, EXIT_INTERRUPTED, EXIT_OK, EXIT_USAGE, build_parser, cmd_chat,
                       main)
 from mtss.corpus import (Corpus, Database, Delexicalizer, DomainSchema, EntityRecord, Episode, Turn,
                          build_vocab, load_corpus, load_vocab, save_corpus)
-from mtss.diffnum import Tape, load_checkpoint, save_checkpoint
+from mtss.diffnum import load_checkpoint, save_checkpoint
 from mtss.models import ModelConfig, StudentModel, TeacherModel, load_model
 from mtss.synthcorpus import SynthConfig
 from mtss.training import TrainingConfig, evaluate_model
@@ -174,6 +175,14 @@ class TestPrepare:
                      "--database", _write(tmp_path / "database.json", MULTIWOZ_BASE),
                      "--out", str(out)]) == EXIT_OK
         train = load_corpus(out / "corpus_train.json")
+        assert [r.entity_id for r in train.database.records["restaurant"]] == ["r0"]
+
+    def test_multiwoz_database_file_needs_only_a_database(self, tmp_path):
+        """Of the ``--database`` file only its ``database`` object is read."""
+        argv = _multiwoz_prepare(tmp_path, {"d1.json": {"log": HELLO_LOG}})
+        argv[argv.index("--database") + 1] = _write(tmp_path / "db.json", {"database": MULTIWOZ_BASE["database"]})
+        assert main(argv) == EXIT_OK
+        train = load_corpus(tmp_path / "out" / "corpus_train.json")
         assert [r.entity_id for r in train.database.records["restaurant"]] == ["r0"]
 
 
@@ -783,6 +792,9 @@ MALFORMED_INPUTS = [
     ("multiwoz-database-lacks-a-schema-domain", EXIT_DATA, lambda ws, tmp: _multiwoz_prepare(
         tmp, {"d1.json": {"log": HELLO_LOG}}) + ["--database", _write(tmp / "database.json", {"schemas": {}})],
         _at("database.json")),
+    ("multiwoz-database-record-values-is-a-list", EXIT_DATA, lambda ws, tmp: _multiwoz_prepare(
+        tmp, {"d1.json": {"log": HELLO_LOG}}) + ["--database", _write(tmp / "database.json", {"database": {
+            "restaurant": [{"id": "r0", "values": ["north"]}]}})], _at("database.json")),
     ("multiwoz-semi-is-a-list", EXIT_DATA, lambda ws, tmp: _multiwoz_prepare(
         tmp, {"d1.json": {"log": [{"text": "hello", "metadata": {}},
                                   {"text": "hi there", "metadata": {"restaurant": {"semi": ["area"]}}}]}}),
@@ -928,12 +940,6 @@ def test_numeric_mutants_succeed_or_end_in_one_line(workspace, tmp_path, capsys,
     assert not faults, "\n".join(faults)
 
 
-def full_history_reply(student, history, max_len):
-    """The student's greedy reply from one ``encode_history`` of the whole history."""
-    enc_outs, action = student.encode_history(Tape(record=False), history)
-    return tape_greedy(student, action.data, enc_outs.data, max_len)
-
-
 class TestChat:
     def run_chat(self, workspace, lines, lexicalize=False, model=None):
         argv = ["chat", "--model", str(model or workspace / "student" / "student.ckpt"),
@@ -981,10 +987,11 @@ class TestChat:
         return path
 
     @staticmethod
-    def reference_replies(workspace, model, lines, reply=full_history_reply):
-        """Replies from re-encoding the whole history every turn, by default
-        through ``encode_history``; "/reset" starts a new history."""
+    def reference_replies(workspace, model, lines):
+        """The reference model's replies (``reference.py``) to the whole
+        history every turn; "/reset" starts a new history."""
         student, in_vocab, out_vocab = load_model(model, "student")
+        weights = ref.weights(student)
         corpus = load_corpus(workspace / "data" / "corpus_train.json")
         delex = Delexicalizer(corpus.schemas, corpus.database)
         history, replies = [], []
@@ -993,19 +1000,13 @@ class TestChat:
                 history = []
                 continue
             history.append(in_vocab.encode(delex.with_matches(line)[0]))
-            tokens = out_vocab.decode(reply(student, history, 14))
+            tokens = out_vocab.decode(ref.student_reply(weights, history, 14)[0])
             replies.append(" ".join(tokens) if tokens else "...")
             history.append(in_vocab.encode(tokens))
         return replies
 
     CONVERSATION = ["hello", "i am looking for a north restaurant", "what is the phone number",
                     "thank you", "goodbye"]
-
-    def test_replies_match_full_history_reference(self, workspace, history_student):
-        _, out = self.run_chat(workspace, self.CONVERSATION + ["/quit"], model=history_student)
-        expected = self.reference_replies(workspace, history_student, self.CONVERSATION)
-        assert len(set(expected)) > 1
-        assert self.replies(out) == expected
 
     def test_reset_matches_fresh_session(self, workspace, history_student):
         line = self.CONVERSATION[1]
@@ -1031,7 +1032,7 @@ class TestChat:
         monkeypatch.setattr(StudentModel, "encode_utterance", counting)
         _, out = self.run_chat(workspace, lines, model=history_student)
         monkeypatch.undo()
-        expected = self.reference_replies(workspace, history_student, lines, memo_free_reply)
+        expected = self.reference_replies(workspace, history_student, lines)
         assert self.replies(out) == expected and len(set(expected)) > 1
         if capacity is None:  # each distinct utterance once, across sessions
             assert len(calls) == len(set(calls)) < 2 * len(expected)
@@ -1049,12 +1050,12 @@ class TestChat:
         _, out = self.run_chat(workspace, lines, model=history_student)
         monkeypatch.undo()
         assert steps == [(hidden,)] * (2 * len(lines) - 1)
-        assert self.replies(out) == self.reference_replies(workspace, history_student, lines, memo_free_reply)
+        assert self.replies(out) == self.reference_replies(workspace, history_student, lines)
 
     def test_a_long_session_holds_its_memory(self, history_student, tmp_path):
         """A session of 1,200 lines peaks under tracemalloc within 1.5 times
         a 150-line session's peak: it carries the context LSTM's state, not
-        its history. Its replies equal ``memo_free_reply``'s given the
+        its history. Its replies equal the reference model's given the
         transcript before them, checked at sampled turns. The session reads
         and writes files, so its I/O buffers do not grow with it, and its
         replies are at most two tokens long, so it runs fast under tracing."""
@@ -1072,11 +1073,11 @@ class TestChat:
         assert len(replies) == len(lines) and replies[:150] == short and len(set(replies)) > 1
         assert long_peak < 1.5 * short_peak, (long_peak, short_peak)
         student, in_vocab, out_vocab = load_model(history_student, "student")
-        history = []
+        weights, history = ref.weights(student), []
         for turn, (line, reply) in enumerate(zip(lines, replies)):
             history.append(in_vocab.encode(line.split()))
             if turn in (0, 149, len(lines) - 1):
-                tokens = out_vocab.decode(memo_free_reply(student, history, 2))
+                tokens = out_vocab.decode(ref.student_reply(weights, history, 2)[0])
                 assert reply == (" ".join(tokens) if tokens else "...")
             history.append(in_vocab.encode([] if reply == "..." else reply.split()))
 
@@ -1143,7 +1144,7 @@ class TestChat:
         StudentModel(ModelConfig(embed_size=4, hidden_size=4), len(in_vocab), len(out_vocab), seed=0).save(
             tmp_path / "student.ckpt", schemas, in_vocab, out_vocab, {})
         reply = out_vocab.encode("call [taxi_booking_contact] .".split())
-        monkeypatch.setattr(StudentModel, "reply", lambda self, context, max_len: reply)
+        monkeypatch.setattr(StudentModel, "decode_greedy", lambda self, actions, enc_outs, max_len: [reply])
         args = build_parser().parse_args(["chat", "--model", str(tmp_path / "student.ckpt"),
                                           "--data", str(tmp_path / "corpus.json"), "--lexicalize"])
         out = io.StringIO()

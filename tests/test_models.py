@@ -7,10 +7,10 @@ import weakref
 import numpy as np
 import pytest
 
-from helpers import (count_context_steps, count_decoded_rows, grad_check_params, memo_free_context, memo_free_reply,
-                     param_bytes, record_context_runs, record_word_encodes, tape_greedy, track_memos)
+from helpers import (count_context_steps, count_decoded_rows, grad_check_params, param_bytes, record_context_runs,
+                     record_word_encodes, track_memos)
 from mtss.corpus import Corpus, DomainSchema, Episode, Vocabulary, build_vocab
-from mtss.corpus.vocab import BOS_ID, EOS_ID, EOS_TOKEN, PAD_ID, RESERVED
+from mtss.corpus.vocab import BOS_ID, EOS_ID, RESERVED
 from mtss.diffnum import (
     Adam,
     CheckpointError,
@@ -22,6 +22,7 @@ from mtss.diffnum import (
 )
 from mtss import models
 from mtss.models import (
+    EncodingMemo,
     ModelConfig,
     PreparedTurn,
     StudentModel,
@@ -39,14 +40,6 @@ V_IN, V_OUT, STATE = 12, 10, 6
 IN_VOCAB = Vocabulary("input", RESERVED + [f"in{i}" for i in range(V_IN - len(RESERVED))])
 OUT_VOCAB = Vocabulary("output", RESERVED + [f"out{i}" for i in range(V_OUT - len(RESERVED))])
 SCHEMAS = {"hotel": DomainSchema("hotel", {"area": ["north"]}, ["phone"])}
-
-
-def full_history(episode, turn_index, in_vocab):
-    """All prior user and system utterances plus the current user utterance."""
-    history = []
-    for past in episode.turns[:turn_index]:
-        history += [in_vocab.encode(past.user), in_vocab.encode(past.system)]
-    return history + [in_vocab.encode(episode.turns[turn_index].user)]
 
 
 @pytest.fixture
@@ -156,21 +149,6 @@ class TestStudentAction:
         with pytest.raises(ValueError):
             student.encode_history(Tape(), [])
 
-    @pytest.mark.parametrize("history", [
-        [ids(4), ids(5, 6) + [PAD_ID, 7], ids(7, 8, 9)],
-        [ids(4, 5, 6), ids(5), ids(7) + [PAD_ID, PAD_ID, 8]],
-    ], ids=["early-eos-in-history", "early-eos-in-current"])
-    def test_packed_history_matches_one_encode_per_utterance(self, student, history):
-        """Each utterance is read in full, ids past an EOS inside it too, and
-        gets one output row per id, exactly as ``encode_utterance`` reads it."""
-        tape = Tape(record=False)
-        enc_outs, action = student.encode_history(tape, history)
-        encoded = [student.encode_utterance(tape, utterance) for utterance in history]
-        expected = student.action_vector(tape, Tensor(np.stack([v.data for _, v in encoded])))
-        assert enc_outs.data.shape == (len(history[-1]), TINY.hidden_size)
-        assert np.allclose(enc_outs.data, encoded[-1][0].data, rtol=1e-12, atol=1e-15)
-        assert np.allclose(action.data, expected.data, rtol=1e-12, atol=1e-15)
-
     def test_appending_utterance_changes_action(self, student):
         tape = Tape()
         _, short = student.encode_history(tape, [ids(4)])
@@ -180,9 +158,9 @@ class TestStudentAction:
 
 
 class TestIncrementalInference:
-    """A reply to shared utterance encodings, a pass's packed ones or the
-    chat memo's, must compute what re-encoding the whole history computes,
-    while encoding each utterance only once."""
+    """A pass and the chat memo share utterance encodings, so each utterance
+    is encoded only once; ``test_reference.py`` holds what they compute to
+    the reference model."""
 
     # A larger init scale than TINY so greedy replies depend on the history.
     CONFIG = ModelConfig(embed_size=8, hidden_size=12, init_scale=0.5)
@@ -195,30 +173,6 @@ class TestIncrementalInference:
         episode = max(train.episodes, key=lambda e: len(e.turns))
         student = StudentModel(self.CONFIG, len(in_vocab), len(out_vocab), seed=4)
         return Corpus(train.schemas, train.database, [episode]), in_vocab, out_vocab, student
-
-    def test_state_matches_encode_history_bitwise(self, episode_setup):
-        """Each turn's outputs and context h and c equal the from-scratch
-        reference bit for bit, though each turn steps on from the previous
-        turn's state over the utterances since. They equal
-        ``encode_history``'s bit for bit on the first turn, a one-utterance
-        history; later turns differ in rounding, as ``encode_history``
-        projects every utterance's input in one product."""
-        corpus, in_vocab, _, student = episode_setup
-        episode = corpus.episodes[0]
-        memo, state, stepped = student.encoding_memo(), None, 0
-        for index in range(len(episode.turns)):
-            history = full_history(episode, index, in_vocab)
-            enc_outs, state = memo(history[stepped:], state)
-            stepped = len(history)
-            h, c = state
-            for got, expected in zip((enc_outs, h, c), memo_free_context(student, history)):
-                assert np.array_equal(got, expected.data)
-            tape = Tape(record=False)
-            for got, expected in zip((enc_outs, h), student.encode_history(tape, history)):
-                if index == 0:
-                    assert np.array_equal(got, expected.data)
-                else:
-                    assert np.allclose(got, expected.data, rtol=1e-12, atol=0.0)
 
     def test_context_steps_once_per_new_utterance(self, episode_setup, monkeypatch):
         """A turn's history extends the previous turn's by a system and a
@@ -239,27 +193,26 @@ class TestIncrementalInference:
     def test_a_cold_long_history_steps_without_recursion(self, episode_setup, monkeypatch):
         """2,000 utterances, past Python's default recursion limit of 1,000,
         stepped from zeros; then a reply's two utterances stepped from there."""
-        corpus, in_vocab, _, student = episode_setup
-        episode = corpus.episodes[0]
-        utterances = full_history(episode, len(episode.turns) - 1, in_vocab)
+        corpus, in_vocab, out_vocab, student = episode_setup
+        utterances = prepare_turns(corpus, in_vocab, out_vocab)[-1].history_ids
         history = [utterances[i % len(utterances)] for i in range(2000)]
         assert len(history) == 2000 > sys.getrecursionlimit()
-        memo = student.encoding_memo()
+        memo = EncodingMemo(student)
         steps = count_context_steps(monkeypatch)
         enc_outs, state = memo(history)
         assert len(steps) == 2000
-        for got, expected in zip((enc_outs, *state), memo_free_context(student, history)):
-            assert np.array_equal(got, expected.data)
         # A reply steps the state over the two utterances since: the reply
-        # and the next user line.
+        # and the next user line. That is bit for bit a cold step over all.
         steps.clear()
         longer = history + utterances[:2]
         enc_outs, state = memo(longer[-2:], state)
         assert len(steps) == 2
-        for got, expected in zip((enc_outs, *state), memo_free_context(student, longer)):
-            assert np.array_equal(got, expected.data)
+        cold_outs, cold_state = EncodingMemo(student)(longer)
+        assert np.array_equal(enc_outs, cold_outs) and all(map(np.array_equal, state, cold_state))
 
     def test_generate_responses_matches_reference(self, episode_setup, monkeypatch):
+        """A pass over two copies of an episode answers every turn from one
+        packed encode of the distinct utterances."""
         corpus, in_vocab, out_vocab, student = episode_setup
         episode = corpus.episodes[0]
         turns = len(episode.turns)
@@ -277,52 +230,7 @@ class TestIncrementalInference:
         assert len(calls) == 1 and one_by_one == []
         assert len(calls[0]) == len(set(calls[0])) == len(distinct) == 2 * turns - 1
         assert set(calls[0]) == distinct
-
-        replies = []
-        for index in range(turns):
-            history = full_history(episode, index, in_vocab)
-            tape = Tape(record=False)
-            enc_outs, action = student.encode_history(tape, history)
-            reference = tape_greedy(student, action.data, enc_outs.data, 8)
-            assert memo_free_reply(student, history, 8) == reference
-            expected = out_vocab.decode(reference)
-            assert generated[(episode.episode_id, index)] == expected
-            assert generated[(again.episode_id, index)] == expected
-            replies.append(tuple(expected))
-        assert len(set(replies)) > 1  # replies really depend on the history
-
-    @pytest.mark.parametrize("where", [0, 2], ids=["eos-in-history", "eos-in-current"])
-    def test_paths_read_past_a_typed_eos_alike(self, episode_setup, where):
-        """A line holding a typed ``<eos>`` keeps its reserved id, and
-        ``encode_history``, a pass and the chat memo all read past it, to
-        the tolerances their tests state: the memo's outputs and h within
-        1e-12 relative of ``encode_history``'s, a pass's encodings within
-        1e-12 of the memo's, and the same reply from each."""
-        corpus, in_vocab, out_vocab, student = episode_setup
-        episode = corpus.episodes[0]
-        history = full_history(episode, 1, in_vocab)
-        user = episode.turns[where // 2].user
-        history[where] = in_vocab.encode(user[:1] + [EOS_TOKEN] + user[1:])
-        assert history[where].index(EOS_ID) == 2 < len(history[where]) - 1
-        memo_outs, (h, c) = student.encoding_memo()(history)
-        tape = Tape(record=False)
-        enc_outs, action = student.encode_history(tape, history)
-        assert memo_outs.shape == (len(history[-1]), self.CONFIG.hidden_size)
-        assert np.allclose(memo_outs, enc_outs.data, rtol=1e-12, atol=0.0)
-        assert np.allclose(h, action.data, rtol=1e-12, atol=0.0)
-        cut = list(history)
-        cut[where] = history[where][:3]
-        assert not np.array_equal(student.encode_history(tape, cut)[1].data, action.data)
-
-        item = PreparedTurn(episode.episode_id, 1, episode.turns[1].domain, tuple(history[-1]), ids(),
-                            [tuple(u) for u in history], None)
-        outs, (rows,), actions = student.encode_turns([item])
-        assert np.allclose(outs[rows], memo_outs, rtol=1e-12, atol=1e-15)
-        assert np.allclose(actions[0], h, rtol=1e-12, atol=1e-15)
-        reply = student.reply((memo_outs, (h, c)), 8)
-        assert reply == tape_greedy(student, action.data, enc_outs.data, 8) == memo_free_reply(student, history, 8)
-        assert generate_responses(student, [item], out_vocab, max_len=8) == {
-            (episode.episode_id, 1): out_vocab.decode(reply)}
+        assert len(generated) == len(items)
 
     @pytest.fixture(scope="class")
     def repeating_setup(self, episode_setup):
@@ -338,19 +246,17 @@ class TestIncrementalInference:
 
     @pytest.mark.parametrize("capacity", [None, 1], ids=["default-capacity", "capacity-1"])
     def test_memo_replies_match_a_memo_free_replay(self, repeating_setup, monkeypatch, capacity):
-        """A pass's replies equal the memo-free ones, whether it holds all its
-        turns' encodings at once or, in runs of ``capacity`` = 1 turn, each
-        turn's only, so that every run encodes its own history again."""
+        """A pass holds all its turns' encodings at once or, in runs of
+        ``capacity`` = 1 turn, each turn's only, so that every run encodes
+        its own history again. ``test_reference.py`` holds the replies of
+        runs of 1, 3 and 1,024 turns to the reference model's."""
         items, out_vocab, student = repeating_setup
         if capacity is not None:
             monkeypatch.setattr(models, "DECODE_ROWS", capacity)
         calls = record_word_encodes(monkeypatch)
         generated = generate_responses(student, items, out_vocab, max_len=8)
         monkeypatch.undo()
-        expected = {(item.episode_id, item.turn_index):
-                    out_vocab.decode(memo_free_reply(student, item.history_ids, 8)) for item in items}
-        assert generated == expected
-        assert len(set(map(tuple, expected.values()))) > 1
+        assert len(generated) == len(items)
         repeat = [item.history_ids for item in items if item.episode_id == "repeat"][-1]
         assert repeat[0] == repeat[-1]  # the episode repeats an utterance
         distinct = {tuple(utterance) for item in items for utterance in item.history_ids}
@@ -363,9 +269,10 @@ class TestIncrementalInference:
 
     def test_encoder_calls_hold_at_most_encoder_rows_ids(self, repeating_setup, monkeypatch):
         """A run's distinct utterances are split between packed calls of at
-        most ENCODER_ROWS token ids, or one longer utterance each, in order,
-        and the replies stay the memo-free ones. The encodings a pass holds
-        are the outputs of its distinct current utterances only, each once."""
+        most ENCODER_ROWS token ids, or one longer utterance each, in order.
+        The encodings a pass holds are the outputs of its distinct current
+        utterances only, each once. ``test_reference.py`` holds the
+        encodings and replies under a small ENCODER_ROWS to the reference."""
         items, out_vocab, student = repeating_setup
         distinct = list(dict.fromkeys(u for item in items for u in item.history_ids))
         limit = max(map(len, distinct)) - 1  # the longest utterance is one call of its own
@@ -375,50 +282,15 @@ class TestIncrementalInference:
         current = {}
         for item, turn_rows in zip(items, rows):
             assert current.setdefault(item.user_ids, turn_rows) == turn_rows
-            enc_outs, _ = student.encode_utterance(Tape(record=False), item.user_ids)
-            assert np.allclose(outs[turn_rows], enc_outs.data, rtol=1e-12, atol=1e-15)
+            assert len(turn_rows) == len(item.user_ids)
         assert len(current) < len(distinct)  # some history utterance is never attended
         calls = record_word_encodes(monkeypatch)
-        generated = generate_responses(student, items, out_vocab, max_len=8)
+        generate_responses(student, items, out_vocab, max_len=8)
         monkeypatch.undo()
-        assert generated == {(item.episode_id, item.turn_index):
-                             out_vocab.decode(memo_free_reply(student, item.history_ids, 8)) for item in items}
         sizes = [sum(map(len, call)) for call in calls]
         assert all(size <= limit or len(call) == 1 for size, call in zip(sizes, calls))
         assert max(sizes) > limit and max(map(len, calls)) > 1
         assert [u for call in calls for u in call] == distinct
-
-    def test_pass_encodings_match_the_one_row_path(self, repeating_setup, episode_setup):
-        """A pass's packed encodings of each turn are within 1e-12 relative
-        of the memo's one row at a time, and those of a one-turn pass over a
-        one-utterance history equal them bit for bit. Likewise for a teacher
-        against ``encode_utterance`` and ``action_vector`` turn by turn."""
-        items, _, student = repeating_setup
-        corpus, in_vocab, out_vocab, _ = episode_setup
-        stated = prepare_turns(corpus, in_vocab, out_vocab)
-        teacher = TeacherModel(self.CONFIG, len(in_vocab), len(out_vocab), len(stated[0].state), seed=6)
-        memo = student.encoding_memo()
-
-        def one_row(model, item):
-            if model is student:
-                enc_outs, (h, _) = memo(item.history_ids)
-                return enc_outs, h
-            tape = Tape(record=False)
-            outs, v_u = teacher.encode_utterance(tape, item.user_ids)
-            return outs.data, teacher.action_vector(tape, v_u, item.state).data
-
-        for model, turns in ((student, items), (teacher, stated)):
-            outs, rows, actions = model.encode_turns(turns)
-            assert len(rows) == len(actions) == len(turns)
-            for item, turn_rows, action in zip(turns, rows, actions):
-                enc_outs, reference = one_row(model, item)
-                assert np.allclose(outs[turn_rows], enc_outs, rtol=1e-12, atol=1e-15)
-                assert np.allclose(action, reference, rtol=1e-12, atol=1e-15)
-            first = turns[0]
-            assert len(first.history_ids) == 1
-            outs, (turn_rows,), actions = model.encode_turns([first])
-            enc_outs, reference = one_row(model, first)
-            assert np.array_equal(outs[turn_rows], enc_outs) and np.array_equal(actions[0], reference)
 
     def test_a_changed_model_replies_as_a_fresh_copy(self, episode_setup):
         """No encoding outlives the weights: after an in-place change, the
@@ -479,7 +351,7 @@ class TestIncrementalInference:
 
     def test_reply_needs_an_utterance(self, student):
         with pytest.raises(ValueError, match="at least the current user utterance"):
-            student.reply(student.encoding_memo()([]))
+            EncodingMemo(student)([])
 
     def test_encodings_die_with_their_pass(self, episode_setup, monkeypatch):
         """A pass makes no memo, and no reference cycle keeps its packed
@@ -508,11 +380,15 @@ class TestIncrementalInference:
         """Once the memo holds a history's utterances, stepping a state over
         them and replying records nothing and runs no tape op: no decoder
         step, no context step, no op of any kind."""
-        corpus, in_vocab, _, student = episode_setup
-        episode = corpus.episodes[0]
-        history = full_history(episode, len(episode.turns) - 1, in_vocab)
-        memo = student.encoding_memo()
-        expected = student.reply(memo(history), 8)
+        corpus, in_vocab, out_vocab, student = episode_setup
+        history = prepare_turns(corpus, in_vocab, out_vocab)[-1].history_ids
+        memo = EncodingMemo(student)
+
+        def reply(context):
+            enc_outs, (action, _) = context
+            return student.decode_greedy(action[None], enc_outs[None], 8)[0]
+
+        expected = reply(memo(history))
         _, state = memo(history[:-2])
 
         def off_the_tape(*args, **kwargs):
@@ -522,8 +398,8 @@ class TestIncrementalInference:
         assert {"lstm_step", "lstm_sequence", "concat", "matmul"} <= set(ops)
         for name in ops:
             monkeypatch.setattr(Tape, name, off_the_tape)
-        assert student.reply(memo(history), 8) == expected
-        assert student.reply(memo(history[-2:], state), 8) == expected
+        assert reply(memo(history)) == expected
+        assert reply(memo(history[-2:], state)) == expected
 
 
 class TestDecoder:
@@ -623,8 +499,8 @@ class TestDecoder:
 
 
 class TestGreedyReference:
-    """Every way a model answers decodes what one ``Tape.lstm_step`` record
-    per token decodes (``tape_greedy``), token for token."""
+    """Runs of turns bound the work of a pass; ``test_reference.py`` holds
+    every reply to the reference model's."""
 
     # A wide init, so replies differ in length and content from turn to turn.
     CONFIG = ModelConfig(embed_size=8, hidden_size=16, init_scale=1.0)
@@ -640,40 +516,6 @@ class TestGreedyReference:
                                     seed=10 + i)
                     for i, d in enumerate(ensemble_domains(train.schemas))}
         return items, out_vocab, student, TeacherEnsemble(teachers, teachers["general"])
-
-    @staticmethod
-    def teacher_reference(teacher, item, max_len, one_row=False):
-        """``tape_greedy``'s reply of the turn's teacher, or with ``one_row``
-        the reply of ``decode_greedy`` given the turn as its only row."""
-        tape = Tape(record=False)
-        enc_outs, v_u = teacher.encode_utterance(tape, item.user_ids)
-        action = teacher.action_vector(tape, v_u, item.state).data
-        if one_row:
-            return teacher.decode_greedy(action[None], enc_outs.data[None], max_len)[0]
-        return tape_greedy(teacher, action, enc_outs.data, max_len)
-
-    @pytest.mark.parametrize("max_len", [1, 8, 30])
-    def test_every_turn_decodes_as_the_tape_reference(self, world, max_len, monkeypatch):
-        """One row at a time, and grouped by ``generate_responses``, every
-        turn decodes what ``tape_greedy`` decodes, token for token."""
-        items, out_vocab, student, ensemble = world
-        memo = student.encoding_memo()
-        student_replies = [memo_free_reply(student, item.history_ids, max_len) for item in items]
-        teacher_replies = [self.teacher_reference(ensemble.teachers[item.domain], item, max_len)
-                           for item in items]
-        assert [student.reply(memo(item.history_ids), max_len) for item in items] == student_replies
-        assert [self.teacher_reference(ensemble.teachers[item.domain], item, max_len, one_row=True)
-                for item in items] == teacher_replies
-        rows = count_decoded_rows(monkeypatch)
-        for model, replies in ((student, student_replies), (ensemble, teacher_replies)):
-            expected = {(item.episode_id, item.turn_index): out_vocab.decode(reply)
-                        for item, reply in zip(items, replies)}
-            rows.clear()
-            assert generate_responses(model, items, out_vocab, max_len) == expected
-            assert sum(rows) == len(items) and min(rows) == 1 and max(rows) > 1
-        assert len({len(item.user_ids) for item in items}) >= 3
-        lengths = {len(reply) for reply in student_replies + teacher_replies}
-        assert max(lengths) == max_len and (max_len == 1 or len(lengths) > 1)
 
     def test_short_runs_decode_as_one_run(self, world, monkeypatch):
         """Runs of DECODE_ROWS turns bound the rows of a decode call and the
@@ -717,32 +559,6 @@ class TestOverfitOnePair:
         [turn] = hotel_turns(user, state=state)
         expected = {("hotel", 0): OUT_VOCAB.decode([6, 7, 8])}
         assert generate_responses(teacher, [turn], OUT_VOCAB, max_len=10) == expected
-
-
-class TestFullModelGradients:
-    def test_teacher_loss_matches_finite_differences(self, teacher):
-        state = np.zeros(STATE)
-        state[2] = 1.0
-        gold = ids(5, 6)
-
-        def f(tape):
-            log_probs, action = teacher.respond_forced(tape, ids(4, 7), state, gold)
-            nll = tape.neg(tape.sum(tape.pick(log_probs, gold[1:])))
-            return tape.add(nll, tape.sum(tape.mul(action, action)))
-
-        assert grad_check_params(f, teacher.parameter_list(), eps=1e-5) < 1e-4
-
-    def test_student_loss_matches_finite_differences(self, student):
-        # Two-turn history so word encoder, context LSTM and decoder all engage.
-        history = [ids(4), ids(5, 6), ids(7)]
-        gold = ids(8, 9)
-
-        def f(tape):
-            log_probs, action = student.respond_forced(tape, history, gold)
-            nll = tape.neg(tape.sum(tape.pick(log_probs, gold[1:])))
-            return tape.add(nll, tape.sum(tape.mul(action, action)))
-
-        assert grad_check_params(f, student.parameter_list(), eps=1e-5) < 1e-4
 
 
 class TestPersistence:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from helpers import grad_check, grad_check_params, traced_peak
-from mtss.diffnum import ShapeMismatchError, Tape, TapeError, Tensor, attend
+from mtss.diffnum import ShapeMismatchError, Tape, TapeError, Tensor, attend, lstm_row_step
 from mtss.diffnum.tape import _cell, _cell_grad
 
 
@@ -200,7 +200,8 @@ class TestPackedSequences:
 
     def test_one_sequence_is_bitwise_the_per_step_cell(self):
         """One sequence rounds exactly like the cell stepped with ``wh @ h``
-        products, forward and backward, so inference keeps its bits."""
+        products, forward and backward, so inference keeps its bits; and
+        ``lstm_row_step`` is a one-row sequence's final (h, c), bit for bit."""
         rng = np.random.default_rng(37)
         steps, d, h = 6, 5, 7
         xs, h0, c0 = rng.normal(size=(steps, d)), rng.normal(size=h), rng.normal(size=h)
@@ -229,6 +230,8 @@ class TestPackedSequences:
         tape.backward(weighted_sum(tape, outs, (g_hs, g_h, g_c)))
         for got, expected in zip([o.data for o in outs] + [p.grad for p in params], reference):
             assert np.array_equal(got, expected)
+        _, one_h, one_c = Tape(record=False).lstm_sequence(*(Tensor(a) for a in (xs[:1], h0, c0, w, b)))
+        assert all(map(np.array_equal, lstm_row_step(xs[0], h0, c0, w, b), (one_h.data, one_c.data)))
 
     @pytest.mark.parametrize("lengths,vector", [
         ([400], False), ([100] * 4, False), ([40, 1, 100, 60, 20] * 2, False), ([400], True),

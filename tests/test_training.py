@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import grad_check_params, param_bytes, traced_peak
+from helpers import param_bytes, traced_peak
 from mtss.corpus import build_vocab
 from mtss.corpus.state import BeliefLayout, state_size
 from mtss.corpus.types import (
@@ -18,7 +18,7 @@ from mtss.corpus.types import (
     Turn,
 )
 from mtss.diffnum import CheckpointError, Tape, Tensor
-from mtss.models import ModelConfig, StudentModel, TeacherEnsemble, TeacherModel, ensemble_domains
+from mtss.models import ModelConfig, TeacherEnsemble, TeacherModel, ensemble_domains
 from mtss.synthcorpus import SynthConfig, gen_corpus
 from mtss import cli, models, training
 from mtss.training import (
@@ -413,22 +413,6 @@ class TestTeacherTraining:
 
 
 class TestStudentTraining:
-    def test_student_gradient_with_kd_terms_matches_fd(self):
-        student = StudentModel(TINY, 12, 10, seed=3)
-        teacher_probs = np.random.default_rng(0).dirichlet(np.ones(10), size=3)
-        teacher_action = np.random.default_rng(1).uniform(-0.5, 0.5, TINY.hidden_size)
-        history = [[1, 4, 2], [1, 5, 6, 2], [1, 7, 2]]
-        gold = [1, 8, 9, 2]
-
-        def f(tape):
-            log_probs, action = student.respond_forced(tape, history, gold)
-            j_nll = nll_loss(tape, log_probs, gold[1:])
-            j_kd = kd_text_loss(tape, teacher_probs, log_probs)
-            j_pi = kd_policy_loss(tape, teacher_action, action)
-            return combined_loss(tape, j_nll, j_kd, j_pi, 0.4, 0.3)
-
-        assert grad_check_params(f, student.parameter_list(), eps=1e-5) < 1e-4
-
     def test_loss_decreases_and_teachers_stay_frozen(self, tiny_world):
         train, _, in_vocab, out_vocab = tiny_world
         config = TrainingConfig(
