@@ -84,11 +84,12 @@ def _database_from_dict(doc: dict) -> Database:
     )
 
 
+def _schemas_from_dict(doc: dict) -> dict[str, DomainSchema]:
+    return {name: DomainSchema(name, raw["informable"], raw["requestable"]) for name, raw in doc["schemas"].items()}
+
+
 def _corpus_from_dict(doc: dict) -> Corpus:
-    schemas = {
-        name: DomainSchema(name, raw["informable"], raw["requestable"])
-        for name, raw in doc["schemas"].items()
-    }
+    schemas = _schemas_from_dict(doc)
     database = _database_from_dict(doc)
     episodes = []
     for raw in doc.get("episodes", []):
@@ -121,6 +122,18 @@ def _read_corpus(path: str | Path) -> Corpus:
     return read_input(path, lambda text: _corpus_from_dict(json.loads(text)))
 
 
+def _read_schemas(path: str | Path) -> dict[str, DomainSchema]:
+    """The ``schemas`` object of the corpus-format file at ``path``, each
+    schema checked; nothing else in the file is read."""
+
+    def parse(text: str) -> dict[str, DomainSchema]:
+        schemas = _schemas_from_dict(json.loads(text))
+        Corpus(schemas, Database({}), []).validate()
+        return schemas
+
+    return read_input(path, parse)
+
+
 def _read_database(path: str | Path) -> Database:
     """The ``database`` object of the corpus-format file at ``path``, its
     records checked; nothing else in the file is read."""
@@ -151,15 +164,13 @@ def load_corpus(path: str | Path) -> Corpus:
 def load_schemas_and_database(
     schema_path: str | Path, database_path: str | Path
 ) -> tuple[dict[str, DomainSchema], Database]:
-    """The schemas of one corpus-format file and the database of another, or
-    the same, as ``prepare --data`` pairs them: of another file only the
-    ``database`` object is read. The database-key rule is checked for the
-    pair only, naming ``database_path``."""
-    base = _read_corpus(schema_path)
-    same = Path(schema_path) == Path(database_path)
-    database = base.database if same else _read_database(database_path)
-    _check_database_keys(database_path, base.schemas, database)
-    return base.schemas, database
+    """The ``schemas`` object of one corpus-format file and the ``database``
+    object of another, or the same, as ``prepare --data`` pairs them; nothing
+    else in either file is read. The database-key rule is checked for the
+    pair, naming ``database_path``."""
+    schemas, database = _read_schemas(schema_path), _read_database(database_path)
+    _check_database_keys(database_path, schemas, database)
+    return schemas, database
 
 
 def save_vocab(vocab: Vocabulary, path: str | Path) -> None:
@@ -330,8 +341,4 @@ def _from_multiwoz(raw, schemas: dict[str, DomainSchema], database: Database,
     if dropped:
         log.warning("dropped %d belief entries not covered by the schemas", len(dropped))
     report = {"dropped_belief_entries": len(dropped)}
-    train = Corpus(schemas, database, train_eps)
-    test = Corpus(schemas, database, test_eps)
-    train.validate()
-    test.validate()
-    return train, test, report
+    return Corpus(schemas, database, train_eps), Corpus(schemas, database, test_eps), report

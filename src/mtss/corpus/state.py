@@ -14,10 +14,6 @@ from mtss.corpus.types import Database, DomainSchema, Turn, query_db
 KB_BLOCK = 4  # match-count buckets 0, 1, 2, >=3
 
 
-class BeliefError(ValueError):
-    """Belief annotation refers to a slot or value the schema does not declare."""
-
-
 class BeliefLayout:
     """Deterministic flat indexing of (domain, slot, value) positions."""
 
@@ -35,26 +31,16 @@ class BeliefLayout:
                     offset += 1
         self.size = offset
 
-    def index(self, domain: str, slot: str, value: str) -> int:
-        try:
-            return self.positions[(domain, slot, value)]
-        except KeyError:
-            raise BeliefError(
-                f"belief entry not in schema: domain={domain!r} slot={slot!r} value={value!r}"
-            ) from None
-
     def build(self, belief: dict[str, dict[str, str]]) -> np.ndarray:
         vec = np.zeros(self.size)
         for domain, slots in belief.items():
             for slot, value in slots.items():
-                vec[self.index(domain, slot, value)] = 1.0
+                vec[self.positions[(domain, slot, value)]] = 1.0
         return vec
 
 
 def db_pointer(count: int) -> np.ndarray:
     """4-dim one-hot of an entity match count, saturating at the >=3 bucket."""
-    if count < 0:
-        raise ValueError("match count must be non-negative")
     vec = np.zeros(KB_BLOCK)
     vec[min(count, KB_BLOCK - 1)] = 1.0
     return vec

@@ -62,8 +62,6 @@ def build_vocab(
     tokens, ties broken lexicographically. Reserved token strings in the text
     are never kept as ordinary tokens: they already hold their fixed ids.
     """
-    if role not in ("input", "output"):
-        raise ValueError(f"role must be 'input' or 'output', got {role!r}")
     counts: Counter[str] = Counter()
     for episode in corpus.episodes:
         for turn in episode.turns:

@@ -4,7 +4,6 @@ from mtss.diffnum.tape import (
     Tensor,
     Tape,
     ShapeMismatchError,
-    TapeError,
     attend,
     lstm_row_step,
 )
@@ -15,7 +14,6 @@ __all__ = [
     "Tensor",
     "Tape",
     "ShapeMismatchError",
-    "TapeError",
     "attend",
     "lstm_row_step",
     "Adam",

@@ -20,8 +20,6 @@ class Adam:
     moment buffers ``m`` and ``v`` (one per parameter) and ``step_count``."""
 
     def __init__(self, params: Sequence[Tensor], lr: float = 0.005, clip_norm: float | None = None):
-        if lr < 0:
-            raise ValueError("learning rate must be non-negative")
         self.params = list(params)
         self.lr = lr
         self.clip_norm = clip_norm

@@ -28,10 +28,6 @@ class ShapeMismatchError(ValueError):
         super().__init__(f"{op}: incompatible shapes {pretty}")
 
 
-class TapeError(RuntimeError):
-    """Backward was asked about a tensor this tape never produced."""
-
-
 class Tensor:
     """A float64 array plus an optional same-shape gradient buffer."""
 
@@ -263,7 +259,6 @@ class Tape:
 
     def __init__(self, record: bool = True):
         self._entries: list[tuple[tuple[Tensor, ...], tuple[Tensor, ...], BackwardFn]] = []
-        self._produced: set[int] = set()
         self._record = record
 
     def __len__(self) -> int:
@@ -283,28 +278,20 @@ class Tape:
     def _emit(self, inputs: tuple[Tensor, ...], outputs: tuple[Tensor, ...], backward: BackwardFn) -> None:
         if self._record:
             self._entries.append((inputs, outputs, backward))
-            for o in outputs:
-                self._produced.add(id(o))
 
     # -- elementwise primitives ----------------------------------------------
 
     def add(self, a: Tensor, b: Tensor) -> Tensor:
-        if a.data.shape != b.data.shape:
-            raise ShapeMismatchError("add", a.shape, b.shape)
         out = self._out(a.data + b.data, (a, b))
         self._emit((a, b), (out,), lambda gs: (gs[0], gs[0]))
         return out
 
     def sub(self, a: Tensor, b: Tensor) -> Tensor:
-        if a.data.shape != b.data.shape:
-            raise ShapeMismatchError("sub", a.shape, b.shape)
         out = self._out(a.data - b.data, (a, b))
         self._emit((a, b), (out,), lambda gs: (gs[0], -gs[0]))
         return out
 
     def mul(self, a: Tensor, b: Tensor) -> Tensor:
-        if a.data.shape != b.data.shape:
-            raise ShapeMismatchError("mul", a.shape, b.shape)
         ad, bd = a.data, b.data
         out = self._out(ad * bd, (a, b))
         self._emit((a, b), (out,), lambda gs: (gs[0] * bd, gs[0] * ad))
@@ -328,8 +315,6 @@ class Tape:
 
     def matmul(self, a: Tensor, b: Tensor) -> Tensor:
         ad, bd = a.data, b.data
-        if not (1 <= ad.ndim <= 2 and 1 <= bd.ndim <= 2) or ad.shape[-1] != bd.shape[0]:
-            raise ShapeMismatchError("matmul", a.shape, b.shape)
         out = self._out(ad @ bd, (a, b))
 
         def backward(gs):
@@ -348,8 +333,6 @@ class Tape:
     # -- shape manipulation ----------------------------------------------------
 
     def concat(self, parts: Sequence[Tensor]) -> Tensor:
-        if not parts or any(p.data.ndim != 1 for p in parts):
-            raise ShapeMismatchError("concat", *(p.shape for p in parts))
         sizes = [p.data.shape[0] for p in parts]
         out = self._out(np.concatenate([p.data for p in parts]), tuple(parts))
 
@@ -366,13 +349,7 @@ class Tape:
 
     def take_rows(self, m: Tensor, indices: Sequence[int]) -> Tensor:
         """Row gather, i.e. embedding lookup; backward scatter-adds into ``m``."""
-        if m.data.ndim != 2:
-            raise ShapeMismatchError("take_rows", m.shape)
         idx = np.asarray(indices, dtype=np.intp)
-        if idx.ndim != 1 or idx.size == 0:
-            raise ShapeMismatchError("take_rows", (idx.size,))
-        if idx.min(initial=0) < 0 or idx.max(initial=-1) >= m.data.shape[0]:
-            raise IndexError(f"take_rows: index out of range for shape {m.shape}")
         out = self._out(m.data[idx], (m,))
         shape = m.data.shape
 
@@ -387,10 +364,6 @@ class Tape:
     def pick(self, m: Tensor, indices: Sequence[int]) -> Tensor:
         """One element per row of a 2-D tensor: out[i] = m[i, indices[i]]."""
         idx = np.asarray(indices, dtype=np.intp)
-        if m.data.ndim != 2 or idx.shape != (m.data.shape[0],):
-            raise ShapeMismatchError("pick", m.shape, (idx.size,))
-        if idx.min(initial=0) < 0 or idx.max(initial=-1) >= m.data.shape[1]:
-            raise IndexError(f"pick: column index out of range for shape {m.shape}")
         rows = np.arange(m.data.shape[0])
         out = self._out(m.data[rows, idx].copy(), (m,))
         shape = m.data.shape
@@ -413,8 +386,6 @@ class Tape:
 
     def log_softmax(self, a: Tensor) -> Tensor:
         """Log-softmax over the last axis of a 1-D or 2-D tensor; finite for any finite input."""
-        if a.data.ndim not in (1, 2):
-            raise ShapeMismatchError("log_softmax", a.shape)
         shifted = a.data - a.data.max(axis=-1, keepdims=True)
         ls = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
         out = self._out(ls, (a,))
@@ -481,23 +452,8 @@ class Tape:
         product over all rows.
         """
         shape = h0.data.shape
-        n, hidden = shape if h0.data.ndim == 2 else (1, shape[0] if h0.data.ndim == 1 else -1)
-        steps, d = xs.data.shape if xs.data.ndim == 2 else (-1, -1)
-        lengths = [steps] if lengths is None else list(lengths)
-        if (
-            xs.data.ndim != 2
-            or h0.data.ndim not in (1, 2)
-            or c0.data.shape != shape
-            or w.data.shape != (4 * hidden, d + hidden)
-            or b.data.shape != (4 * hidden,)
-            or len(lengths) != n
-            or sum(lengths) != steps
-            or not lengths
-            or min(lengths) < 1
-        ):
-            raise ShapeMismatchError("lstm_sequence", xs.shape, h0.shape, c0.shape, w.shape, b.shape, lengths)
-
-        order, rows, sizes = _pack(lengths)
+        n, hidden = shape if len(shape) == 2 else (1, shape[0])
+        order, rows, sizes = _pack([len(xs.data)] if lengths is None else lengths)
         rec = _Recurrence(xs.data[rows], h0.data.reshape(n, hidden)[order], c0.data.reshape(n, hidden)[order],
                           w.data, b.data, sizes, self._record)
         hs_out = self._out(_unpack(rec.hs, rows), (xs, h0, c0, w, b))
@@ -536,29 +492,9 @@ class Tape:
         cell, so only the cell runs per step; the attention and every weight
         gradient are matrix products over all steps.
         """
-        hidden = h0.data.shape[0] if h0.data.ndim == 1 else -1
-        steps, d = xs.data.shape if xs.data.ndim == 2 else (-1, -1)
-        positions = enc.data.shape[0] if enc.data.ndim == 2 else -1
-        vocab = out_w.data.shape[0] if out_w.data.ndim == 2 else -1
-        if (
-            xs.data.ndim != 2
-            or h0.data.ndim != 1
-            or c0.data.shape != h0.data.shape
-            or enc.data.shape != (positions, hidden)
-            or w.data.shape != (4 * hidden, d + hidden)
-            or b.data.shape != (4 * hidden,)
-            or att_w.data.shape != (hidden, 2 * hidden)
-            or out_w.data.shape != (vocab, hidden)
-            or out_b.data.shape != (vocab,)
-        ):
-            raise ShapeMismatchError(
-                "attn_decoder_sequence",
-                xs.shape, h0.shape, c0.shape, enc.shape, w.shape, b.shape,
-                att_w.shape, out_w.shape, out_b.shape,
-            )
-
+        hidden = h0.data.shape[0]
         enc_data, att_w_data, out_w_data = enc.data, att_w.data, out_w.data
-        rec = _Recurrence(xs.data, h0.data[None], c0.data[None], w.data, b.data, [1] * steps, self._record)
+        rec = _Recurrence(xs.data, h0.data[None], c0.data[None], w.data, b.data, [1] * len(xs.data), self._record)
         att, cats, merged = attend(rec.hs, enc_data, att_w_data)
         logits = merged @ out_w_data.T + out_b.data
         out = self._out(logits, (xs, h0, c0, enc, w, b, att_w, out_w, out_b))
@@ -581,12 +517,7 @@ class Tape:
     # -- reverse pass ----------------------------------------------------------------
 
     def backward(self, output: Tensor) -> None:
-        """Populate ``grad`` on every requires_grad tensor reachable from ``output``."""
-        if output.data.ndim != 0:
-            raise TapeError(f"backward needs a scalar output, got shape {output.shape}")
-        if id(output) not in self._produced:
-            raise TapeError("output tensor was not produced on this tape")
-
+        """Populate ``grad`` on every requires_grad tensor reachable from the scalar ``output``."""
         grads: dict[int, Array] = {id(output): np.ones(())}
         owned: set[int] = set()
         wants: dict[int, Tensor] = {id(output): output} if output.requires_grad else {}

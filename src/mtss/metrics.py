@@ -62,8 +62,6 @@ def bleu4(candidates: Sequence[Tokens], references: Sequence[Tokens]) -> float:
     """Corpus-level BLEU-4 in [0, 100]: modified n-gram precisions for n=1..4,
     geometric mean, brevity penalty, no smoothing, case-insensitive.
     """
-    if len(candidates) != len(references) or not candidates:
-        raise ValueError("need equally many candidates and references, at least one pair")
     pair_counts = [_bleu_counts(cand, ref) for cand, ref in zip(candidates, references)]
     return _corpus_bleu([sum(column) for column in zip(*pair_counts)])
 

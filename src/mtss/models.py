@@ -19,7 +19,7 @@ import numpy as np
 
 from mtss import check_count, check_number
 from mtss.corpus import GENERAL_DOMAIN, Corpus, CorpusError, DomainSchema, schema_hash
-from mtss.corpus.state import BeliefLayout, turn_state
+from mtss.corpus.state import BeliefLayout, state_size, turn_state
 from mtss.corpus.vocab import BOS_ID, EOS_ID, Vocabulary
 from mtss.diffnum import (
     CheckpointError,
@@ -135,10 +135,6 @@ class _SeqModel:
         """One log-softmax row over the output vocabulary per gold position
         after BOS, each conditioned on the gold prefix; returned as a (T, V) tensor.
         """
-        if len(gold_ids) < 2:
-            raise ValueError("gold response must contain at least BOS and EOS")
-        if gold_ids[-1] != EOS_ID:
-            raise ValueError("gold response must end with EOS")
         emb_prefix = tape.take_rows(self.params["embed_out"], gold_ids[:-1])
         logits = tape.attn_decoder_sequence(
             emb_prefix,
@@ -167,17 +163,11 @@ class _SeqModel:
         of a one-reply decode, bit for bit; rows decoded together go through
         matrix products, whose results can differ in the last bits.
         """
-        if max_len < 1:
-            raise ValueError("max_len must be at least 1")
-        hidden = self.config.hidden_size
-        rows = len(actions) if actions.ndim else 0
-        positions = enc_outs.shape[1] if enc_outs.ndim == 3 else 0
-        if actions.shape != (rows, hidden) or enc_outs.shape != (rows, positions, hidden) or not positions:
-            raise ShapeMismatchError("decode_greedy", actions.shape, enc_outs.shape)
         embed, w, b, att_w, out_w, out_b = (
             self.params[name].data for name in ("embed_out", "dec_w", "dec_b", "att_w", "out_w", "out_b"))
-        replies: list[list[int]] = [[] for _ in range(rows)]
-        running, n = replies, rows
+        n = len(actions)
+        replies: list[list[int]] = [[] for _ in range(n)]
+        running = replies
         # A lone running row steps on vectors, as _Recurrence steps one
         # sequence: the same products, cheaper to dispatch.
         one = 0 if n == 1 else slice(None)
@@ -249,12 +239,8 @@ class TeacherModel(_SeqModel):
         self.state_size = state_size
         self.domain = domain
 
-    def action_vector(self, tape: Tape, utterance_vec: Tensor, state: np.ndarray | None) -> Tensor:
+    def action_vector(self, tape: Tape, utterance_vec: Tensor, state: np.ndarray) -> Tensor:
         """tanh(W [v_u; belief; pointer]); every component lands in (-1, 1)."""
-        if state is None:
-            raise ValueError("a teacher needs the turn's oracle state; prepare the turns with states")
-        if state.shape != (self.state_size,):
-            raise ShapeMismatchError("action_vector", state.shape, (self.state_size,))
         merged = tape.concat([utterance_vec, Tensor(state)])
         return tape.tanh(tape.matmul(self.params["policy_w"], merged))
 
@@ -378,8 +364,6 @@ class EncodingMemo:
         1e-12 relative on more, whose inputs ``encode_history`` projects in
         one product.
         """
-        if not utterances:
-            raise ValueError("history must contain at least the current user utterance")
         p = self.student.params
         h, c = state if state is not None else (np.zeros(self.student.config.hidden_size),) * 2
         for utterance in utterances:
@@ -410,8 +394,6 @@ class StudentModel(_SeqModel):
         One packed ``encode_utterances`` call encodes all the utterances; the
         context LSTM then runs over their final states.
         """
-        if not history:
-            raise ValueError("history must contain at least the current user utterance")
         outs, finals, starts = self.encode_utterances(tape, history)
         return tape.take_rows(outs, range(starts[-1], len(outs.data))), self.action_vector(tape, finals)
 
@@ -435,8 +417,6 @@ class StudentModel(_SeqModel):
         of an episode cost the steps of its last turn. Histories that share
         only a beginning each run it.
         """
-        if not all(turn.history_ids for turn in turns):
-            raise ValueError("history must contain at least the current user utterance")
         tape, index = Tape(record=False), {}
         keys = [tuple(index.setdefault(u, len(index)) for u in turn.history_ids) for turn in turns]
         outs, finals, rows = self.encode_off_tape(list(index), {key[-1] for key in keys})
@@ -463,7 +443,8 @@ def load_model(path: str | Path, kind: str | None = None,
 
     Checks the model kind (against ``kind`` when given), then the schema hash
     when ``schemas`` is given, then the config, the sizes and the vocabulary
-    token lists the sizes must match. Each failure raises ``CheckpointError``.
+    token lists the sizes must match, and given ``schemas`` a teacher's state
+    size against theirs. Each failure raises ``CheckpointError``.
     """
     arrays, meta = load_checkpoint(path)
     found = meta.get("kind")
@@ -497,6 +478,9 @@ def load_model(path: str | Path, kind: str | None = None,
         domain = meta.get("domain", "all")
         if not isinstance(domain, str):
             raise CheckpointError(f"{path}: manifest domain must be a string, got {domain!r}")
+        if schemas is not None and meta["state_size"] != state_size(schemas):
+            raise CheckpointError(f"{path}: manifest state_size is {meta['state_size']}, "
+                                  f"the schemas' state size is {state_size(schemas)}")
         model: _SeqModel = TeacherModel(
             config, meta["in_vocab_size"], meta["out_vocab_size"], meta["state_size"], domain
         )
@@ -530,7 +514,7 @@ def prepare_turns(corpus: Corpus, in_vocab: Vocabulary, out_vocab: Vocabulary,
     first 2t + 1 of them (all prior user and system utterances, then the
     current user utterance), so the turns of an episode share each tuple.
     With ``states`` False no oracle state is built and every ``state`` is
-    None: only a student can read such turns, and a teacher raises.
+    None: such turns are for a student only.
     """
     layout = BeliefLayout(corpus.schemas) if states else None
     prepared = []

@@ -279,9 +279,6 @@ def gen_corpus(config: SynthConfig) -> tuple[Corpus, Corpus]:
         builder = _EpisodeBuilder(ctx, np.random.default_rng(seed), f"{split}-{index:04d}", config)
         episodes.append(builder.build())
 
-    train = Corpus(schemas, database, episodes[: config.train_episodes])
-    test = Corpus(schemas, database, episodes[config.train_episodes:])
-    train.validate()
-    test.validate()
-    return train, test
+    return (Corpus(schemas, database, episodes[: config.train_episodes]),
+            Corpus(schemas, database, episodes[config.train_episodes:]))
 

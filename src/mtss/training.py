@@ -101,10 +101,6 @@ def nll_loss(tape: Tape, log_probs: Tensor, target_ids: Sequence[int]) -> Tensor
     """Summed negative log likelihood of the gold tokens under the (T, V)
     per-position log-probabilities.
     """
-    if log_probs.data.ndim != 2 or log_probs.data.shape[0] != len(target_ids):
-        raise ValueError(
-            f"need one distribution per gold position: {log_probs.shape} vs {len(target_ids)}"
-        )
     return tape.neg(tape.sum(tape.pick(log_probs, target_ids)))
 
 
@@ -115,21 +111,11 @@ def kd_text_loss(tape: Tape, teacher_probs: np.ndarray, log_probs: Tensor) -> Te
     Both sides must be teacher-forced on the same gold prefix; the teacher
     matrix is a constant, so no gradient reaches teacher parameters.
     """
-    if teacher_probs.ndim != 2 or log_probs.data.shape[0] != teacher_probs.shape[0]:
-        raise ValueError(
-            f"teacher/student position counts differ: {teacher_probs.shape} vs {log_probs.shape}"
-        )
-    if log_probs.data.shape[1] != teacher_probs.shape[1]:
-        raise ValueError("teacher and student vocabulary widths differ")
     return tape.neg(tape.sum(tape.mul(Tensor(teacher_probs), log_probs)))
 
 
 def kd_policy_loss(tape: Tape, teacher_action: np.ndarray, student_action: Tensor) -> Tensor:
     """Summed squared distance between action vectors; the teacher's is constant."""
-    if teacher_action.shape != student_action.data.shape:
-        raise ValueError(
-            f"action dimensions differ: {teacher_action.shape} vs {student_action.data.shape}"
-        )
     diff = tape.sub(student_action, Tensor(teacher_action))
     return tape.sum(tape.mul(diff, diff))
 

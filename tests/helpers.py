@@ -11,7 +11,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from mtss import models
-from mtss.diffnum import Tape, TapeError, Tensor
+from mtss.diffnum import Tape, Tensor
 from mtss.models import EncodingMemo
 
 
@@ -37,7 +37,7 @@ def grad_check_params(f: Callable[[Tape], Tensor], params: Sequence[Tensor], eps
     tape = Tape()
     out = f(tape)
     if out.data.ndim != 0:
-        raise TapeError(f"grad_check needs a scalar-valued function, got shape {out.shape}")
+        raise ValueError(f"grad_check needs a scalar-valued function, got shape {out.shape}")
     tape.backward(out)
     analytic = [np.zeros_like(p.data) if p.grad is None else p.grad.copy() for p in params]
     for p, (rg, g) in zip(params, saved):

@@ -24,7 +24,7 @@ from mtss import cli, models, training
 from mtss.cli import (EXIT_DATA, EXIT_DIVERGED, EXIT_INTERRUPTED, EXIT_OK, EXIT_USAGE, build_parser, cmd_chat,
                       main)
 from mtss.corpus import (Corpus, Database, Delexicalizer, DomainSchema, EntityRecord, Episode, Turn,
-                         build_vocab, load_corpus, load_vocab, save_corpus)
+                         build_vocab, load_corpus, load_vocab, save_corpus, state_size)
 from mtss.diffnum import load_checkpoint, save_checkpoint
 from mtss.models import ModelConfig, StudentModel, TeacherModel, load_model
 from mtss.synthcorpus import SynthConfig
@@ -184,6 +184,15 @@ class TestPrepare:
         assert main(argv) == EXIT_OK
         train = load_corpus(tmp_path / "out" / "corpus_train.json")
         assert [r.entity_id for r in train.database.records["restaurant"]] == ["r0"]
+
+    def test_multiwoz_schemas_file_needs_only_schemas(self, tmp_path):
+        """Of the ``--schemas`` file only its ``schemas`` object is read: an
+        episode there without turns goes unread."""
+        argv = _multiwoz_prepare(tmp_path, {"d1.json": {"log": HELLO_LOG}})
+        argv[argv.index("--schemas") + 1] = _write(tmp_path / "schemas.json", {
+            "schemas": MULTIWOZ_BASE["schemas"], "episodes": [{"id": "e0"}]})
+        assert main(argv) == EXIT_OK
+        assert list(load_corpus(tmp_path / "out" / "corpus_train.json").schemas) == ["restaurant"]
 
 
 class TestTrainTeachers:
@@ -526,6 +535,22 @@ def _teachers_with_other_size(workspace, tmp_path) -> str:
     return str(teachers)
 
 
+def _teachers_of_other_state_size(workspace, tmp_path) -> str:
+    """A directory of the workspace's teacher files, each replaced by an
+    untrained teacher of the same config and domain, saved on the same data,
+    whose oracle state is one entry longer than the schemas give."""
+    teachers = tmp_path / "teachers"
+    teachers.mkdir()
+    data = workspace / "data"
+    in_vocab, out_vocab = load_vocab(data / "vocab_in.json"), load_vocab(data / "vocab_out.json")
+    schemas = load_corpus(data / "corpus_train.json").schemas
+    for path in (workspace / "teachers").glob("*.ckpt"):
+        teacher = load_model(path, "teacher")[0]
+        TeacherModel(teacher.config, len(in_vocab), len(out_vocab), state_size(schemas) + 1, teacher.domain).save(
+            teachers / path.name, schemas, in_vocab, out_vocab, {})
+    return str(teachers)
+
+
 def _teachers_edited(workspace, tmp_path, drop=(), duplicate=(), foreign=()) -> str:
     """The workspace teachers without the checkpoints of the ``drop`` domains,
     with a second checkpoint for each ``duplicate`` domain, and with a copy
@@ -713,6 +738,11 @@ MALFORMED_INPUTS = [
     ("teacher-of-another-size", EXIT_DATA, lambda ws, tmp: [
         "train-student", "--data", str(ws / "data"), "--teachers", _teachers_with_other_size(ws, tmp),
         "--out", str(tmp / "out")], _at("teachers/teacher_hotel.ckpt")),
+    ("evaluate-teacher-of-another-state-size", EXIT_DATA, lambda ws, tmp: [
+        "evaluate", "--model", f"{_teachers_of_other_state_size(ws, tmp)}/universal.ckpt", "--data", str(ws / "data")],
+        _at("teachers/universal.ckpt")),
+    ("teachers-of-another-state-size", EXIT_DATA, lambda ws, tmp: _train_student_with(
+        _teachers_of_other_state_size(ws, tmp), ws, tmp), _at("teachers/universal.ckpt")),
     ("teachers-without-general", EXIT_DATA, lambda ws, tmp: _train_student_with(
         _teachers_edited(ws, tmp, drop=["general"]), ws, tmp), _at("teachers")),
     ("teachers-without-hotel", EXIT_DATA, lambda ws, tmp: _train_student_with(
@@ -961,14 +991,6 @@ class TestChat:
         b = self.run_chat(workspace, lines)
         assert a == b
 
-    def test_reset_clears_history(self, workspace):
-        code, out = self.run_chat(workspace, ["hello", "/reset", "hello", "/quit"])
-        assert code == EXIT_OK
-        assert "(history cleared)" in out
-        # Identical context after reset produces the identical reply.
-        replies = [l for l in out.splitlines() if l and not l.startswith(("type", "("))]
-        assert replies[0] == replies[1]
-
     @staticmethod
     def replies(out):
         return [l for l in out.splitlines() if l and not l.startswith(("type", "("))]
@@ -1007,13 +1029,6 @@ class TestChat:
 
     CONVERSATION = ["hello", "i am looking for a north restaurant", "what is the phone number",
                     "thank you", "goodbye"]
-
-    def test_reset_matches_fresh_session(self, workspace, history_student):
-        line = self.CONVERSATION[1]
-        _, out = self.run_chat(workspace, self.CONVERSATION[:3] + ["/reset", line], model=history_student)
-        _, fresh = self.run_chat(workspace, [line], model=history_student)
-        assert self.replies(out)[1] != self.replies(fresh)[0]  # the history mattered before /reset
-        assert self.replies(out)[3] == self.replies(fresh)[0]
 
     @pytest.mark.parametrize("capacity", [None, 1], ids=["default-capacity", "capacity-1"])
     def test_memo_replies_match_a_memo_free_replay(self, workspace, history_student, monkeypatch, capacity):

@@ -71,11 +71,6 @@ def test_nan_gradient_raises_divergence_error():
         step(Adam([Tensor([0.0])], lr=0.1), [np.inf])
 
 
-def test_negative_learning_rate_rejected():
-    with pytest.raises(ValueError):
-        Adam([Tensor([0.0])], lr=-1.0)
-
-
 def test_step_uses_tensor_grads_and_zero_grad_clears_them():
     p = Tensor([1.0], requires_grad=True)
     opt = Adam([p], lr=0.1)

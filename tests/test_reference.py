@@ -21,7 +21,7 @@ import pytest
 import mtss.diffnum.tape as tape_module
 import reference as ref
 from mtss import models, training
-from mtss.cli import build_parser, cmd_chat
+from mtss.cli import EXIT_OK, build_parser, cmd_chat
 from mtss.corpus import Episode, build_vocab
 from mtss.corpus.vocab import EOS_ID, EOS_TOKEN, PAD_TOKEN
 from mtss.diffnum import Tape
@@ -206,7 +206,7 @@ def check_chat(w, monkeypatch, tmp_path):
 
     with monkeypatch.context() as patch:
         patch.setattr(StudentModel, "decode_greedy", recording)
-        cmd_chat(args, stdin=io.StringIO("\n".join(script) + "\n"), stdout=out)
+        assert cmd_chat(args, stdin=io.StringIO("\n".join(script) + "\n"), stdout=out) == EXIT_OK
     said, got, history = out.getvalue().splitlines(), iter(replies), []
     assert len(said) == len(script) + 1 and EOS_TOKEN in script[-1]
     for line, text in zip(script, said[1:]):

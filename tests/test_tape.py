@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from helpers import grad_check, grad_check_params, traced_peak
-from mtss.diffnum import ShapeMismatchError, Tape, TapeError, Tensor, attend, lstm_row_step
+from mtss.diffnum import Tape, Tensor, attend, lstm_row_step
 from mtss.diffnum.tape import _cell, _cell_grad
 
 
@@ -35,12 +35,6 @@ class TestForwardValues:
         out = Tape().matmul(Tensor(np.eye(3)), Tensor(a))
         assert np.array_equal(out.data, a)
 
-    def test_shape_mismatch_names_op_and_shapes(self):
-        with pytest.raises(ShapeMismatchError, match=r"matmul.*\(2, 3\).*\(2,\)"):
-            Tape().matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros(2)))
-        with pytest.raises(ShapeMismatchError, match="add"):
-            Tape().add(Tensor(np.zeros(2)), Tensor(np.zeros(3)))
-
     def test_attend_weights_are_a_distribution(self):
         rng = np.random.default_rng(9)
         enc = rng.normal(scale=3.0, size=(5, 4))
@@ -65,13 +59,6 @@ class TestForwardValues:
         assert np.array_equal(c_got, c) and np.array_equal(tc_got, np.tanh(c))
         assert np.array_equal(h_got, go * np.tanh(c))
 
-    def test_index_ops_validate_range(self):
-        m = Tensor(np.zeros((2, 3)))
-        with pytest.raises(IndexError):
-            Tape().take_rows(m, [0, 2])
-        with pytest.raises(IndexError):
-            Tape().pick(m, [0, 3])
-
 
 class TestBackwardBasics:
     def test_tanh_grad_at_zero(self):
@@ -92,16 +79,6 @@ class TestBackwardBasics:
         x = Tensor(3.0, requires_grad=True)
         tape.backward(tape.mul(x, x))
         assert float(x.grad) == 6.0
-
-    def test_non_scalar_output_rejected(self):
-        tape = Tape()
-        y = tape.tanh(Tensor([1.0, 2.0], requires_grad=True))
-        with pytest.raises(TapeError, match="scalar"):
-            tape.backward(y)
-
-    def test_foreign_tensor_rejected(self):
-        with pytest.raises(TapeError, match="not produced"):
-            Tape().backward(Tensor(1.0, requires_grad=True))
 
     def test_embedding_grad_is_scatter_add(self):
         tape = Tape()
@@ -251,14 +228,6 @@ class TestPackedSequences:
         for got, expected in zip(outs, kept):
             assert np.array_equal(got.data, expected.data)
         assert unrecorded < recorded - xs.data.shape[0] * (d + h) * 8
-
-    @pytest.mark.parametrize("lengths", [[2, 0], [2], [1, 2]], ids=["empty-sequence", "one-length", "wrong-total"])
-    def test_lengths_must_cover_the_rows(self, lengths):
-        rng = np.random.default_rng(41)
-        xs, _, _, w, b = self.args(rng, [2])
-        h0 = Tensor(np.zeros((2, self.H)))
-        with pytest.raises(ShapeMismatchError, match="lstm_sequence"):
-            Tape().lstm_sequence(xs, h0, h0, w, b, lengths)
 
 
 class TestGradCheckExamples:

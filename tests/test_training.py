@@ -96,11 +96,6 @@ class TestNllLoss:
         assert logits.grad[0, 1] == pytest.approx(1.0, abs=1e-12)
         assert 0.0 < logits.grad[0, 2] < 1e-12
 
-    def test_length_mismatch_errors(self):
-        tape = Tape()
-        with pytest.raises(ValueError, match="one distribution per gold position"):
-            nll_loss(tape, log_probs_from_rows(tape, [[0.5, 0.5]]), [0, 1])
-
 
 class TestGradientEquivalence:
     """Where no probability underflows, losses on log-probabilities have the
@@ -158,14 +153,6 @@ class TestKdTextLoss:
             entropy = -np.sum(p * np.log(p))
             assert cross - entropy >= -1e-10
 
-    def test_shape_mismatches_error(self):
-        tape = Tape()
-        student = log_probs_from_rows(tape, [[0.5, 0.5]])
-        with pytest.raises(ValueError, match="position counts"):
-            kd_text_loss(tape, np.array([[0.9, 0.1], [0.5, 0.5]]), student)
-        with pytest.raises(ValueError, match="vocabulary widths"):
-            kd_text_loss(tape, np.array([[0.5, 0.3, 0.2]]), student)
-
     def test_no_gradient_reaches_teacher_side(self):
         teacher = np.array([[0.9, 0.1]])
         tape = Tape()
@@ -195,11 +182,6 @@ class TestKdPolicyLoss:
             ba = kd_policy_loss(tape, b, Tensor(a, requires_grad=True)).item()
             assert ab >= 0.0
             assert ab == pytest.approx(ba, abs=1e-12)
-
-    def test_dimension_mismatch_errors(self):
-        tape = Tape()
-        with pytest.raises(ValueError, match="dimensions differ"):
-            kd_policy_loss(tape, np.zeros(3), Tensor(np.zeros(2), requires_grad=True))
 
 
 class TestCombinedLoss:
